@@ -167,7 +167,6 @@ double fork_detect_rounds() {
                         const ibbe::pki::EcdsaKeyPair& peer) {
     AdminConfig config;
     config.partition_size = 3;
-    config.multi_admin = true;
     config.admin_nonce = nonce;
     config.admin_name = name;
     config.log_operations = true;

@@ -7,7 +7,7 @@
 //                          cloud store and commit protocol at |p|=4);
 //   index_bytes_per_op   — mean MEMBER-INDEX bytes uploaded per membership
 //                          mutation at one million members under the sharded
-//                          layout (host shard rewrite + signed delta +
+//                          layout (host shard rewrite + hash-chained delta +
 //                          manifest), measured with the real serializers;
 //   index_bytes_per_op_monolithic — the same churn under the seed's layout:
 //                          every mutation re-uploads the whole member matrix
@@ -127,7 +127,7 @@ class MetaGroup {
   }
 
   /// Adds one member; returns the bytes the sharded layout uploads for the
-  /// index (shard + delta + manifest, each envelope-framed).
+  /// index (envelope-framed shard and manifest, bare delta).
   std::size_t add(const Identity& id) {
     std::size_t shard = place(id);
     return commit(shard, DeltaOp::Kind::add_member, id);
@@ -222,17 +222,21 @@ class MetaGroup {
   }
 
   /// Serializes what the admin uploads for this mutation and returns the
-  /// byte total: the rewritten host shard, the signed single-op delta, and
-  /// the manifest carrying every shard ref.
+  /// byte total: the rewritten host shard, the single-op delta chained to
+  /// its predecessor, and the manifest pinning every shard ref and the
+  /// delta.
   std::size_t commit(std::size_t shard, DeltaOp::Kind kind,
                      const Identity& id) {
     refresh_ref(shards_[shard]);
     IndexDelta delta;
     delta.seq = ++counter_;
+    delta.prev_delta_hash = delta_hash_;
     DeltaOp op;
     op.kind = kind;
     op.user = id;
     delta.ops = {op};
+    auto delta_bytes = delta.to_bytes();
+    delta_hash_ = ibbe::system::content_hash(delta_bytes);
     GroupManifest manifest;
     manifest.shards.reserve(shards_.size());
     // Emptied shards leave the manifest (the admin erases them); slots stay
@@ -241,7 +245,8 @@ class MetaGroup {
       if (!s.shard.partitions.empty()) manifest.shards.push_back(s.ref);
     }
     manifest.delta_base = counter_ > 64 ? counter_ - 63 : 1;
-    return shards_[shard].bytes + delta.to_bytes().size() + kEnvelopeOverhead +
+    manifest.delta_hash = delta_hash_;
+    return shards_[shard].bytes + delta_bytes.size() +
            manifest.to_bytes().size() + kEnvelopeOverhead;
   }
 
@@ -253,6 +258,7 @@ class MetaGroup {
   PartitionId next_pid_ = 0;
   std::uint64_t next_object_ = 0;
   std::uint64_t counter_ = 0;
+  ibbe::system::Hash32 delta_hash_{};
 };
 
 struct ChurnResult {

@@ -14,20 +14,51 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 JOBS="$(nproc)"
 
-# The build tree must stay out of version control: refuse to build into a
-# directory git would track (build/ is in .gitignore; anything else needs to
-# be ignored too, or live outside the work tree).
-if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
-  ignore_status=0
-  git check-ignore -q "$BUILD_DIR/.ci-probe" 2> /dev/null || ignore_status=$?
+# require_ignored DIR: build trees must stay out of version control, so
+# refuse to build into a directory git would track (build/ and the
+# -portable/-asan/-tsan trees derived from it are in .gitignore; anything
+# else needs to be ignored too, or live outside the work tree).
+require_ignored() {
+  git rev-parse --is-inside-work-tree > /dev/null 2>&1 || return 0
+  local status=0
+  git check-ignore -q "$1/.ci-probe" 2> /dev/null || status=$?
   # 0 = ignored (fine); 128 = outside the work tree (also fine); 1 = a
   # build into the work tree that git would pick up.
-  if [ "$ignore_status" -eq 1 ]; then
-    echo "ci.sh: build dir '$BUILD_DIR' is not git-ignored;" \
+  if [ "$status" -eq 1 ]; then
+    echo "ci.sh: build dir '$1' is not git-ignored;" \
          "add it to .gitignore or build outside the work tree" >&2
     exit 1
   fi
-fi
+}
+
+# sanitizer_stage DIR FLAGS SUITES...: builds SUITES in DIR with
+# -DIBBE_SANITIZE=FLAGS and runs each. Probed rather than assumed: minimal
+# containers often ship a compiler without the sanitizer runtimes, in which
+# case the stage is skipped.
+sanitizer_stage() {
+  local dir="$1" flags="$2"
+  shift 2
+  local probe
+  probe="$(mktemp)"
+  if ! echo 'int main() { return 0; }' \
+       | c++ -x c++ - -fsanitize="$flags" -fno-omit-frame-pointer \
+             -o "$probe" 2> /dev/null; then
+    rm -f "$probe"
+    echo "ci.sh: toolchain lacks the -fsanitize=$flags runtime; skipping $dir"
+    return 0
+  fi
+  rm -f "$probe"
+  require_ignored "$dir"
+  echo "==> sanitizer build ($dir, $flags)"
+  cmake -B "$dir" -S . -DIBBE_SANITIZE="$flags"
+  cmake --build "$dir" -j"$JOBS" --target "$@"
+  for suite in "$@"; do
+    echo "==> $dir/$suite ($flags)"
+    "$dir/$suite" --gtest_brief=1
+  done
+}
+
+require_ignored "$BUILD_DIR"
 
 # Documentation gate: every src/<module>/ must carry a README.md, and no
 # markdown link in any README.md (or docs/*.md) may point at a nonexistent
@@ -155,14 +186,7 @@ fi
 # commit. Results are bit-identical by construction; only timings differ.
 if [ -r /proc/cpuinfo ] && grep -qw adx /proc/cpuinfo; then
   PORTABLE_DIR="${BUILD_DIR}-portable"
-  if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
-    portable_ignore=0
-    git check-ignore -q "$PORTABLE_DIR/.ci-probe" 2> /dev/null || portable_ignore=$?
-    if [ "$portable_ignore" -eq 1 ]; then
-      echo "ci.sh: portable build dir '$PORTABLE_DIR' is not git-ignored" >&2
-      exit 1
-    fi
-  fi
+  require_ignored "$PORTABLE_DIR"
   echo "==> portable-fallback build ($PORTABLE_DIR)"
   cmake -B "$PORTABLE_DIR" -S . -DIBBE_FORCE_PORTABLE_MUL=ON
   cmake --build "$PORTABLE_DIR" -j"$JOBS"
@@ -180,76 +204,21 @@ else
   echo "ci.sh: no ADX on this CPU; default build already covers the portable path"
 fi
 
-# Sanitizer stage: when the toolchain can link ASan+UBSan, build a third tree
-# with -DIBBE_SANITIZE=address,undefined and run the suites that exercise the
-# fault-injection / crash-recovery machinery (heap-heavy, exception-heavy)
-# under instrumentation. Probed rather than assumed: minimal containers often
-# ship a compiler without the sanitizer runtimes.
-san_probe="$(mktemp)"
-if echo 'int main() { return 0; }' \
-     | c++ -x c++ - -fsanitize=address,undefined -fno-omit-frame-pointer \
-           -o "$san_probe" 2> /dev/null; then
-  rm -f "$san_probe"
-  SAN_DIR="${BUILD_DIR}-asan"
-  if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
-    san_ignore=0
-    git check-ignore -q "$SAN_DIR/.ci-probe" 2> /dev/null || san_ignore=$?
-    if [ "$san_ignore" -eq 1 ]; then
-      echo "ci.sh: sanitizer build dir '$SAN_DIR' is not git-ignored" >&2
-      exit 1
-    fi
-  fi
-  echo "==> sanitizer build ($SAN_DIR, address+undefined)"
-  cmake -B "$SAN_DIR" -S . -DIBBE_SANITIZE=address,undefined
-  cmake --build "$SAN_DIR" -j"$JOBS" --target \
-    util_test cloud_test fault_injection_test byzantine_test system_test \
-    extensions_test shard_delta_test thread_pool_test \
-    parallel_equivalence_test net_test
-  for suite in util_test cloud_test fault_injection_test byzantine_test \
-               system_test extensions_test shard_delta_test thread_pool_test \
-               parallel_equivalence_test net_test; do
-    echo "==> $SAN_DIR/$suite (sanitized)"
-    "$SAN_DIR/$suite" --gtest_brief=1
-  done
-else
-  rm -f "$san_probe"
-  echo "ci.sh: toolchain lacks ASan/UBSan runtimes; skipping sanitizer stage"
-fi
+# Sanitizer stage: ASan+UBSan over the suites that exercise the
+# fault-injection / crash-recovery machinery (heap-heavy, exception-heavy).
+sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
+  util_test cloud_test fault_injection_test byzantine_test system_test \
+  extensions_test shard_delta_test thread_pool_test \
+  parallel_equivalence_test net_test
 
 # ThreadSanitizer stage: the Byzantine store wraps every fault decision in a
 # mutex and clients race long-polls, gossip publishes, and CAS retries
 # against it — exactly the shapes TSan exists to check. The thread-pool
 # suites ride along: they hammer the work-stealing scheduler and the lazy
 # first-use of the shared crypto singletons (GLV/GLS lattices, comb tables,
-# the Montgomery-backend dispatch) from many workers at once. Probed the
-# same way as ASan: minimal toolchains often lack the tsan runtime.
-tsan_probe="$(mktemp)"
-if echo 'int main() { return 0; }' \
-     | c++ -x c++ - -fsanitize=thread -fno-omit-frame-pointer \
-           -o "$tsan_probe" 2> /dev/null; then
-  rm -f "$tsan_probe"
-  TSAN_DIR="${BUILD_DIR}-tsan"
-  if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
-    tsan_ignore=0
-    git check-ignore -q "$TSAN_DIR/.ci-probe" 2> /dev/null || tsan_ignore=$?
-    if [ "$tsan_ignore" -eq 1 ]; then
-      echo "ci.sh: tsan build dir '$TSAN_DIR' is not git-ignored" >&2
-      exit 1
-    fi
-  fi
-  echo "==> tsan build ($TSAN_DIR, thread)"
-  cmake -B "$TSAN_DIR" -S . -DIBBE_SANITIZE=thread
-  cmake --build "$TSAN_DIR" -j"$JOBS" --target \
-    cloud_test fault_injection_test byzantine_test system_test \
-    thread_pool_test parallel_equivalence_test net_test
-  for suite in cloud_test fault_injection_test byzantine_test system_test \
-               thread_pool_test parallel_equivalence_test net_test; do
-    echo "==> $TSAN_DIR/$suite (tsan)"
-    "$TSAN_DIR/$suite" --gtest_brief=1
-  done
-else
-  rm -f "$tsan_probe"
-  echo "ci.sh: toolchain lacks the TSan runtime; skipping tsan stage"
-fi
+# the Montgomery-backend dispatch) from many workers at once.
+sanitizer_stage "${BUILD_DIR}-tsan" thread \
+  cloud_test fault_injection_test byzantine_test system_test \
+  thread_pool_test parallel_equivalence_test net_test
 
 echo "ci.sh: all stages passed"

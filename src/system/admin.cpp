@@ -51,6 +51,14 @@ AdminApi::AdminApi(enclave::IbbeEnclave& enclave, cloud::CloudStore& cloud,
     throw std::invalid_argument(
         "AdminApi: partition_size exceeds the enclave's PK bound");
   }
+  trusted_keys_.push_back(signing_key_.public_key());
+  for (const auto& key_bytes : config_.peer_verification_keys) {
+    try {
+      trusted_keys_.push_back(ec::p256_from_bytes(key_bytes));
+    } catch (const util::DeserializeError&) {
+      // malformed configured key: skip
+    }
+  }
 }
 
 AdminApi::GroupState& AdminApi::state_of(const GroupId& gid) {
@@ -209,16 +217,16 @@ bool AdminApi::push_index(const GroupId& gid, GroupState& state,
   } else {
     IndexDelta delta;
     delta.seq = token.counter;
+    delta.prev_delta_hash = state.delta_hash;
     delta.prev_log_head = state.freshness.log_head;
     delta.log_head = log_head;
     delta.ops = state.pending_delta;
-    auto env = SignedEnvelope::sign(signing_key_, delta.to_bytes());
-    auto bytes = env.to_bytes();
+    auto bytes = delta.to_bytes();
     // Delta names are keyed by the GLOBAL freshness counter, so a lost CAS
     // race (or a crashed predecessor's orphan) can leave a different payload
     // under d<seq>. A plain put is still safe: the committed manifest pins
-    // its own delta by hash and chains the rest through the op-log heads, so
-    // a client folding a clobbered delta falls back to a snapshot — it can
+    // its own delta by hash, and each delta pins its predecessor's, so a
+    // client folding a clobbered delta falls back to a snapshot — it can
     // never fold the wrong ops silently.
     with_retries([&] {
       cloud_.put(delta_path(gid, delta.seq), bytes);
@@ -244,6 +252,7 @@ bool AdminApi::push_index(const GroupId& gid, GroupState& state,
     state.index_version = version;
     state.freshness = token;
     state.delta_base = delta_base;
+    state.delta_hash = delta_hash;
     if (!barrier) stats_.deltas_published++;
     state.pending_delta.clear();
     // Only now does the counter become the platform's confirmed floor; any
@@ -369,18 +378,6 @@ AdminApi::LogHead AdminApi::publish_log_entry(const GroupId& gid, LogOp op,
   throw std::runtime_error("AdminApi: persistent op-log contention on " + gid);
 }
 
-bool AdminApi::verify_envelope(const SignedEnvelope& env) const {
-  if (env.verify(signing_key_.public_key())) return true;
-  for (const auto& key_bytes : config_.peer_verification_keys) {
-    try {
-      if (env.verify(ec::p256_from_bytes(key_bytes))) return true;
-    } catch (const util::DeserializeError&) {
-      // malformed configured key: skip
-    }
-  }
-  return false;
-}
-
 void AdminApi::gc_group(const GroupId& gid, const GroupState& state) {
   std::vector<std::string> live;
   live.reserve(state.shards.size() + state.overlays.size() +
@@ -447,7 +444,7 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
     throw std::runtime_error("sync_from_cloud: no index for group " + gid);
   }
   auto index_env = SignedEnvelope::from_bytes(raw_index->value);
-  if (!verify_envelope(index_env)) {
+  if (!index_env.verify(trusted_keys_)) {
     throw std::runtime_error("sync_from_cloud: index signature not trusted");
   }
   GroupManifest manifest = GroupManifest::from_bytes(index_env.payload);
@@ -465,6 +462,7 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
   state.cipher_set = manifest.cipher_set;
   state.overlays = manifest.overlays;
   state.delta_base = manifest.delta_base;
+  state.delta_hash = manifest.delta_hash;
 
   for (const auto& ref : manifest.shards) {
     auto raw = with_retries([&] { return cloud_.get(shard_path(gid, ref.sid)); });
@@ -479,7 +477,7 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
       throw cloud::TransientError("sync_from_cloud: stale shard content");
     }
     auto env = SignedEnvelope::from_bytes(*raw);
-    if (!verify_envelope(env)) {
+    if (!env.verify(trusted_keys_)) {
       throw std::runtime_error("sync_from_cloud: shard signature not trusted");
     }
     IndexShard rec = IndexShard::from_bytes(env.payload);
@@ -502,7 +500,7 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
     throw cloud::TransientError("sync_from_cloud: cipher bundle not yet visible");
   }
   auto bundle_env = SignedEnvelope::from_bytes(*raw_bundle);
-  if (!verify_envelope(bundle_env)) {
+  if (!bundle_env.verify(trusted_keys_)) {
     throw std::runtime_error("sync_from_cloud: bundle signature not trusted");
   }
   CipherBundle bundle = CipherBundle::from_bytes(bundle_env.payload);
@@ -515,7 +513,7 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
       throw cloud::TransientError("sync_from_cloud: overlay not yet visible");
     }
     auto env = SignedEnvelope::from_bytes(*raw);
-    if (!verify_envelope(env)) {
+    if (!env.verify(trusted_keys_)) {
       throw std::runtime_error("sync_from_cloud: overlay signature not trusted");
     }
     CipherOverlay overlay = CipherOverlay::from_bytes(env.payload);
@@ -705,16 +703,6 @@ MembershipLog::AuditResult AdminApi::audit_group_log(const GroupId& gid) const {
     return {false, "op-log blob corrupted", 0};
   }
 
-  std::vector<ec::P256Point> keys;
-  keys.push_back(signing_key_.public_key());
-  for (const auto& key_bytes : config_.peer_verification_keys) {
-    try {
-      keys.push_back(ec::p256_from_bytes(key_bytes));
-    } catch (const util::DeserializeError&) {
-      // malformed configured key: skip
-    }
-  }
-
   // Anchor on the committed manifest's log head so a rolled-back suffix — a
   // perfectly valid shorter chain — is still caught; check the manifest's
   // freshness token against the enclave floor so a WHOLESALE rollback of a
@@ -725,7 +713,7 @@ MembershipLog::AuditResult AdminApi::audit_group_log(const GroupId& gid) const {
   if (auto raw_index = fetch(index_path(gid))) {
     try {
       auto env = SignedEnvelope::from_bytes(*raw_index);
-      if (verify_envelope(env)) {
+      if (env.verify(trusted_keys_)) {
         GroupManifest m = GroupManifest::from_bytes(env.payload);
         if (!m.freshness.verify(enclave_.freshness_verification_key(), gid) ||
             m.freshness.gk_epoch != m.gk_epoch ||
@@ -744,7 +732,7 @@ MembershipLog::AuditResult AdminApi::audit_group_log(const GroupId& gid) const {
       // unanchored audit is still better than no audit
     }
   }
-  return log.audit(keys, anchor_ptr);
+  return log.audit(trusted_keys_, anchor_ptr);
 }
 
 void AdminApi::create_group(const GroupId& gid,

@@ -12,7 +12,7 @@
 //   * pushing signed metadata to the cloud store — under the sharded
 //     manifest layout a mutation touches O(1) objects: the host shard, one
 //     cipher object (an overlay for adds, the rotated bundle for removes),
-//     the signed delta, the op-log entry and the manifest;
+//     the hash-chained delta, the op-log entry and the manifest;
 //   * re-partitioning heuristics at two granularities: the global rule from
 //     §V-A (more than half of ALL partitions under two-thirds occupancy →
 //     full rebuild, a snapshot barrier) and the same rule applied per shard
@@ -21,7 +21,7 @@
 //
 // Crash consistency (docs/fault_model.md has the full protocol): every
 // mutation is shadow-paged. Changed shards, cipher bundles/overlays and the
-// commit's signed delta are written under FRESH object ids (copy-on-write —
+// commit's delta are written under FRESH object ids (copy-on-write —
 // these files are immutable once written; partition ids, by contrast, are
 // stable logical names), a rotated group key is sealed under a FRESH epoch
 // path, and the op-log entry is CAS-merged in — all BEFORE the single commit
@@ -35,8 +35,9 @@
 //
 // Extensions beyond the paper's evaluation (its §VIII future work):
 //   * batch revocation: remove_users() rotates gk once per batch;
-//   * multi-administrator mode: CAS-protected manifest updates with cache
-//     re-sync and retry (config.multi_admin);
+//   * multi-administrator mode: manifest updates are always CAS-protected
+//     and a conflict re-syncs the cache and retries (no knob: peers need
+//     only distinct admin_nonce values and each other's keys);
 //   * dynamic partition sizing: re-partitioning picks the size a cost model
 //     recommends for the observed workload (config.adaptive_partitioning);
 //   * a hash-chained signed membership log for auditing
@@ -75,11 +76,6 @@ struct AdminConfig {
   util::RetryPolicy retry;
 
   // ---- multi-administrator extension ----
-  /// Enables lock-free concurrent administration: manifest updates go
-  /// through compare-and-swap, conflicts trigger a cache re-sync and retry,
-  /// and the sealed group key is mirrored to the cloud so peers can pick it
-  /// up.
-  bool multi_admin = false;
   /// Distinguishes this administrator's partition/object ids and gk epochs
   /// (high 32 bits) so concurrent creations never collide.
   std::uint32_t admin_nonce = 0;
@@ -230,6 +226,8 @@ class AdminApi {
     // handed to the next attestation, and as the last delta's seq).
     enclave::FreshnessToken freshness;
     std::uint64_t delta_base = 0;  // earliest delta retained on the cloud
+    /// The committed manifest's delta_hash: the next delta's prev_delta_hash.
+    Hash32 delta_hash{};
     /// Delta ops staged by the current mutation attempt; consumed by
     /// push_index (empty = snapshot-barrier commit). Cleared before each
     /// retry so a re-run after a CAS conflict restages from scratch.
@@ -272,11 +270,12 @@ class AdminApi {
   /// Uploads one partition's cipher as an overlay under a fresh id.
   void write_overlay(const GroupId& gid, GroupState& state, PartitionId pid);
   /// The commit point: CAS of the signed manifest against the cached
-  /// version. Writes the commit's signed delta first (d<counter>, pinned by
-  /// the manifest's delta_hash) unless the staged ops are empty (snapshot
-  /// barrier). The manifest carries an enclave-signed freshness token
-  /// (tentative counter); the counter is confirmed to the platform only
-  /// after the CAS lands, and the commit is announced on the gossip channel.
+  /// version. Writes the commit's delta first (d<counter>, chained to its
+  /// predecessor, pinned by the manifest's delta_hash) unless the staged
+  /// ops are empty (snapshot barrier). The manifest carries an
+  /// enclave-signed freshness token (tentative counter); the counter is
+  /// confirmed to the platform only after the CAS lands, and the commit is
+  /// announced on the gossip channel.
   /// Detects this admin's own ambiguous commits (write applied, response
   /// lost) by re-reading and comparing payloads; false means a real
   /// concurrent update.
@@ -302,7 +301,6 @@ class AdminApi {
   /// the manifest's log_head anchor. All-zero when logging is off.
   LogHead publish_log_entry(const GroupId& gid, LogOp op,
                             const std::string& subject);
-  [[nodiscard]] bool verify_envelope(const SignedEnvelope& env) const;
   /// Post-commit sweep: deletes shard / cipher / delta / sealed-gk files
   /// that the committed manifest no longer references (deltas: anything
   /// outside [delta_base, counter]). Best-effort — a failed sweep leaves
@@ -345,6 +343,8 @@ class AdminApi {
   cloud::CloudStore& cloud_;
   pki::EcdsaKeyPair signing_key_;
   AdminConfig config_;
+  // Own key + the well-formed peer_verification_keys, parsed once.
+  std::vector<ec::P256Point> trusted_keys_;
   crypto::Drbg rng_;  // untrusted-side randomness (partition placement only)
   std::map<GroupId, GroupState> cache_;
   std::map<GroupId, MembershipLog> logs_;

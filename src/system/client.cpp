@@ -24,13 +24,6 @@ bool ClientApi::verify_credentials() const {
   return core::verify_user_key(pk_, usk_);
 }
 
-bool ClientApi::verify_any(const SignedEnvelope& env) const {
-  for (const auto& key : admin_keys_) {
-    if (env.verify(key)) return true;
-  }
-  return false;
-}
-
 std::optional<util::Bytes> ClientApi::last_key(const GroupId& gid) const {
   auto it = last_verified_key_.find(gid);
   if (it == last_verified_key_.end()) return std::nullopt;
@@ -133,8 +126,14 @@ ClientApi::Fetch ClientApi::check_freshness(const GroupId& gid,
 
 bool ClientApi::fold_deltas(const GroupId& gid, const GroupManifest& m,
                             CachedIndex& view) {
-  const std::uint64_t target = m.freshness.counter;
-  for (std::uint64_t seq = view.counter + 1; seq <= target; ++seq) {
+  // Check the whole hash chain before folding anything: d<counter+1> must
+  // name the view's own delta_hash, each later delta its predecessor's
+  // stored hash, and the newest must hash to the signed manifest's
+  // delta_hash — so that one signature authenticates every delta folded.
+  std::vector<IndexDelta> chain;
+  Hash32 link = view.delta_hash;
+  for (std::uint64_t seq = view.counter + 1; seq <= m.freshness.counter;
+       ++seq) {
     std::optional<util::Bytes> raw;
     try {
       raw = with_retries([&] { return cloud_.get(delta_path(gid, seq)); });
@@ -142,34 +141,29 @@ bool ClientApi::fold_deltas(const GroupId& gid, const GroupManifest& m,
       return false;  // window raced the GC, or the replica is torn
     }
     if (!raw) return false;
-    if (seq == target && content_hash(*raw) != m.delta_hash) {
-      // The manifest pins its own commit's delta: different bytes under the
-      // committed name mean a racing/Byzantine writer clobbered it.
-      return false;
-    }
-    IndexDelta delta;
     try {
-      auto env = SignedEnvelope::from_bytes(*raw);
-      if (!verify_any(env)) {
-        // A delta not signed by an administrator key is worthless no matter
-        // how well it chains.
-        ++stats_.signature_failures;
-        return false;
-      }
-      delta = IndexDelta::from_bytes(env.payload);
+      chain.push_back(IndexDelta::from_bytes(*raw));
     } catch (const util::DeserializeError&) {
-      ++stats_.signature_failures;
       return false;
     }
+    // Not the successor of what we hold: a torn replica, or a racing or
+    // Byzantine writer clobbered a committed name.
+    if (chain.back().prev_delta_hash != link) return false;
+    link = content_hash(*raw);
+  }
+  if (link != m.delta_hash) return false;
+  for (const auto& delta : chain) {
     // apply() enforces seq == counter+1 and the log-head chain, and rejects
-    // structurally inconsistent ops without touching the view.
+    // structurally inconsistent ops.
     if (!view.apply(delta)) return false;
     ++stats_.delta_folds;
   }
-  // The chain must land exactly on the committed head; anything else means
-  // a spliced or replayed sequence survived the per-delta checks.
-  if (view.counter != target || view.log_head != m.log_head) return false;
+  // The log-head chain must land on the committed head as well.
+  if (view.counter != m.freshness.counter || view.log_head != m.log_head) {
+    return false;
+  }
   view.gk_epoch = m.gk_epoch;
+  view.delta_hash = m.delta_hash;
   return true;
 }
 
@@ -195,7 +189,7 @@ bool ClientApi::load_snapshot(const GroupId& gid, const GroupManifest& m,
     }
     try {
       auto env = SignedEnvelope::from_bytes(*raw);
-      if (!verify_any(env)) {
+      if (!env.verify(admin_keys_)) {
         ++stats_.signature_failures;
         return false;
       }
@@ -211,6 +205,7 @@ bool ClientApi::load_snapshot(const GroupId& gid, const GroupManifest& m,
   view.counter = m.freshness.counter;
   view.log_head = m.log_head;
   view.gk_epoch = m.gk_epoch;
+  view.delta_hash = m.delta_hash;
   return true;
 }
 
@@ -220,7 +215,7 @@ CachedIndex* ClientApi::refresh_view(const GroupId& gid,
   if (it != cache_.end()) {
     CachedIndex& view = it->second;
     if (view.counter == m.freshness.counter && view.log_head == m.log_head &&
-        view.gk_epoch == m.gk_epoch) {
+        view.gk_epoch == m.gk_epoch && view.delta_hash == m.delta_hash) {
       return &view;  // warm: same commit, zero index bytes downloaded
     }
     // Fold only when every missing commit's delta is still retained
@@ -229,8 +224,8 @@ CachedIndex* ClientApi::refresh_view(const GroupId& gid,
         view.counter + 1 >= m.delta_base && fold_deltas(gid, m, view)) {
       return &view;
     }
-    // Gap, chain break, bad signature, or clobbered delta: discard the cache
-    // and take the snapshot path. Safe — just slower.
+    // Gap, broken hash or log-head chain, or clobbered delta: discard the
+    // cache and take the snapshot path. Safe — just slower.
     ++stats_.fold_fallbacks;
     cache_.erase(it);
   }
@@ -257,7 +252,7 @@ const enclave::PartitionCiphertext* ClientApi::get_cipher(
     if (!raw) return nullptr;  // torn: overlay pushed before the manifest
     try {
       auto env = SignedEnvelope::from_bytes(*raw);
-      if (!verify_any(env)) {
+      if (!env.verify(admin_keys_)) {
         ++stats_.signature_failures;
         return nullptr;
       }
@@ -281,7 +276,7 @@ const enclave::PartitionCiphertext* ClientApi::get_cipher(
     if (!raw) return nullptr;
     try {
       auto env = SignedEnvelope::from_bytes(*raw);
-      if (!verify_any(env)) {
+      if (!env.verify(admin_keys_)) {
         ++stats_.signature_failures;
         return nullptr;
       }
@@ -317,7 +312,7 @@ ClientApi::Fetch ClientApi::fetch_once(const GroupId& gid, util::Bytes& key,
   GroupManifest manifest;
   try {
     auto env = SignedEnvelope::from_bytes(raw_index->value);
-    if (!verify_any(env)) {
+    if (!env.verify(admin_keys_)) {
       ++stats_.signature_failures;
       return Fetch::degraded;
     }

@@ -9,15 +9,18 @@
 //            -> gk = AES-GCM-open(SHA-256(bk), y_p)
 //
 // The membership index is sharded (metadata.h): the manifest pins each
-// shard's content hash, and every commit publishes a signed incremental
-// delta. A client keeps a locally cached CachedIndex per group; on fetch it
+// shard's content hash, and every commit publishes an incremental delta that
+// names its predecessor's hash, with the manifest pinning the newest. A
+// client keeps a locally cached CachedIndex per group; on fetch it
 //   * reuses the cache untouched when the manifest shows the same commit
 //     (warm path — zero index bytes downloaded),
 //   * folds the missing deltas when its cache is inside the manifest's
-//     retention window (verifying each delta's signature, its seq/log-head
-//     chain, and the last one against the manifest's delta hash),
-//   * falls back to a full shard-by-shard snapshot on any gap, signature
-//     failure, chain break, or fork verdict — folding can degrade service,
+//     retention window, after checking that their hash chain runs from the
+//     view's own commit to the manifest's delta_hash (no per-delta
+//     signature: the manifest's covers the chain); each fold also checks
+//     the delta's seq/log-head link,
+//   * falls back to a full shard-by-shard snapshot on any gap, hash
+//     mismatch, chain break, or fork verdict — folding can degrade service,
 //     never correctness.
 // Membership lookups on the cached index are O(1) via a lazily built hash
 // map that delta folds keep incrementally up to date.
@@ -161,7 +164,6 @@ class ClientApi {
   /// FRESHNESS rejection, so retry exhaustion reports `stale`, not
   /// `unavailable`.
   Fetch fetch_once(const GroupId& gid, util::Bytes& key, bool& fresh_rejected);
-  [[nodiscard]] bool verify_any(const SignedEnvelope& env) const;
 
   /// Brings this group's CachedIndex up to the manifest's commit: warm reuse
   /// -> delta fold -> full snapshot, in that order. Returns the cached view,
@@ -169,7 +171,7 @@ class ClientApi {
   /// (the fetch attempt degrades).
   CachedIndex* refresh_view(const GroupId& gid, const GroupManifest& m);
   /// Folds deltas (cached.counter, m.counter] into `view`. False on any gap,
-  /// signature/parse failure, chain break, or delta-hash mismatch.
+  /// delta-hash chain mismatch, parse failure, or seq/log-head chain break.
   bool fold_deltas(const GroupId& gid, const GroupManifest& m,
                    CachedIndex& view);
   /// Rebuilds the view from every shard, hash-checked against the manifest.

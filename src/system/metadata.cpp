@@ -171,6 +171,7 @@ CipherOverlay CipherOverlay::from_bytes(std::span<const std::uint8_t> data) {
 util::Bytes IndexDelta::to_bytes() const {
   util::ByteWriter w;
   w.u64(seq);
+  write_hash(w, prev_delta_hash);
   w.raw(prev_log_head);
   w.raw(log_head);
   w.u32(static_cast<std::uint32_t>(ops.size()));
@@ -200,6 +201,7 @@ IndexDelta IndexDelta::from_bytes(std::span<const std::uint8_t> data) {
   util::ByteReader r(data);
   IndexDelta d;
   d.seq = r.u64();
+  d.prev_delta_hash = read_hash(r);
   d.prev_log_head = read_hash(r);
   d.log_head = read_hash(r);
   std::size_t nops = r.count(1);  // each op is at least its kind byte
@@ -369,6 +371,11 @@ SignedEnvelope SignedEnvelope::sign(const pki::EcdsaKeyPair& key,
 
 bool SignedEnvelope::verify(const ec::P256Point& admin_pub) const {
   return pki::ecdsa_verify(admin_pub, payload, signature);
+}
+
+bool SignedEnvelope::verify(std::span<const ec::P256Point> admin_keys) const {
+  return std::any_of(admin_keys.begin(), admin_keys.end(),
+                     [&](const ec::P256Point& key) { return verify(key); });
 }
 
 util::Bytes FreshnessObservation::to_bytes() const {

@@ -20,9 +20,9 @@
 //                             The manifest maps pid -> live overlay id; the
 //                             map is cleared whenever a rotation rewrites the
 //                             bundle.
-//   groups/<gid>/d<seq>     — IndexDelta: the signed membership diff of the
-//                             commit whose freshness counter is <seq>,
-//                             hash-chained through the op-log heads. Warm
+//   groups/<gid>/d<seq>     — IndexDelta: the membership diff of the commit
+//                             whose freshness counter is <seq>, stored bare
+//                             and hash-chained up to the manifest. Warm
 //                             clients fold deltas into a cached index instead
 //                             of re-downloading every shard; the manifest's
 //                             delta_base bounds the retained window.
@@ -30,10 +30,10 @@
 //
 // Partition ids are STABLE logical names (a partition keeps its id across
 // mutations); copy-on-write immutability lives in the shard / bundle /
-// overlay / delta object ids instead. Everything except the sealed gk is
-// wrapped in SignedEnvelope so clients can authenticate that membership
-// changes come from an administrator (the paper's authenticity requirement;
-// confidentiality of gk needs no signature — it is wrapped).
+// overlay / delta object ids instead. Everything except the sealed gk and
+// the deltas is wrapped in SignedEnvelope so clients can authenticate that
+// membership changes come from an administrator (the paper's authenticity
+// requirement; gk is wrapped, and the signed manifest pins every delta).
 #pragma once
 
 #include <array>
@@ -88,9 +88,10 @@ struct GroupManifest {
   /// to counter+1; clients whose cache is older than delta_base-1 must take
   /// a full snapshot.
   std::uint64_t delta_base = 0;
-  /// SHA-256 of this commit's stored delta envelope (d<freshness.counter>);
-  /// all-zero on a snapshot barrier. Pins the delta a racing or Byzantine
-  /// writer might have replaced.
+  /// SHA-256 of this commit's stored delta (d<freshness.counter>); all-zero
+  /// on a snapshot barrier. The head of the delta hash chain: each delta
+  /// names its predecessor's hash, so this one pin authenticates the whole
+  /// retained window against a racing or Byzantine writer.
   Hash32 delta_hash{};
 
   [[nodiscard]] util::Bytes to_bytes() const;
@@ -145,15 +146,16 @@ struct DeltaOp {
   std::vector<std::pair<PartitionId, std::vector<core::Identity>>> created;
 };
 
-/// The signed membership diff of one commit. `seq` equals the commit's
-/// freshness counter (so the file name d<seq> and the enclave counter agree
-/// by construction), and consecutive deltas chain through the op-log heads
-/// the commits anchored: delta d must satisfy d.prev_log_head ==
-/// previous-commit.log_head, which the client verifies while folding —
-/// splicing, reordering or replaying deltas breaks the chain and forces a
-/// (safe) snapshot fallback.
+/// The membership diff of one commit. `seq` equals the commit's freshness
+/// counter (so the file name d<seq> and the enclave counter agree by
+/// construction). `prev_delta_hash` is the content hash of the stored
+/// d<seq-1> (all-zero after a snapshot barrier), so the manifest's
+/// delta_hash pins every retained delta: a clobbered, spliced or reordered
+/// delta breaks the chain and forces a (safe) snapshot fallback. Deltas
+/// also chain through the op-log heads the commits anchored.
 struct IndexDelta {
   std::uint64_t seq = 0;
+  Hash32 prev_delta_hash{};
   std::array<std::uint8_t, 32> prev_log_head{};
   std::array<std::uint8_t, 32> log_head{};
   std::vector<DeltaOp> ops;
@@ -173,6 +175,7 @@ class CachedIndex {
   std::uint64_t counter = 0;
   std::array<std::uint8_t, 32> log_head{};
   std::uint64_t gk_epoch = 0;
+  Hash32 delta_hash{};  // the manifest's at `counter`; next prev_delta_hash
 
   [[nodiscard]] const std::vector<
       std::pair<PartitionId, std::vector<core::Identity>>>&
@@ -218,6 +221,8 @@ struct SignedEnvelope {
 
   static SignedEnvelope sign(const pki::EcdsaKeyPair& key, util::Bytes payload);
   [[nodiscard]] bool verify(const ec::P256Point& admin_pub) const;
+  /// True if any of the trusted administrator keys signed the payload.
+  [[nodiscard]] bool verify(std::span<const ec::P256Point> admin_keys) const;
 };
 
 /// One observer's view of a group's freshness, published to the gossip

@@ -342,7 +342,6 @@ TEST(ByzantineFork, ForkedClientsDetectDivergenceWithinOnePollRound) {
                         const ibbe::pki::EcdsaKeyPair& peer) {
     AdminConfig config;
     config.partition_size = 3;
-    config.multi_admin = true;
     config.admin_nonce = nonce;
     config.admin_name = name;
     config.log_operations = true;

@@ -192,7 +192,6 @@ struct MultiAdminFixture : ::testing::Test {
         key_b(ibbe::pki::EcdsaKeyPair::generate(rng)) {
     AdminConfig config_a;
     config_a.partition_size = 4;
-    config_a.multi_admin = true;
     config_a.admin_nonce = 1;
     config_a.peer_verification_keys = {ibbe::ec::p256_to_bytes(key_b.public_key())};
     admin_a = std::make_unique<AdminApi>(enclave, cloud, key_a, config_a, 8);

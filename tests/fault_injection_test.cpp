@@ -679,7 +679,6 @@ TEST(OpLogConcurrency, InterleavedAdminsLoseNoEntries) {
                         const ibbe::pki::EcdsaKeyPair& peer) {
     AdminConfig config;
     config.partition_size = 3;
-    config.multi_admin = true;
     config.admin_nonce = nonce;
     config.admin_name = name;
     config.log_operations = true;

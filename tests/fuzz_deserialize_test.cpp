@@ -105,6 +105,7 @@ std::vector<Format> all_formats() {
                      }});
   ibbe::system::IndexDelta delta;
   delta.seq = 6;
+  delta.prev_delta_hash.fill(0x5a);
   ibbe::system::DeltaOp add;
   add.kind = ibbe::system::DeltaOp::Kind::add_member;
   add.user = "d";
@@ -216,13 +217,13 @@ TEST(FuzzDeserialize, HostileCountFieldsDoNotAllocate) {
   Bytes bundle_bomb = bomb({0xff, 0xff, 0xff, 0xff});
   EXPECT_THROW(ibbe::system::CipherBundle::from_bytes(bundle_bomb),
                DeserializeError);
-  // IndexDelta: header, then op count 0xFFFFFFFF.
-  Bytes delta_bomb(8 + 32 + 32, 0);
+  // IndexDelta: header (seq + three hashes), then op count 0xFFFFFFFF.
+  Bytes delta_bomb(8 + 32 + 32 + 32, 0);
   delta_bomb.insert(delta_bomb.end(), {0xff, 0xff, 0xff, 0xff});
   EXPECT_THROW(ibbe::system::IndexDelta::from_bytes(delta_bomb),
                DeserializeError);
   // IndexDelta: one repartition op whose dropped-pid count is the bomb.
-  Bytes repart_bomb(8 + 32 + 32, 0);
+  Bytes repart_bomb(8 + 32 + 32 + 32, 0);
   repart_bomb.insert(repart_bomb.end(), {0, 0, 0, 1});  // 1 op
   repart_bomb.push_back(3);                             // kind: repartition
   repart_bomb.insert(repart_bomb.end(), {0xff, 0xff, 0xff, 0xff});

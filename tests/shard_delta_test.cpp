@@ -1,7 +1,7 @@
 // Sharded-index + incremental-delta behaviour (the million-user metadata
-// layout): warm clients fold signed deltas instead of re-downloading the
-// index, every fold failure degrades into the snapshot path (never a parse
-// error or a wrong view), and the CachedIndex fold primitive rejects
+// layout): warm clients fold hash-chained deltas instead of re-downloading
+// the index, every fold failure degrades into the snapshot path (never a
+// parse error or a wrong view), and the CachedIndex fold primitive rejects
 // replays, gaps and structurally inconsistent deltas by construction.
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@ using ibbe::system::ClientApi;
 using ibbe::system::DeltaOp;
 using ibbe::system::GroupId;
 using ibbe::system::IndexDelta;
-using ibbe::system::SignedEnvelope;
 using ibbe::util::Bytes;
 
 std::vector<Identity> make_users(std::size_t n, std::size_t offset = 0) {
@@ -164,36 +163,141 @@ TEST_F(ShardDeltaFixture, WarmClientFoldsAcrossShardRepartition) {
 // Fold rejection paths (all must degrade into the snapshot path)
 // ---------------------------------------------------------------------------
 
-TEST_F(ShardDeltaFixture, NonAdminSignedDeltaForcesSnapshot) {
-  ibbe::cloud::CloudStore cloud;
-  auto admin = admin_on(cloud, {.partition_size = 3});
-  admin.create_group(gid, make_users(6));
+TEST_F(ShardDeltaFixture, TamperedDeltaForcesSnapshot) {
+  // Replace one delta with a well-formed delta carrying different ops: the
+  // first, which only its successor's prev_delta_hash pins, or the newest,
+  // which the manifest's delta_hash pins. Its seq and log-head links still
+  // fit; only the hash chain exposes it.
+  for (std::size_t victim : {0u, 1u}) {
+    SCOPED_TRACE("victim delta " + std::to_string(victim));
+    ibbe::cloud::CloudStore cloud;
+    auto admin = admin_on(cloud, {.partition_size = 3});
+    admin.create_group(gid, make_users(6));
 
-  auto c = client_on(cloud, admin, "user0");
-  ASSERT_TRUE(c.fetch_group_key(gid).has_value());
+    auto c = client_on(cloud, admin, "user0");
+    ASSERT_TRUE(c.fetch_group_key(gid).has_value());
 
-  admin.add_user(gid, "x");
-  admin.add_user(gid, "y");
-  auto deltas = delta_files(cloud, gid);
-  ASSERT_EQ(deltas.size(), 2u);
+    admin.add_user(gid, "x");
+    admin.add_user(gid, "y");
+    auto deltas = delta_files(cloud, gid);
+    ASSERT_EQ(deltas.size(), 2u);
 
-  // A rogue (non-admin) key re-signs the FIRST delta's genuine payload. The
-  // manifest's delta_hash only pins the newest delta; the older one is
-  // caught by the per-delta signature check while folding.
-  auto stored = cloud.get(deltas[0].second);
-  ASSERT_TRUE(stored.has_value());
-  auto env = SignedEnvelope::from_bytes(*stored);
-  ibbe::crypto::Drbg rogue_rng(99);
-  auto rogue = ibbe::pki::EcdsaKeyPair::generate(rogue_rng);
-  (void)cloud.put(deltas[0].second,
-                  SignedEnvelope::sign(rogue, env.payload).to_bytes());
+    auto stored = cloud.get(deltas[victim].second);
+    ASSERT_TRUE(stored.has_value());
+    auto forged = IndexDelta::from_bytes(*stored);
+    ASSERT_EQ(forged.ops.size(), 1u);
+    forged.ops[0].user = "mallory";
+    (void)cloud.put(deltas[victim].second, forged.to_bytes());
 
-  auto fails_before = c.stats().signature_failures;
-  auto key = c.fetch_group_key(gid);
-  ASSERT_TRUE(key.has_value());  // snapshot fallback still authenticates
-  EXPECT_GE(c.stats().signature_failures, fails_before + 1);
+    auto key = c.fetch_group_key(gid);
+    ASSERT_TRUE(key.has_value());  // snapshot fallback still authenticates
+    EXPECT_EQ(c.stats().fold_fallbacks, 1u);
+    EXPECT_EQ(c.stats().delta_folds, 0u);  // rejected before any op applied
+    EXPECT_EQ(*key, *client_on(cloud, admin, "y").fetch_group_key(gid));
+  }
+}
+
+TEST_F(ShardDeltaFixture, CasLoserClobberingCommittedDeltaForcesSnapshot) {
+  // Two administrators on one enclave, op-log off, so every delta's log-head
+  // link is all-zero. Admin B's first delta put is paused while admin A
+  // commits a full add; B's losing delta then lands on the name A just
+  // committed (both attested the same counter), and B's retry commits one
+  // counter later. A warm client folding through the clobbered delta must
+  // not adopt B's ops in place of A's.
+  CloudStore inner;
+  FaultInjectingStore faulty(inner, FaultPlan{});
+  auto key_a = ibbe::pki::EcdsaKeyPair::generate(rng);
+  auto key_b = ibbe::pki::EcdsaKeyPair::generate(rng);
+  auto config_for = [](std::uint32_t nonce,
+                       const ibbe::pki::EcdsaKeyPair& peer) {
+    AdminConfig config;
+    config.partition_size = 3;
+    config.admin_nonce = nonce;
+    config.admin_name = "admin" + std::to_string(nonce);
+    config.peer_verification_keys = {ibbe::ec::p256_to_bytes(peer.public_key())};
+    return config;
+  };
+  AdminApi admin_a(enclave, faulty, key_a, config_for(1, key_b), 8);
+  AdminApi admin_b(enclave, faulty, key_b, config_for(2, key_a), 9);
+  admin_a.create_group(gid, make_users(4));
+  admin_b.sync_from_cloud(gid);
+
+  ClientApi c(faulty, enclave.public_key(),
+              enclave.ecall_extract_user_key("from-a"),
+              std::vector<ibbe::ec::P256Point>{key_a.public_key(),
+                                               key_b.public_key()});
+  ASSERT_EQ(c.fetch(gid).status, ClientApi::FetchStatus::not_member);
+
+  const std::string delta_prefix = "groups/" + gid + "/d";
+  bool fired = false;
+  faulty.set_write_hook([&](const std::string& path) {
+    if (fired || path.rfind(delta_prefix, 0) != 0) return;
+    fired = true;
+    admin_a.add_user(gid, "from-a");  // commits the name B is about to put
+  });
+  admin_b.add_user(gid, "from-b");
+  faulty.set_write_hook(nullptr);
+  ASSERT_TRUE(fired);
+  ASSERT_GE(admin_b.stats().cas_conflicts, 1u);
+
+  auto raced = c.fetch(gid);
+  EXPECT_EQ(raced.status, ClientApi::FetchStatus::ok);
   EXPECT_EQ(c.stats().fold_fallbacks, 1u);
-  EXPECT_EQ(*key, *client_on(cloud, admin, "y").fetch_group_key(gid));
+
+  // The snapshot-rebuilt view keeps folding correctly after the next commit.
+  admin_b.add_user(gid, "later");
+  auto next = c.fetch(gid);
+  EXPECT_EQ(next.status, ClientApi::FetchStatus::ok);
+  EXPECT_EQ(c.stats().fold_fallbacks, 1u);
+}
+
+TEST_F(ShardDeltaFixture, ViewFromAnotherHistoryForcesSnapshot) {
+  // Two histories of one group that agree on the commit counters but not on
+  // their content, as a forking cloud would serve them. With the op-log off
+  // the log-head links are all-zero, so only the manifest's delta_hash ties
+  // a cached view, or the first delta folded onto it, to one history.
+  ibbe::sgx::EnclavePlatform box_a("fork-a");
+  ibbe::sgx::EnclavePlatform box_b("fork-b");
+  ibbe::enclave::IbbeEnclave enclave_a(box_a, 8, /*rng_seed=*/42);
+  ibbe::enclave::IbbeEnclave enclave_b(box_b, 8, /*rng_seed=*/42);
+  auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
+  CloudStore cloud;
+  CloudStore fork;
+  AdminConfig config;
+  config.partition_size = 3;
+  AdminApi admin_a(enclave_a, cloud, key, config, 5);
+  AdminApi admin_b(enclave_b, fork, key, config, 5);
+  admin_a.create_group(gid, make_users(6));
+  admin_b.create_group(gid, make_users(6));
+  admin_a.add_user(gid, "x");  // counter 2 in this history
+  admin_b.add_user(gid, "y");  // counter 2 in the other
+
+  auto serve_fork = [&] {
+    for (const auto& path : fork.list(ibbe::system::group_dir(gid) + "/")) {
+      (void)cloud.put(path, *fork.get(path));
+    }
+  };
+  auto client_y = [&] {
+    return ClientApi(cloud, enclave_a.public_key(),
+                     enclave_a.ecall_extract_user_key("y"), key.public_key());
+  };
+  ClientApi same_counter = client_y();
+  ClientApi next_commit = client_y();
+  ASSERT_EQ(same_counter.fetch(gid).status, ClientApi::FetchStatus::not_member);
+  ASSERT_EQ(next_commit.fetch(gid).status, ClientApi::FetchStatus::not_member);
+
+  // Same counter, epoch and log head: only delta_hash tells the cached view
+  // apart from the manifest now served.
+  serve_fork();
+  EXPECT_EQ(same_counter.fetch(gid).status, ClientApi::FetchStatus::ok);
+  EXPECT_EQ(same_counter.stats().fold_fallbacks, 1u);
+
+  // One commit later: the new d3 extends a d2 the cached view never held.
+  admin_b.add_user(gid, "z");
+  serve_fork();
+  EXPECT_EQ(next_commit.fetch(gid).status, ClientApi::FetchStatus::ok);
+  EXPECT_EQ(next_commit.stats().fold_fallbacks, 1u);
+  EXPECT_EQ(next_commit.stats().delta_folds, 0u);
 }
 
 TEST_F(ShardDeltaFixture, TornDeltaReadDegradesToSnapshot) {
