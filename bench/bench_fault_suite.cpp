@@ -30,7 +30,6 @@
 //
 // Usage: bench_fault_suite [--json PATH] [--scale smoke|default|full]
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -233,19 +232,11 @@ double fork_detect_rounds() {
 
 int main(int argc, char** argv) {
   const ibbe::bench::Scale scale = ibbe::bench::parse_scale(argc, argv);
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
   const int iters = scale == ibbe::bench::Scale::smoke  ? 5
                     : scale == ibbe::bench::Scale::full ? 100
                                                         : 25;
 
-  struct Metric {
-    const char* name;
-    double us;
-  };
-  std::vector<Metric> metrics;
+  std::vector<ibbe::bench::Metric> metrics;
   metrics.push_back({"admin_op_fault0_us", admin_op_us(0.0, iters)});
   metrics.push_back({"admin_op_fault1_us", admin_op_us(0.01, iters)});
   metrics.push_back({"admin_op_fault10_us", admin_op_us(0.10, iters)});
@@ -254,29 +245,9 @@ int main(int argc, char** argv) {
   metrics.push_back({"fetch_verified_us", fetch_us(true, 4 * iters)});
   metrics.push_back({"fork_detect_rounds", fork_detect_rounds()});
 
-  ibbe::bench::Table table("fault suite (" +
-                               std::string(ibbe::bench::scale_name(scale)) +
-                               ")",
-                           {"metric", "value"});
-  for (const auto& m : metrics) {
-    table.row({m.name, std::to_string(m.us)});
-  }
-  table.print();
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %.2f%s\n", metrics[i].name, metrics[i].us,
-                   i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
+  const bool ok = ibbe::bench::report_metrics(
+      argc, argv,
+      "fault suite (" + std::string(ibbe::bench::scale_name(scale)) + ")",
+      metrics);
+  return ok ? 0 : 1;
 }

@@ -36,7 +36,7 @@
 //                          [--contributors-x N] [--rss-ceiling-mb N]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -353,18 +353,12 @@ double replay_ops_s(std::size_t x) {
 
 int main(int argc, char** argv) {
   const ibbe::bench::Scale scale = ibbe::bench::parse_scale(argc, argv);
-  std::string json_path;
-  long contributors_x = 0;  // 0 = pick per scale
-  long rss_ceiling_mb = 0;  // 0 = report only
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--contributors-x") == 0) {
-      contributors_x = std::atol(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--rss-ceiling-mb") == 0) {
-      rss_ceiling_mb = std::atol(argv[i + 1]);
-    }
-  }
+  auto long_flag = [&](std::string_view flag) {
+    return std::atol(
+        std::string(ibbe::bench::flag_value(argc, argv, flag)).c_str());
+  };
+  long contributors_x = long_flag("--contributors-x");  // 0 = pick per scale
+  const long rss_ceiling_mb = long_flag("--rss-ceiling-mb");  // 0 = report only
   // The million-member scenario runs at EVERY scale — it is the point of the
   // suite; scale only varies iteration counts and the replay multiplier.
   const int iters = scale == ibbe::bench::Scale::smoke  ? 5
@@ -380,11 +374,7 @@ int main(int argc, char** argv) {
   std::printf("# group suite [scale=%s, contributors-x=%ld]\n",
               ibbe::bench::scale_name(scale), contributors_x);
 
-  struct Metric {
-    const char* name;
-    double value;
-  };
-  std::vector<Metric> metrics;
+  std::vector<ibbe::bench::Metric> metrics;
   metrics.push_back({"mutation_ops_s", mutation_ops_s(iters)});
 
   auto churn = million_member_churn(1'000'000, churn_ops);
@@ -401,28 +391,11 @@ int main(int argc, char** argv) {
   const double rss = peak_rss_mb();
   metrics.push_back({"peak_rss_mb", rss});
 
-  ibbe::bench::Table table(
-      "group suite (" + std::string(ibbe::bench::scale_name(scale)) + ")",
-      {"metric", "value"});
-  for (const auto& m : metrics) {
-    table.row({m.name, ibbe::bench::fmt_double(m.value, 2)});
-  }
-  table.print();
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %.2f%s\n", metrics[i].name, metrics[i].value,
-                   i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
+  if (!ibbe::bench::report_metrics(
+          argc, argv,
+          "group suite (" + std::string(ibbe::bench::scale_name(scale)) + ")",
+          metrics)) {
+    return 1;
   }
 
   // Acceptance gates: the sharded layout must beat the matrix by >=100x per

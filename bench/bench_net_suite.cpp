@@ -27,7 +27,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -197,10 +196,6 @@ PollLatencies poll_latency_ms(int clients, int rounds) {
 
 int main(int argc, char** argv) {
   const ibbe::bench::Scale scale = ibbe::bench::parse_scale(argc, argv);
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
   const bool smoke = scale == ibbe::bench::Scale::smoke;
   const bool full = scale == ibbe::bench::Scale::full;
   const int rpc_iters = smoke ? 200 : full ? 10000 : 2000;
@@ -208,11 +203,7 @@ int main(int argc, char** argv) {
   const int clients = smoke ? 32 : full ? 512 : 128;
   const int rounds = smoke ? 5 : full ? 50 : 20;
 
-  struct Metric {
-    const char* name;
-    double value;
-  };
-  std::vector<Metric> metrics;
+  std::vector<ibbe::bench::Metric> metrics;
   metrics.push_back({"net_rpc_get_us", rpc_us(false, rpc_iters)});
   metrics.push_back({"net_rpc_put_us", rpc_us(true, rpc_iters)});
   metrics.push_back({"net_grant_revoke_ops", grant_revoke_ops(churn_iters)});
@@ -220,29 +211,10 @@ int main(int argc, char** argv) {
   metrics.push_back({"net_poll_p99_ms", poll.p99_ms});
   metrics.push_back({"net_poll_mean_ms", poll.mean_ms});
 
-  ibbe::bench::Table table(
+  const bool ok = ibbe::bench::report_metrics(
+      argc, argv,
       "net suite (" + std::string(ibbe::bench::scale_name(scale)) + ", " +
           std::to_string(clients) + " pollers)",
-      {"metric", "value"});
-  for (const auto& m : metrics) {
-    table.row({m.name, ibbe::bench::fmt_double(m.value, 2)});
-  }
-  table.print();
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %.2f%s\n", metrics[i].name, metrics[i].value,
-                   i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
+      metrics);
+  return ok ? 0 : 1;
 }

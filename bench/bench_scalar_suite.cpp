@@ -13,7 +13,6 @@
 //
 // Usage: bench_scalar_suite [--json PATH] [--scale smoke|default|full]
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -64,10 +63,6 @@ double chain_ns(F x, const F& y, int iters) {
 
 int main(int argc, char** argv) {
   const ibbe::bench::Scale scale = ibbe::bench::parse_scale(argc, argv);
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
   const int iters = scale == ibbe::bench::Scale::smoke  ? 5
                     : scale == ibbe::bench::Scale::full ? 200
                                                         : 50;
@@ -139,11 +134,7 @@ int main(int argc, char** argv) {
   const auto prepared_part =
       ibbe::core::PreparedPartition::prepare(keys.pk, usk, users);
 
-  struct Metric {
-    const char* name;
-    double us;
-  };
-  std::vector<Metric> metrics;
+  std::vector<ibbe::bench::Metric> metrics;
   metrics.push_back({"fp_mul_ns", chain_ns(fp_x, fp_y, fp_iters)});
   metrics.push_back({"fp2_mul_ns", chain_ns(fp2_x, fp2_y, fp2_iters)});
   metrics.push_back({"fp12_mul_ns", chain_ns(fp12_x, fp12_y, fp12_iters)});
@@ -238,29 +229,9 @@ int main(int argc, char** argv) {
   }
   ibbe::util::ThreadPool::set_global_threads(1);
 
-  ibbe::bench::Table table("scalar suite (" +
-                               std::string(ibbe::bench::scale_name(scale)) +
-                               ")",
-                           {"metric", "time_us"});
-  for (const auto& m : metrics) {
-    table.row({m.name, std::to_string(m.us)});
-  }
-  table.print();
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %.2f%s\n", metrics[i].name, metrics[i].us,
-                   i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
+  const bool ok = ibbe::bench::report_metrics(
+      argc, argv,
+      "scalar suite (" + std::string(ibbe::bench::scale_name(scale)) + ")",
+      metrics);
+  return ok ? 0 : 1;
 }

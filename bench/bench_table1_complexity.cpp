@@ -162,7 +162,8 @@ int main(int argc, char** argv) {
       auto users = make_users(n);
       auto enc = core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
       util::Stopwatch watch;
-      (void)core::remove_user_with_msk(keys.msk, keys.pk, enc.ct, users[0], rng);
+      (void)core::remove_users_with_msk(keys.msk, keys.pk, enc.ct,
+                                        std::span(users.data(), 1), rng);
       times.push_back(watch.seconds());
     }
     table.row({"Remove User (per partition)", "O(1) flat",

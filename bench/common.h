@@ -6,7 +6,8 @@
 //   full    — paper-scale grids where feasible (hours for some figures)
 //
 // Output: a human-readable markdown table followed by machine-readable CSV
-// lines prefixed with "csv,".
+// lines prefixed with "csv,". The perf-trajectory suites (bench_*_suite)
+// also accept --json PATH and write their metrics there (report_metrics).
 #pragma once
 
 #include <cstdio>
@@ -16,17 +17,21 @@
 
 namespace ibbe::bench {
 
+/// The value following `flag` on the command line; empty when absent.
+inline std::string_view flag_value(int argc, char** argv,
+                                   std::string_view flag) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::string_view(argv[i]) == flag) return argv[i + 1];
+  }
+  return {};
+}
+
 enum class Scale { smoke, standard, full };
 
 inline Scale parse_scale(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) == "--scale") {
-      std::string_view v = argv[i + 1];
-      if (v == "smoke") return Scale::smoke;
-      if (v == "full") return Scale::full;
-      return Scale::standard;
-    }
-  }
+  std::string_view v = flag_value(argc, argv, "--scale");
+  if (v == "smoke") return Scale::smoke;
+  if (v == "full") return Scale::full;
   return Scale::standard;
 }
 
@@ -103,6 +108,40 @@ inline std::string fmt_double(double v, int precision = 3) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
+}
+
+/// One named number reported by a perf-trajectory suite.
+struct Metric {
+  const char* name;
+  double value;
+};
+
+/// Prints `metrics` as a table titled `title`, and with `--json PATH` on the
+/// command line also writes them to PATH as one flat JSON object, two
+/// decimals per value (the BENCH_*.json schema in docs/benchmarks.md).
+/// Returns false if PATH cannot be opened.
+inline bool report_metrics(int argc, char** argv, const std::string& title,
+                           const std::vector<Metric>& metrics) {
+  Table table(title, {"metric", "value"});
+  for (const auto& m : metrics) table.row({m.name, fmt_double(m.value, 2)});
+  table.print();
+
+  const std::string json_path(flag_value(argc, argv, "--json"));
+  if (json_path.empty()) return true;
+  std::FILE* f = std::fopen(json_path.c_str(), "w");
+  if (!f) {
+    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    return false;
+  }
+  std::fprintf(f, "{\n");
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    std::fprintf(f, "  \"%s\": %.2f%s\n", metrics[i].name, metrics[i].value,
+                 i + 1 < metrics.size() ? "," : "");
+  }
+  std::fprintf(f, "}\n");
+  std::fclose(f);
+  std::printf("wrote %s\n", json_path.c_str());
+  return true;
 }
 
 }  // namespace ibbe::bench

@@ -186,44 +186,11 @@ PartitionCiphertext IbbeEnclave::ecall_create_partition(
   return pc;
 }
 
-IbbeEnclave::RemovalResult IbbeEnclave::ecall_remove_user(
-    const BroadcastCiphertext& hosting_ct,
-    std::span<const BroadcastCiphertext> other_partitions,
-    const Identity& removed) {
-  EcallScope scope(*this);
-  // Algorithm 3, line 3: fresh group key (revocation re-keys everything).
-  util::Bytes gk = enclave_rng().bytes(group_key_size);
-  std::vector<PartitionDraw> draws(other_partitions.size() + 1);
-  for (auto& d : draws) d = draw_partition_randomness(enclave_rng());
-
-  RemovalResult out;
-  out.partitions.resize(other_partitions.size() + 1);
-  // Slot 0: line 4-5, the O(1) removal on the hosting partition; slots 1..n:
-  // lines 6-8, the constant-time re-key of every other partition. Randomness
-  // was drawn above; the fan-out is pure arithmetic into pre-sized slots.
-  util::ThreadPool::global().parallel_for(
-      0, out.partitions.size(), 1, [&](std::size_t i) {
-        auto enc = (i == 0)
-                       ? core::remove_user_with_msk(keys_.msk, keys_.pk,
-                                                    hosting_ct, removed,
-                                                    draws[0].k)
-                       : core::rekey(keys_.pk, other_partitions[i - 1],
-                                     draws[i].k);
-        PartitionCiphertext& pc = out.partitions[i];
-        pc.ct = enc.ct;
-        pc.nonce = std::move(draws[i].nonce);
-        pc.wrapped_gk = wrap_gk(enc.bk, gk, pc.nonce);
-      });
-
-  // Line 9: seal the new group key.
-  out.sealed_gk = seal(gk);
-  return out;
-}
-
 IbbeEnclave::RemovalResult IbbeEnclave::ecall_remove_users(
     std::span<const BatchRemovalSpec> hosts,
     std::span<const BroadcastCiphertext> other_partitions) {
   EcallScope scope(*this);
+  // Algorithm 3, line 3: fresh group key (revocation re-keys everything).
   util::Bytes gk = enclave_rng().bytes(group_key_size);
   const std::size_t total = hosts.size() + other_partitions.size();
   std::vector<PartitionDraw> draws(total);
@@ -231,8 +198,10 @@ IbbeEnclave::RemovalResult IbbeEnclave::ecall_remove_users(
 
   RemovalResult out;
   out.partitions.resize(total);
-  // Slots [0, hosts.size()): batch removal per hosting partition; the rest:
-  // constant-time re-keys, in the input order.
+  // Slots [0, hosts.size()): lines 4-5, the removal on each hosting
+  // partition; the rest: lines 6-8, the constant-time re-key of every other
+  // partition, in the input order. Randomness was drawn above; the fan-out
+  // is pure arithmetic into pre-sized slots.
   util::ThreadPool::global().parallel_for(0, total, 1, [&](std::size_t i) {
     auto enc = (i < hosts.size())
                    ? core::remove_users_with_msk(keys_.msk, keys_.pk,
@@ -246,6 +215,7 @@ IbbeEnclave::RemovalResult IbbeEnclave::ecall_remove_users(
     pc.nonce = std::move(draws[i].nonce);
     pc.wrapped_gk = wrap_gk(enc.bk, gk, pc.nonce);
   });
+  // Line 9: seal the new group key.
   out.sealed_gk = seal(gk);
   return out;
 }

@@ -105,29 +105,21 @@ class IbbeEnclave : public sgx::EnclaveBase {
   [[nodiscard]] PartitionCiphertext ecall_create_partition(
       std::span<const core::Identity> members, const sgx::SealedBlob& sealed_gk);
 
-  struct RemovalResult {
-    /// Updated ciphertexts: index 0 is the removed user's (shrunk) partition,
-    /// the rest follow the input order of `other_partitions`.
-    std::vector<PartitionCiphertext> partitions;
-    sgx::SealedBlob sealed_gk;
-  };
-  /// Algorithm 3 (enclaved block): fresh gk; the hosting partition gets the
-  /// O(1) removal (C3 division + re-key) and every other partition a constant
-  /// time re-key; the new gk is wrapped under every partition key.
-  /// `hosting_ct` must already correspond to the set *including* `removed`.
-  [[nodiscard]] RemovalResult ecall_remove_user(
-      const core::BroadcastCiphertext& hosting_ct,
-      std::span<const core::BroadcastCiphertext> other_partitions,
-      const core::Identity& removed);
-
-  /// Batch revocation (extension of Algorithm 3 along the paper's
-  /// future-work axis): every entry of `hosts` is a partition ciphertext
-  /// together with the users being revoked from it; all other partitions get
-  /// one constant-time re-key. The whole batch costs ONE group-key rotation
-  /// instead of one per revoked user.
+  /// Algorithm 3 (enclaved block), generalised to a batch: fresh gk; every
+  /// entry of `hosts` is a partition ciphertext (for the set *including* its
+  /// `removed` users) and gets the removal (C3 division + re-key), every
+  /// other partition a constant-time re-key, and the new gk is wrapped under
+  /// every partition key. A single revocation is a batch of one host with
+  /// one user; k revocations cost ONE group-key rotation instead of k.
   struct BatchRemovalSpec {
     core::BroadcastCiphertext ct;
     std::vector<core::Identity> removed;
+  };
+  struct RemovalResult {
+    /// Updated ciphertexts: the hosts first, in the order of `hosts`, then
+    /// the rest in the input order of `other_partitions`.
+    std::vector<PartitionCiphertext> partitions;
+    sgx::SealedBlob sealed_gk;
   };
   [[nodiscard]] RemovalResult ecall_remove_users(
       std::span<const BatchRemovalSpec> hosts,

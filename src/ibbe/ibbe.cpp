@@ -270,22 +270,6 @@ void add_user_with_msk(const MasterSecretKey& msk, BroadcastCiphertext& ct,
   ct.c3 = ct.c3.mul(factor);
 }
 
-EncryptResult remove_user_with_msk(const MasterSecretKey& msk,
-                                   const PublicKey& pk,
-                                   const BroadcastCiphertext& ct,
-                                   const Identity& removed, const Fr& k) {
-  Fr factor = msk.gamma + hash_identity(removed);
-  G2 c3 = ct.c3.mul(factor.inverse());
-  return assemble_from_c3(pk, c3, k);
-}
-
-EncryptResult remove_user_with_msk(const MasterSecretKey& msk,
-                                   const PublicKey& pk,
-                                   const BroadcastCiphertext& ct,
-                                   const Identity& removed, crypto::Drbg& rng) {
-  return remove_user_with_msk(msk, pk, ct, removed, random_nonzero_fr(rng));
-}
-
 EncryptResult remove_users_with_msk(const MasterSecretKey& msk,
                                     const PublicKey& pk,
                                     const BroadcastCiphertext& ct,

@@ -12,12 +12,13 @@
 //     C3 = h^(prod_{u in S}(gamma + H(u)))          (paper's Formula 5 cache)
 //
 // Complexities (Table I of the paper):
-//   encrypt_with_msk   O(|S|)   — gamma collapses the product to Zr mults
-//   encrypt_public     O(|S|^2) — polynomial expansion over the PK powers
-//   add_user_with_msk  O(1)     — C{2,3} <- C{2,3}^(gamma+H(u))
-//   remove_user_with_msk O(1)   — C3 <- C3^(1/(gamma+H(u))), then re-key
-//   rekey              O(1)     — fresh k applied to the cached C3 (PK only)
-//   decrypt            O(|S|^2) — polynomial expansion, then 2 pairings
+//   encrypt_with_msk      O(|S|)   — gamma collapses the product to Zr mults
+//   encrypt_public        O(|S|^2) — polynomial expansion over the PK powers
+//   add_user_with_msk     O(1)     — C{2,3} <- C{2,3}^(gamma+H(u))
+//   remove_users_with_msk O(k)     — C3 <- C3^(1/prod(gamma+H(u))), then
+//                                    re-key; k = 1 is the paper's O(1) removal
+//   rekey                 O(1)     — fresh k applied to the cached C3 (PK only)
+//   decrypt               O(|S|^2) — polynomial expansion, then 2 pairings
 #pragma once
 
 #include <memory>
@@ -156,24 +157,11 @@ EncryptResult encrypt_public(const PublicKey& pk,
 void add_user_with_msk(const MasterSecretKey& msk, BroadcastCiphertext& ct,
                        const Identity& added);
 
-/// O(1) membership removal (MSK path): divides (gamma + H(id)) out of C3 and
-/// re-keys. Returns the fresh bk.
-EncryptResult remove_user_with_msk(const MasterSecretKey& msk,
-                                   const PublicKey& pk,
-                                   const BroadcastCiphertext& ct,
-                                   const Identity& removed, crypto::Drbg& rng);
-
-/// Explicit-randomizer variant of remove_user_with_msk (see the explicit-k
-/// encrypt_with_msk overload for the pre-draw contract).
-EncryptResult remove_user_with_msk(const MasterSecretKey& msk,
-                                   const PublicKey& pk,
-                                   const BroadcastCiphertext& ct,
-                                   const Identity& removed, const field::Fr& k);
-
-/// Batch removal (extension; paper future-work direction): divides the whole
-/// product prod(gamma + H(id)) out of C3 in one shot — O(k) Zr work and a
-/// single G2 exponentiation for k simultaneous revocations, instead of k
-/// sequential removals.
+/// Membership removal (MSK path): divides the product prod(gamma + H(id))
+/// over `removed` out of C3 and re-keys; returns the fresh bk. With one
+/// identity this is Algorithm 3's O(1) removal, C3 <- C3^(1/(gamma+H(u)));
+/// k identities cost O(k) Zr work and still a single G2 exponentiation
+/// (batch revocation, an extension along the paper's future-work axis).
 EncryptResult remove_users_with_msk(const MasterSecretKey& msk,
                                     const PublicKey& pk,
                                     const BroadcastCiphertext& ct,

@@ -660,7 +660,6 @@ AdminApi::OpOutcome AdminApi::mutate_with_retry(const GroupId& gid, LogOp logop,
     // A re-run after a CAS conflict restages its delta ops from scratch.
     state.pending_delta.clear();
     OpOutcome outcome = op(state, staged);
-    if (outcome == OpOutcome::rebuilt) return outcome;
     if (outcome == OpOutcome::noop) {
       // Nothing to publish, but an earlier conflicted attempt (or a crashed
       // predecessor) may have left shadow files behind: sweep them.
@@ -737,26 +736,39 @@ MembershipLog::AuditResult AdminApi::audit_group_log(const GroupId& gid) const {
 
 void AdminApi::create_group(const GroupId& gid,
                             std::span<const Identity> members) {
-  create_group_sized(gid, members, config_.partition_size, LogOp::create_group,
-                     "members=" + std::to_string(members.size()));
+  auto it = cache_.find(gid);
+  GroupState state =
+      stage_generation(gid, it == cache_.end() ? nullptr : &it->second,
+                       members, config_.partition_size);
+  LogHead head = publish_log_entry(gid, LogOp::create_group,
+                                   "members=" + std::to_string(members.size()));
+  // pending_delta is empty: the creation commits as a snapshot barrier.
+  if (!push_index(gid, state, head)) {
+    throw std::runtime_error("create_group: concurrent modification of " + gid);
+  }
+
+  stats_.groups_created++;
+  GroupState& committed = (cache_[gid] = std::move(state));
+  // Post-commit: sweep a re-created group's previous generation and any
+  // shadow leftovers.
+  gc_group(gid, committed);
 }
 
-void AdminApi::create_group_sized(const GroupId& gid,
-                                  std::span<const Identity> members,
-                                  std::size_t partition_size, LogOp logop,
-                                  const std::string& subject) {
+AdminApi::GroupState AdminApi::stage_generation(
+    const GroupId& gid, const GroupState* lineage,
+    std::span<const Identity> members, std::size_t partition_size) {
   if (members.empty()) {
     throw std::invalid_argument("create_group: need at least one member");
   }
   GroupState state;
   state.target_partition_size = partition_size;
-  if (auto it = cache_.find(gid); it != cache_.end()) {
-    // Recreation (e.g. re-partitioning) keeps counters and CAS lineage.
-    state.partition_counter = it->second.partition_counter;
-    state.epoch_counter = it->second.epoch_counter;
-    state.object_counter = it->second.object_counter;
-    state.index_version = it->second.index_version;
-    state.freshness = it->second.freshness;  // floor for the next attestation
+  if (lineage) {
+    // Recreation (re-partitioning) keeps counters and CAS lineage.
+    state.partition_counter = lineage->partition_counter;
+    state.epoch_counter = lineage->epoch_counter;
+    state.object_counter = lineage->object_counter;
+    state.index_version = lineage->index_version;
+    state.freshness = lineage->freshness;  // floor for the next attestation
   }
 
   // Algorithm 1, line 1: fixed-size partitions.
@@ -770,8 +782,8 @@ void AdminApi::create_group_sized(const GroupId& gid,
   // Lines 2-6 run inside the enclave.
   auto creation = enclave_.ecall_create_group(partitions);
 
-  // Line 7: persist everything — shards, cipher bundle, sealed gk, log entry
-  // — all under fresh names, all BEFORE the manifest CAS commits them.
+  // Line 7: persist shards, cipher bundle and sealed gk under fresh names,
+  // all BEFORE the manifest CAS commits them.
   state.sealed_gk = creation.sealed_gk;
   state.gk_epoch = fresh_gk_epoch(state);
   state.shard_partition_target =
@@ -793,18 +805,8 @@ void AdminApi::create_group_sized(const GroupId& gid,
   }
   write_bundle(gid, state);
   push_sealed_gk(gid, state);
-  LogHead head = publish_log_entry(gid, logop, subject);
-  // pending_delta is empty: the creation commits as a snapshot barrier.
-  if (!push_index(gid, state, head)) {
-    throw std::runtime_error("create_group: concurrent modification of " + gid);
-  }
-
-  stats_.groups_created++;
   stats_.partitions_created += state.partitions.size();
-  GroupState& committed = (cache_[gid] = std::move(state));
-  // Post-commit: sweep the previous generation's files (re-partitioning) and
-  // any shadow leftovers.
-  gc_group(gid, committed);
+  return state;
 }
 
 void AdminApi::add_user(const GroupId& gid, const Identity& id) {
@@ -867,88 +869,7 @@ void AdminApi::add_user(const GroupId& gid, const Identity& id) {
 }
 
 void AdminApi::remove_user(const GroupId& gid, const Identity& id) {
-  auto outcome = mutate_with_retry(
-      gid, LogOp::remove_user, id,
-      [&](GroupState& state, std::optional<LogHead>& staged) {
-        // Locate the hosting partition (Algorithm 3, line 1) — O(1) now.
-        auto mit = state.member_of.find(id);
-        if (mit == state.member_of.end()) return OpOutcome::noop;
-        const PartitionId host_pid = mit->second;
-        std::size_t host = partition_index(state, host_pid);
-
-        // Lines 3-9 run inside the enclave: O(1) removal on the host,
-        // constant time re-key everywhere else, fresh gk wrapped under every
-        // partition.
-        std::vector<core::BroadcastCiphertext> others;
-        others.reserve(state.partitions.size() - 1);
-        for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-          if (p != host) others.push_back(state.partitions[p].cipher.ct);
-        }
-        auto result = enclave_.ecall_remove_user(state.partitions[host].cipher.ct,
-                                                 others, id);
-        state.sealed_gk = result.sealed_gk;
-        state.gk_epoch = fresh_gk_epoch(state);
-
-        // Apply results: index 0 is the host, the rest follow input order.
-        auto& host_rec = state.partitions[host];
-        host_rec.members.erase(
-            std::find(host_rec.members.begin(), host_rec.members.end(), id));
-        host_rec.cipher = std::move(result.partitions[0]);
-        std::size_t out = 1;
-        for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-          if (p != host) {
-            state.partitions[p].cipher = std::move(result.partitions[out++]);
-          }
-        }
-        state.member_of.erase(mit);
-        DeltaOp op;
-        op.kind = DeltaOp::Kind::remove_member;
-        op.user = id;
-        op.pid = host_pid;
-        state.pending_delta.push_back(std::move(op));
-
-        // An emptied partition just leaves the index; its shard entry goes
-        // with it (and an emptied shard drops out of the manifest — the old
-        // file is swept by the post-commit GC).
-        std::size_t host_shard = shard_index_of(state, host_pid);
-        bool host_shard_alive = true;
-        if (host_rec.members.empty()) {
-          state.partitions.erase(state.partitions.begin() +
-                                 static_cast<std::ptrdiff_t>(host));
-          auto& pids = state.shards[host_shard].pids;
-          pids.erase(std::find(pids.begin(), pids.end(), host_pid));
-          if (pids.empty()) {
-            state.shards.erase(state.shards.begin() +
-                               static_cast<std::ptrdiff_t>(host_shard));
-            host_shard_alive = false;
-          }
-        }
-
-        // The global §V-A heuristic first (a full rebuild subsumes any
-        // shard-local one), then the same rule scoped to the host shard.
-        if (!state.partitions.empty() && config_.repartitioning &&
-            should_repartition(state)) {
-          // The rebuild commits on its own; our log entry must precede its
-          // repartition entry on the cloud.
-          if (!staged) staged = publish_log_entry(gid, LogOp::remove_user, id);
-          rebuild_group(gid, state);
-          return OpOutcome::rebuilt;
-        }
-        if (host_shard_alive && config_.repartitioning &&
-            shard_should_repartition(state, state.shards[host_shard])) {
-          repartition_shard(state, host_shard);
-        }
-        if (host_shard_alive) rewrite_shard(gid, state, host_shard);
-        // Every partition's ciphertext changed, but they travel as ONE
-        // rotated bundle: the revocation stays O(1) uploaded objects.
-        write_bundle(gid, state);
-        push_sealed_gk(gid, state);
-        return OpOutcome::published;
-      });
-
-  if (outcome == OpOutcome::noop) return;
-  stats_.users_removed++;
-  advisor_.record_remove();
+  remove_members(gid, std::span(&id, 1), /*log_as_batch=*/false);
 }
 
 void AdminApi::add_users(const GroupId& gid, std::span<const Identity> ids) {
@@ -956,14 +877,20 @@ void AdminApi::add_users(const GroupId& gid, std::span<const Identity> ids) {
 }
 
 void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
+  remove_members(gid, ids, /*log_as_batch=*/true);
+}
+
+void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
+                              bool log_as_batch) {
   std::size_t removed_count = 0;
   // The lambda rewrites this before mutate_with_retry publishes the entry.
-  std::string subject = "batch=0";
+  std::string subject;
   auto outcome = mutate_with_retry(
       gid, LogOp::remove_user, subject,
       [&](GroupState& state, std::optional<LogHead>& staged) {
         removed_count = 0;
-        // Group the batch by hosting partition; silently skip non-members.
+        // Algorithm 3, line 1: group the batch by hosting partition (O(1)
+        // lookups); silently skip non-members.
         std::map<std::size_t, std::vector<Identity>> by_partition;
         for (const auto& id : ids) {
           auto mit = state.member_of.find(id);
@@ -987,6 +914,8 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
           }
         }
 
+        // Lines 3-9 run inside the enclave: removal on every host, constant
+        // time re-key everywhere else, fresh gk wrapped under every partition.
         auto result = enclave_.ecall_remove_users(hosts, others);
         state.sealed_gk = result.sealed_gk;
         state.gk_epoch = fresh_gk_epoch(state);
@@ -1024,8 +953,9 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
               std::move(result.partitions[hosts.size() + o]);
         }
 
-        // Drop emptied partitions, largest offset first; the shard files
-        // themselves are swept post-commit.
+        // An emptied partition just leaves the index, largest offset first;
+        // its shard entry goes with it (and an emptied shard drops out of the
+        // manifest — the old file is swept by the post-commit GC).
         for (std::size_t p = state.partitions.size(); p-- > 0;) {
           if (!state.partitions[p].members.empty()) continue;
           const PartitionId pid = state.partitions[p].id;
@@ -1044,14 +974,22 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
                                  static_cast<std::ptrdiff_t>(p));
         }
 
-        subject = "batch=" + std::to_string(removed_count);
+        subject = log_as_batch ? "batch=" + std::to_string(removed_count)
+                               : ids.front();
+        // The global §V-A heuristic first (a full rebuild subsumes any
+        // shard-local one), then the same rule scoped to each dirty shard.
         if (!state.partitions.empty() && config_.repartitioning &&
             should_repartition(state)) {
+          // The rebuild's repartition entry must follow ours on the cloud,
+          // and the manifest pins the newer one. A re-run after a lost CAS
+          // keeps our entry and logs its own generation's rebuild again.
           if (!staged) {
             staged = publish_log_entry(gid, LogOp::remove_user, subject);
           }
-          rebuild_group(gid, state);
-          return OpOutcome::rebuilt;
+          const std::size_t size = rebuild_group(gid, state);
+          staged = publish_log_entry(gid, LogOp::repartition,
+                                     "partition_size=" + std::to_string(size));
+          return OpOutcome::published;
         }
         for (std::size_t s = 0; s < state.shards.size(); ++s) {
           if (std::find(dirty_sids.begin(), dirty_sids.end(),
@@ -1064,6 +1002,8 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
           }
           rewrite_shard(gid, state, s);
         }
+        // Every partition's ciphertext changed, but they travel as ONE
+        // rotated bundle: the revocation stays O(1) uploaded objects.
         write_bundle(gid, state);
         push_sealed_gk(gid, state);
         return OpOutcome::published;
@@ -1138,7 +1078,7 @@ void AdminApi::repartition_shard(GroupState& state, std::size_t shard) {
   state.pending_delta.push_back(std::move(op));
 }
 
-void AdminApi::rebuild_group(const GroupId& gid, GroupState& state) {
+std::size_t AdminApi::rebuild_group(const GroupId& gid, GroupState& state) {
   std::vector<Identity> all;
   for (const auto& rec : state.partitions) {
     all.insert(all.end(), rec.members.begin(), rec.members.end());
@@ -1151,13 +1091,8 @@ void AdminApi::rebuild_group(const GroupId& gid, GroupState& state) {
                                   enclave_.public_key().max_receivers());
     advisor_.reset_window();
   }
-
-  // create_group_sized rewrites cache_[gid] (committing via the manifest CAS
-  // and sweeping this generation's files afterwards); adjust counters to not
-  // double-count the group itself.
-  stats_.groups_created--;
-  create_group_sized(gid, all, new_size, LogOp::repartition,
-                     "partition_size=" + std::to_string(new_size));
+  state = stage_generation(gid, &state, all, new_size);
+  return new_size;
 }
 
 bool AdminApi::is_member(const GroupId& gid, const Identity& id) const {

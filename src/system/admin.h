@@ -34,7 +34,8 @@
 // retried in place.
 //
 // Extensions beyond the paper's evaluation (its §VIII future work):
-//   * batch revocation: remove_users() rotates gk once per batch;
+//   * batch revocation: remove_users() rotates gk once per batch; a single
+//     remove_user() is a batch of one (the paper's Algorithm 3);
 //   * multi-administrator mode: manifest updates are always CAS-protected
 //     and a conflict re-syncs the cache and retries (no knob: peers need
 //     only distinct admin_nonce values and each other's keys);
@@ -122,12 +123,14 @@ class AdminApi {
   /// Algorithm 2. No-op if the user is already a member.
   void add_user(const GroupId& gid, const core::Identity& id);
 
-  /// Algorithm 3 (+ re-partitioning heuristics). No-op if not a member.
+  /// Algorithm 3 (+ re-partitioning heuristics): `remove_users` with one
+  /// id, logged under that id. No-op if not a member.
   void remove_user(const GroupId& gid, const core::Identity& id);
 
   /// Batch extensions: `add_users` loops the O(1) add; `remove_users`
   /// rotates the group key ONCE for all k revocations (one enclave call, one
-  /// re-key per partition) instead of k times.
+  /// re-key per partition) instead of k times, logged as "batch=k".
+  /// Non-members are skipped.
   void add_users(const GroupId& gid, std::span<const core::Identity> ids);
   void remove_users(const GroupId& gid, std::span<const core::Identity> ids);
 
@@ -238,7 +241,6 @@ class AdminApi {
   enum class OpOutcome {
     noop,       // nothing changed, nothing to publish
     published,  // shards/ciphers pushed; manifest still needs publishing
-    rebuilt,    // rebuild_group ran and already committed everything
   };
 
   GroupState& state_of(const GroupId& gid);
@@ -257,10 +259,18 @@ class AdminApi {
   /// fresh shard; returns the shard index.
   std::size_t assign_to_shard(GroupState& state, PartitionId pid);
 
-  void create_group_sized(const GroupId& gid,
-                          std::span<const core::Identity> members,
-                          std::size_t partition_size, LogOp logop,
-                          const std::string& subject);
+  /// Algorithm 1 up to the commit point: splits `members` into partitions
+  /// of `partition_size`, runs the enclave's group creation and uploads the
+  /// shards, cipher bundle and sealed gk of a fresh generation. The result
+  /// keeps `lineage`'s id counters and CAS lineage (when given) and stages
+  /// no delta ops, so its commit is a snapshot barrier.
+  [[nodiscard]] GroupState stage_generation(
+      const GroupId& gid, const GroupState* lineage,
+      std::span<const core::Identity> members, std::size_t partition_size);
+  /// Shared body of remove_user / remove_users. The op-log subject is the
+  /// single id, or "batch=<removed>" when `log_as_batch`.
+  void remove_members(const GroupId& gid, std::span<const core::Identity> ids,
+                      bool log_as_batch);
   /// Serializes, signs and uploads one shard under a fresh object id;
   /// updates the shard's sid + hash in the state.
   void rewrite_shard(const GroupId& gid, GroupState& state, std::size_t shard);
@@ -320,13 +330,17 @@ class AdminApi {
   /// stable pids; stages a repartition delta op so warm clients fold it.
   /// Pure state surgery — the caller rewrites the shard and the bundle.
   void repartition_shard(GroupState& state, std::size_t shard);
-  void rebuild_group(const GroupId& gid, GroupState& state);
+  /// Full re-partition (§V-A): replaces `state` with a staged fresh
+  /// generation of all its members (stage_generation), at the advisor's
+  /// recommended size when adaptive. Commits nothing; returns the size.
+  std::size_t rebuild_group(const GroupId& gid, GroupState& state);
 
   /// Retry wrapper for a whole mutation: runs `op` against the cached state,
   /// publishes the staged op-log entry, then attempts the manifest CAS; on
   /// conflict re-syncs and re-runs the (idempotent) op. `op` is called as
-  /// op(state, staged) — `staged` lets the re-partitioning path publish its
-  /// log entry before handing off to rebuild_group.
+  /// op(state, staged); `staged` is the newest op-log entry the op has
+  /// published, which the manifest pins — the re-partitioning path publishes
+  /// its own entry first and then the rebuild's.
   template <typename Op>
   OpOutcome mutate_with_retry(const GroupId& gid, LogOp logop,
                               const std::string& subject, Op&& op);

@@ -28,63 +28,49 @@ pki::EcdsaKeyPair make_admin_key(std::uint64_t seed) {
 }  // namespace
 
 IbbeSgxScheme::IbbeSgxScheme(std::size_t partition_size, std::uint64_t seed)
-    : partition_size_(partition_size),
-      seed_(seed),
-      platform_(std::make_unique<sgx::EnclavePlatform>("bench-platform")),
-      enclave_(std::make_unique<enclave::IbbeEnclave>(*platform_, partition_size)),
-      cloud_(std::make_unique<cloud::CloudStore>()),
-      admin_key_(make_admin_key(seed)),
-      admin_config_(make_config(partition_size, false)) {
-  admin_ = std::make_unique<AdminApi>(*enclave_, store(), admin_key_,
-                                      admin_config_, seed);
-}
+    : IbbeSgxScheme(partition_size, seed, nullptr, nullptr, nullptr) {}
 
 IbbeSgxScheme::IbbeSgxScheme(std::size_t partition_size, std::uint64_t seed,
                              const cloud::FaultPlan& plan)
-    : partition_size_(partition_size),
-      seed_(seed),
-      platform_(std::make_unique<sgx::EnclavePlatform>("bench-platform")),
-      enclave_(std::make_unique<enclave::IbbeEnclave>(*platform_, partition_size)),
-      cloud_(std::make_unique<cloud::CloudStore>()),
-      fault_store_(std::make_unique<cloud::FaultInjectingStore>(*cloud_, plan)),
-      admin_key_(make_admin_key(seed)),
-      admin_config_(make_config(partition_size, true)) {
-  admin_ = std::make_unique<AdminApi>(*enclave_, store(), admin_key_,
-                                      admin_config_, seed);
-}
+    : IbbeSgxScheme(partition_size, seed, &plan, nullptr, nullptr) {}
 
 IbbeSgxScheme::IbbeSgxScheme(std::size_t partition_size, std::uint64_t seed,
                              const cloud::FaultPlan& plan,
                              const cloud::MaliciousPlan& malice)
-    : partition_size_(partition_size),
-      seed_(seed),
-      platform_(std::make_unique<sgx::EnclavePlatform>("bench-platform")),
-      enclave_(std::make_unique<enclave::IbbeEnclave>(*platform_, partition_size)),
-      cloud_(std::make_unique<cloud::CloudStore>()),
-      malicious_store_(std::make_unique<cloud::MaliciousStore>(*cloud_, malice)),
-      fault_store_(
-          std::make_unique<cloud::FaultInjectingStore>(*malicious_store_, plan)),
-      admin_key_(make_admin_key(seed)),
-      admin_config_(make_config(partition_size, true)) {
-  admin_ = std::make_unique<AdminApi>(*enclave_, store(), admin_key_,
-                                      admin_config_, seed);
-}
+    : IbbeSgxScheme(partition_size, seed, &plan, &malice, nullptr) {}
 
 IbbeSgxScheme::IbbeSgxScheme(std::size_t partition_size, std::uint64_t seed,
                              const RemotePlan& plan)
+    : IbbeSgxScheme(partition_size, seed, nullptr, nullptr, &plan) {}
+
+IbbeSgxScheme::IbbeSgxScheme(std::size_t partition_size, std::uint64_t seed,
+                             const cloud::FaultPlan* plan,
+                             const cloud::MaliciousPlan* malice,
+                             const RemotePlan* remote)
     : partition_size_(partition_size),
       seed_(seed),
       platform_(std::make_unique<sgx::EnclavePlatform>("bench-platform")),
       enclave_(std::make_unique<enclave::IbbeEnclave>(*platform_, partition_size)),
       cloud_(std::make_unique<cloud::CloudStore>()),
-      remote_plan_(plan),
       admin_key_(make_admin_key(seed)),
-      admin_config_(make_config(partition_size, true)) {
-  net::NetServerConfig server_cfg;
-  server_cfg.identity_seed = seed + 77;  // deterministic identity per seed
-  server_ = std::make_unique<net::NetServer>(*cloud_, server_cfg);
-  net_schedule_ = std::make_shared<net::NetFaultSchedule>(plan.faults);
-  remote_admin_ = make_remote_store();
+      admin_config_(make_config(partition_size, plan || remote)) {
+  if (malice) {
+    malicious_store_ = std::make_unique<cloud::MaliciousStore>(*cloud_, *malice);
+  }
+  if (plan) {
+    cloud::CloudStore& inner =
+        malicious_store_ ? static_cast<cloud::CloudStore&>(*malicious_store_)
+                         : *cloud_;
+    fault_store_ = std::make_unique<cloud::FaultInjectingStore>(inner, *plan);
+  }
+  if (remote) {
+    remote_plan_ = *remote;
+    net::NetServerConfig server_cfg;
+    server_cfg.identity_seed = seed + 77;  // deterministic identity per seed
+    server_ = std::make_unique<net::NetServer>(*cloud_, server_cfg);
+    net_schedule_ = std::make_shared<net::NetFaultSchedule>(remote->faults);
+    remote_admin_ = make_remote_store();
+  }
   admin_ = std::make_unique<AdminApi>(*enclave_, store(), admin_key_,
                                       admin_config_, seed);
 }

@@ -98,6 +98,14 @@ class IbbeSgxScheme : public he::GroupScheme {
   [[nodiscard]] std::uint64_t admin_restarts() const { return restarts_; }
 
  private:
+  /// Shared body of the public constructors: the platform, enclave, cloud,
+  /// admin key and config, then the store stack (a MaliciousStore when
+  /// `malice`, a FaultInjectingStore on top when `plan`, a NetServer and the
+  /// admin's RemoteStore when `remote`), then the administrator over it.
+  IbbeSgxScheme(std::size_t partition_size, std::uint64_t seed,
+                const cloud::FaultPlan* plan, const cloud::MaliciousPlan* malice,
+                const RemotePlan* remote);
+
   /// The store the admin and the clients actually talk to.
   [[nodiscard]] cloud::CloudStore& store() {
     if (remote_admin_) return *remote_admin_;

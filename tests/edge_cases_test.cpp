@@ -117,7 +117,8 @@ TEST_F(IbbeEdge, ExactlyFullPartitionWorks) {
 TEST_F(IbbeEdge, RemoveDownToSingleUser) {
   std::vector<ibbe::core::Identity> users = {"a", "b"};
   auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
-  auto rem = ibbe::core::remove_user_with_msk(keys.msk, keys.pk, enc.ct, "b", rng);
+  auto rem = ibbe::core::remove_users_with_msk(keys.msk, keys.pk, enc.ct,
+                                              std::span(&users[1], 1), rng);
   std::vector<ibbe::core::Identity> remaining = {"a"};
   auto usk = ibbe::core::extract_user_key(keys.msk, "a");
   auto bk = ibbe::core::decrypt(keys.pk, usk, remaining, rem.ct);
@@ -128,7 +129,8 @@ TEST_F(IbbeEdge, RemoveDownToSingleUser) {
 TEST_F(IbbeEdge, RemoveEveryUserLeavesUndecryptableCiphertext) {
   std::vector<ibbe::core::Identity> users = {"a"};
   auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
-  auto rem = ibbe::core::remove_user_with_msk(keys.msk, keys.pk, enc.ct, "a", rng);
+  auto rem = ibbe::core::remove_users_with_msk(keys.msk, keys.pk, enc.ct, users,
+                                              rng);
   // C3 collapses to h (empty product); no identity is in the receiver set.
   EXPECT_EQ(rem.ct.c3, keys.pk.h());
   auto usk = ibbe::core::extract_user_key(keys.msk, "a");

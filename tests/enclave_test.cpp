@@ -119,10 +119,12 @@ TEST_F(EnclaveFixture, RemoveUserRotatesGkEverywhere) {
                              group.partitions[0]);
   ASSERT_TRUE(gk_before.has_value());
 
-  // Remove user1 (hosted in partition 0).
+  // Remove user1 (hosted in partition 0): a batch of one.
   Identity removed = "user1";
+  std::vector<ibbe::enclave::IbbeEnclave::BatchRemovalSpec> hosts = {
+      {group.partitions[0].ct, {removed}}};
   std::vector<ibbe::core::BroadcastCiphertext> others = {group.partitions[1].ct};
-  auto result = enclave.ecall_remove_user(group.partitions[0].ct, others, removed);
+  auto result = enclave.ecall_remove_users(hosts, others);
   ASSERT_EQ(result.partitions.size(), 2u);
 
   std::vector<Identity> remaining_p0 = {"user0", "user2"};

@@ -52,7 +52,8 @@ TEST_F(BatchFixture, CoreBatchRemovalMatchesSequential) {
   // Sequential removals land on the same C3 (same receiver set).
   auto seq = enc;
   for (const auto& id : leavers) {
-    seq = ibbe::core::remove_user_with_msk(keys.msk, keys.pk, seq.ct, id, rng);
+    seq = ibbe::core::remove_users_with_msk(keys.msk, keys.pk, seq.ct,
+                                            std::span(&id, 1), rng);
   }
   EXPECT_EQ(batch.ct.c3, seq.ct.c3);
 
@@ -385,18 +386,25 @@ TEST(AdminLogIntegration, EveryOperationIsLoggedAndAuditable) {
   admin.add_user("g", "newbie");
   admin.remove_user("g", "user1");
   admin.add_user("g", "newbie");  // no-op: must NOT be logged
+  // Empties the second partition, so no re-partition entry follows.
+  admin.remove_users("g", std::vector<Identity>{"user4", "newbie", "ghost"});
 
   // The log is mirrored to the cloud and audits cleanly.
   auto raw = cloud.get(ibbe::system::oplog_path("g"));
   ASSERT_TRUE(raw.has_value());
   auto log = MembershipLog::from_bytes(*raw);
-  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.size(), 4u);
   std::vector<ibbe::ec::P256Point> keys = {key.public_key()};
   EXPECT_TRUE(log.audit(keys).ok);
   EXPECT_EQ(log.entries()[1].op, LogOp::add_user);
   EXPECT_EQ(log.entries()[1].subject, "newbie");
+  // A single revocation is a batch of one but is logged under the user's id;
+  // a batch is logged by the count it actually removed.
   EXPECT_EQ(log.entries()[2].op, LogOp::remove_user);
+  EXPECT_EQ(log.entries()[2].subject, "user1");
   EXPECT_EQ(log.entries()[2].admin, "ops@example.com");
+  EXPECT_EQ(log.entries()[3].op, LogOp::remove_user);
+  EXPECT_EQ(log.entries()[3].subject, "batch=2");
 }
 
 // ------------------------------------------------------- partition advisor

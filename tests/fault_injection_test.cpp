@@ -720,6 +720,90 @@ TEST(OpLogConcurrency, InterleavedAdminsLoseNoEntries) {
   EXPECT_TRUE(admin_b.is_member(gid, "from-b"));
 }
 
+// ------------------------------------------ lost CAS during a full rebuild
+
+TEST(RebuildConcurrency, RebuildThatLosesTheManifestCasResyncsAndRetries) {
+  // Admin B's removal triggers a full re-partition; admin A commits a join
+  // while B's rebuild has staged its new generation but not yet committed
+  // it. B's manifest CAS then loses: B must re-sync and re-run the removal
+  // like any other mutation, not throw.
+  ibbe::sgx::EnclavePlatform platform("rebuild-race-box");
+  ibbe::enclave::IbbeEnclave enclave(platform, 8);
+  CloudStore inner;
+  FaultInjectingStore faulty(inner, FaultPlan{});
+  ibbe::crypto::Drbg rng(37);
+  auto key_a = ibbe::pki::EcdsaKeyPair::generate(rng);
+  auto key_b = ibbe::pki::EcdsaKeyPair::generate(rng);
+
+  auto config_for = [&](std::uint32_t nonce, const std::string& name,
+                        const ibbe::pki::EcdsaKeyPair& peer) {
+    AdminConfig config;
+    config.partition_size = 3;
+    config.admin_nonce = nonce;
+    config.admin_name = name;
+    config.log_operations = true;
+    config.retry = RetryPolicy{}.without_delays();
+    config.peer_verification_keys = {ibbe::ec::p256_to_bytes(peer.public_key())};
+    return config;
+  };
+  AdminApi admin_a(enclave, faulty, key_a, config_for(1, "A", key_b), 8);
+  AdminApi admin_b(enclave, faulty, key_b, config_for(2, "B", key_a), 9);
+
+  const GroupId gid = "g";
+  auto users = make_users(9);  // (3,3,3)
+  admin_a.create_group(gid, users);
+  admin_b.sync_from_cloud(gid);
+  // (1,2,3): one sparse partition out of three, below the trigger.
+  for (const char* id : {"u0", "u1", "u3"}) admin_b.remove_user(gid, id);
+  const auto rebuilds_before = admin_b.stats().repartitions;
+
+  // The rebuild's sealed gk is written after its shards and bundle and
+  // before its manifest CAS: the middle of the rebuild's window.
+  const std::string gk_prefix = ibbe::system::group_dir(gid) + "/gk";
+  bool fired = false;
+  faulty.set_write_hook([&](const std::string& path) {
+    if (fired || path.rfind(gk_prefix, 0) != 0) return;
+    fired = true;
+    admin_a.add_user(gid, "from-a");  // full commit inside B's window
+  });
+  // (1,1,3): two of three partitions sparse, a full rebuild.
+  ASSERT_NO_THROW(admin_b.remove_user(gid, "u4"));
+  faulty.set_write_hook(nullptr);
+  ASSERT_TRUE(fired);
+  EXPECT_GT(admin_b.stats().repartitions, rebuilds_before);
+  EXPECT_GE(admin_b.stats().cas_conflicts, 1u);
+
+  // Both mutations landed, and a fresh view of the cloud agrees with B.
+  EXPECT_FALSE(admin_b.is_member(gid, "u4"));
+  EXPECT_TRUE(admin_b.is_member(gid, "from-a"));
+  admin_a.sync_from_cloud(gid);
+  EXPECT_EQ(admin_a.group_size(gid), admin_b.group_size(gid));
+  EXPECT_EQ(admin_a.partition_count(gid), admin_b.partition_count(gid));
+  for (const auto& id : users) {
+    EXPECT_EQ(admin_a.is_member(gid, id), admin_b.is_member(gid, id)) << id;
+  }
+  EXPECT_TRUE(admin_a.is_member(gid, "from-a"));
+  EXPECT_TRUE(admin_b.audit_group_log(gid).ok);
+
+  // Members share the committed key; the revoked user does not get it.
+  std::optional<Bytes> shared;
+  for (const Identity& id : {"u2", "u5", "from-a", "u4"}) {
+    ClientApi client(inner, enclave.public_key(),
+                     enclave.ecall_extract_user_key(id),
+                     std::vector<ibbe::ec::P256Point>{
+                         admin_a.verification_point(),
+                         admin_b.verification_point()});
+    auto key = client.fetch_group_key(gid);
+    if (id == "u4") {
+      EXPECT_FALSE(key.has_value());
+      continue;
+    }
+    ASSERT_TRUE(key.has_value()) << id;
+    if (!shared) shared = *key;
+    EXPECT_EQ(*key, *shared) << id;
+  }
+}
+
 // ------------------------------------------------- truncation detection
 
 struct TruncationFixture : ::testing::Test {

@@ -177,8 +177,8 @@ TEST_F(IbbeFixture, RemoveUserRekeysAndShrinksSet) {
   auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
 
   Identity leaver = users[2];
-  auto removed =
-      ibbe::core::remove_user_with_msk(keys.msk, keys.pk, enc.ct, leaver, rng);
+  auto removed = ibbe::core::remove_users_with_msk(keys.msk, keys.pk, enc.ct,
+                                                  std::span(&leaver, 1), rng);
   std::vector<Identity> remaining = {users[0], users[1], users[3]};
 
   EXPECT_NE(removed.bk, enc.bk);
@@ -216,7 +216,8 @@ TEST_F(IbbeFixture, AddThenRemoveIsConsistent) {
   auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
   Identity temp = "temp@example.com";
   ibbe::core::add_user_with_msk(keys.msk, enc.ct, temp);
-  auto removed = ibbe::core::remove_user_with_msk(keys.msk, keys.pk, enc.ct, temp, rng);
+  auto removed = ibbe::core::remove_users_with_msk(keys.msk, keys.pk, enc.ct,
+                                                  std::span(&temp, 1), rng);
   // Back to the original receiver set.
   EXPECT_EQ(removed.ct.c3, ibbe::core::compute_c3_public(keys.pk, users));
   auto bk = ibbe::core::decrypt(keys.pk, usk(users[0]), users, removed.ct);

@@ -188,7 +188,7 @@ class ModelBasedTest
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndSeeds, ModelBasedTest,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5, 6),  // factory index
-                       ::testing::Values(101u, 202u)),    // RNG seed
+                       ::testing::Values(101u, 202u, 303u)),  // RNG seed
     [](const auto& info) {
       return std::string(factories()[static_cast<std::size_t>(
                              std::get<0>(info.param))]

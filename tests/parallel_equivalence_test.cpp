@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
 #include "ec/msm.h"
 #include "enclave/ibbe_enclave.h"
 #include "he/he_ibe.h"
@@ -28,6 +29,7 @@
 #include "pairing/pairing.h"
 #include "sgx/enclave.h"
 #include "test_util.h"
+#include "util/hex.h"
 #include "util/thread_pool.h"
 
 namespace ibbe {
@@ -290,16 +292,38 @@ TEST(ParallelEquivalenceTest, EnclaveCreateRemoveBitwiseAcrossThreadCounts) {
   ThreadPool::set_global_threads(1);
   enclave::IbbeEnclave oracle(platform, 8, kSeed);
   auto serial_create = oracle.ecall_create_group(partitions);
-  auto serial_remove = oracle.ecall_remove_user(
-      serial_create.partitions[0].ct,
-      std::vector<BroadcastCiphertext>{serial_create.partitions[1].ct,
-                                       serial_create.partitions[2].ct},
-      partitions[0][0]);
-  std::vector<enclave::IbbeEnclave::BatchRemovalSpec> specs(2);
-  specs[0] = {serial_create.partitions[3].ct, {partitions[3][1], partitions[3][2]}};
-  specs[1] = {serial_create.partitions[4].ct, {partitions[4][0]}};
-  auto serial_batch = oracle.ecall_remove_users(
-      specs, std::vector<BroadcastCiphertext>{serial_create.partitions[5].ct});
+
+  // Two revocations against the creation: a single one (a batch of one host
+  // with one user, re-keying two other partitions) and a batch over two
+  // hosts. Same-seed creations are bitwise equal, so the specs built from
+  // the oracle's ciphertexts serve every enclave below.
+  struct Removal {
+    std::vector<enclave::IbbeEnclave::BatchRemovalSpec> hosts;
+    std::vector<BroadcastCiphertext> others;
+  };
+  const auto& cts = serial_create.partitions;
+  const std::vector<Removal> removals = {
+      {{{cts[0].ct, {partitions[0][0]}}}, {cts[1].ct, cts[2].ct}},
+      {{{cts[3].ct, {partitions[3][1], partitions[3][2]}},
+        {cts[4].ct, {partitions[4][0]}}},
+       {cts[5].ct}},
+  };
+  std::vector<enclave::IbbeEnclave::RemovalResult> serial_removals;
+  for (const auto& r : removals) {
+    serial_removals.push_back(oracle.ecall_remove_users(r.hosts, r.others));
+  }
+
+  // The single revocation's output is also pinned across versions: the
+  // SHA-256 of its concatenated ciphertexts, equal to what the former
+  // single-user ECALL produced. A change here means revocation output (and
+  // so every stored bundle) changed.
+  util::Bytes single;
+  for (const auto& pc : serial_removals[0].partitions) {
+    auto bytes = pc.to_bytes();
+    single.insert(single.end(), bytes.begin(), bytes.end());
+  }
+  EXPECT_EQ(util::to_hex(crypto::Sha256::hash(single)),
+            "4c961a1e6ddf9fbc0670ee43a8e2309292ff69d9f997c8b1f659b75ea7ff77b8");
 
   for (std::size_t t : kThreadSweep) {
     ThreadPool::set_global_threads(t);
@@ -312,25 +336,14 @@ TEST(ParallelEquivalenceTest, EnclaveCreateRemoveBitwiseAcrossThreadCounts) {
           << "create t=" << t << " i=" << i;
     }
 
-    auto remove = en.ecall_remove_user(
-        create.partitions[0].ct,
-        std::vector<BroadcastCiphertext>{create.partitions[1].ct,
-                                         create.partitions[2].ct},
-        partitions[0][0]);
-    ASSERT_EQ(remove.partitions.size(), serial_remove.partitions.size());
-    for (std::size_t i = 0; i < remove.partitions.size(); ++i) {
-      EXPECT_EQ(remove.partitions[i].to_bytes(),
-                serial_remove.partitions[i].to_bytes())
-          << "remove t=" << t << " i=" << i;
-    }
-
-    auto batch = en.ecall_remove_users(
-        specs, std::vector<BroadcastCiphertext>{create.partitions[5].ct});
-    ASSERT_EQ(batch.partitions.size(), serial_batch.partitions.size());
-    for (std::size_t i = 0; i < batch.partitions.size(); ++i) {
-      EXPECT_EQ(batch.partitions[i].to_bytes(),
-                serial_batch.partitions[i].to_bytes())
-          << "batch t=" << t << " i=" << i;
+    for (std::size_t r = 0; r < removals.size(); ++r) {
+      auto got = en.ecall_remove_users(removals[r].hosts, removals[r].others);
+      const auto& want = serial_removals[r].partitions;
+      ASSERT_EQ(got.partitions.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.partitions[i].to_bytes(), want[i].to_bytes())
+            << "removal " << r << " t=" << t << " i=" << i;
+      }
     }
   }
 }
