@@ -60,9 +60,7 @@ using ibbe::system::GroupManifest;
 using ibbe::system::IndexDelta;
 using ibbe::system::IndexShard;
 using ibbe::system::PartitionId;
-
-constexpr std::size_t kEnvelopeOverhead =
-    4 + ibbe::pki::EcdsaSignature::serialized_size;  // length prefix + ECDSA
+using ibbe::system::SignedEnvelope;
 
 std::vector<Identity> make_users(std::size_t n) {
   std::vector<Identity> users;
@@ -157,7 +155,7 @@ class MetaGroup {
     for (const auto& s : shards_) {
       for (const auto& p : s.shard.partitions) matrix.partitions.push_back(p);
     }
-    return matrix.to_bytes().size() + kEnvelopeOverhead;
+    return matrix.to_bytes().size() + SignedEnvelope::stored_overhead;
   }
 
   std::size_t member_count() const { return locate_.size(); }
@@ -218,7 +216,7 @@ class MetaGroup {
   void refresh_ref(ShardState& s) {
     auto bytes = s.shard.to_bytes();
     s.ref.hash = ibbe::system::content_hash(bytes);
-    s.bytes = bytes.size() + kEnvelopeOverhead;
+    s.bytes = bytes.size() + SignedEnvelope::stored_overhead;
   }
 
   /// Serializes what the admin uploads for this mutation and returns the
@@ -247,7 +245,7 @@ class MetaGroup {
     manifest.delta_base = counter_ > 64 ? counter_ - 63 : 1;
     manifest.delta_hash = delta_hash_;
     return shards_[shard].bytes + delta_bytes.size() +
-           manifest.to_bytes().size() + kEnvelopeOverhead;
+           manifest.to_bytes().size() + SignedEnvelope::stored_overhead;
   }
 
   std::size_t m_;

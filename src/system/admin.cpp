@@ -34,6 +34,35 @@ std::optional<std::uint64_t> parse_numbered(const std::string& name,
   return value;
 }
 
+std::vector<ec::P256Point> trusted_keys(
+    const ec::P256Point& own, const std::vector<util::Bytes>& peers) {
+  std::vector<ec::P256Point> keys{own};
+  for (const auto& key_bytes : peers) {
+    try {
+      keys.push_back(ec::p256_from_bytes(key_bytes));
+    } catch (const util::DeserializeError&) {
+      // malformed configured key: skip
+    }
+  }
+  return keys;
+}
+
+/// Maps a MetadataReader verdict onto the fault taxonomy (util/errors.h):
+/// absent and stale objects heal by re-reading; unauthenticated ones are
+/// evidence of tampering.
+template <typename Record>
+Record adopt(Verified<Record> read, const std::string& what) {
+  if (read.verdict == ReadVerdict::unauthenticated) {
+    throw util::IntegrityError("sync_from_cloud: " + what + " not authentic");
+  }
+  if (!read.ok()) {
+    throw cloud::TransientError(
+        "sync_from_cloud: " + what +
+        (read.verdict == ReadVerdict::absent ? " not yet visible" : " stale"));
+  }
+  return std::move(read.record);
+}
+
 }  // namespace
 
 AdminApi::AdminApi(enclave::IbbeEnclave& enclave, cloud::CloudStore& cloud,
@@ -43,6 +72,8 @@ AdminApi::AdminApi(enclave::IbbeEnclave& enclave, cloud::CloudStore& cloud,
       cloud_(cloud),
       signing_key_(std::move(signing_key)),
       config_(std::move(config)),
+      reader_(trusted_keys(signing_key_.public_key(),
+                           config_.peer_verification_keys)),
       rng_(seed) {
   if (config_.partition_size == 0) {
     throw std::invalid_argument("AdminApi: partition_size must be positive");
@@ -50,14 +81,6 @@ AdminApi::AdminApi(enclave::IbbeEnclave& enclave, cloud::CloudStore& cloud,
   if (config_.partition_size > enclave_.public_key().max_receivers()) {
     throw std::invalid_argument(
         "AdminApi: partition_size exceeds the enclave's PK bound");
-  }
-  trusted_keys_.push_back(signing_key_.public_key());
-  for (const auto& key_bytes : config_.peer_verification_keys) {
-    try {
-      trusted_keys_.push_back(ec::p256_from_bytes(key_bytes));
-    } catch (const util::DeserializeError&) {
-      // malformed configured key: skip
-    }
   }
 }
 
@@ -121,6 +144,29 @@ std::size_t AdminApi::assign_to_shard(GroupState& state, PartitionId pid) {
   return state.shards.size() - 1;
 }
 
+void AdminApi::put_object(const std::string& path, const util::Bytes& bytes) {
+  with_retries([&] {
+    cloud_.put(path, bytes);
+    return 0;
+  });
+}
+
+std::vector<std::string> AdminApi::list_group(const GroupId& gid) {
+  try {
+    return with_retries([&] { return cloud_.list(group_dir(gid) + "/"); });
+  } catch (const cloud::TransientError&) {
+    return {};  // best-effort; a later sweep (or recover) sees the files
+  }
+}
+
+void AdminApi::erase_object(const std::string& path) {
+  try {
+    with_retries([&] { return cloud_.erase(path); });
+  } catch (const cloud::TransientError&) {
+    // leave the orphan for the next sweep
+  }
+}
+
 void AdminApi::rewrite_shard(const GroupId& gid, GroupState& state,
                              std::size_t shard) {
   Shard& sh = state.shards[shard];
@@ -131,31 +177,21 @@ void AdminApi::rewrite_shard(const GroupId& gid, GroupState& state,
     const auto& p = state.partitions[partition_index(state, pid)];
     rec.partitions.emplace_back(pid, p.members);
   }
-  auto env = SignedEnvelope::sign(signing_key_, rec.to_bytes());
-  auto bytes = env.to_bytes();
-  // Shard files are written once under a fresh id and never overwritten
-  // (copy-on-write), so a blind retry of an ambiguous put is idempotent.
-  with_retries([&] {
-    cloud_.put(shard_path(gid, rec.sid), bytes);
-    return 0;
-  });
+  auto bytes = sign_record(signing_key_, rec);
+  put_object(shard_path(gid, rec.sid), bytes);
   sh.sid = rec.sid;
   sh.hash = content_hash(bytes);
 }
 
 void AdminApi::write_bundle(const GroupId& gid, GroupState& state) {
   CipherBundle bundle;
+  bundle.gk_epoch = state.gk_epoch;
   bundle.entries.reserve(state.partitions.size());
   for (const auto& p : state.partitions) {
     bundle.entries.emplace_back(p.id, p.cipher);
   }
   auto id = fresh_object_id(state);
-  auto env = SignedEnvelope::sign(signing_key_, bundle.to_bytes());
-  auto bytes = env.to_bytes();
-  with_retries([&] {
-    cloud_.put(cipher_bundle_path(gid, id), bytes);
-    return 0;
-  });
+  put_object(cipher_bundle_path(gid, id), sign_record(signing_key_, bundle));
   state.cipher_set = id;
   // A fresh bundle carries every partition's current ciphertext; overlays
   // written for the previous epoch are superseded wholesale.
@@ -164,25 +200,11 @@ void AdminApi::write_bundle(const GroupId& gid, GroupState& state) {
 
 void AdminApi::write_overlay(const GroupId& gid, GroupState& state,
                              PartitionId pid) {
-  CipherOverlay overlay;
-  overlay.pid = pid;
-  overlay.cipher = state.partitions[partition_index(state, pid)].cipher;
+  CipherOverlay overlay{pid, state.gk_epoch,
+                        state.partitions[partition_index(state, pid)].cipher};
   auto id = fresh_object_id(state);
-  auto env = SignedEnvelope::sign(signing_key_, overlay.to_bytes());
-  auto bytes = env.to_bytes();
-  with_retries([&] {
-    cloud_.put(cipher_overlay_path(gid, id), bytes);
-    return 0;
-  });
+  put_object(cipher_overlay_path(gid, id), sign_record(signing_key_, overlay));
   state.overlays[pid] = id;
-}
-
-void AdminApi::push_sealed_gk(const GroupId& gid, const GroupState& state) {
-  auto bytes = state.sealed_gk.to_bytes();
-  with_retries([&] {
-    cloud_.put(sealed_gk_path(gid, state.gk_epoch), bytes);
-    return 0;
-  });
 }
 
 GroupManifest AdminApi::build_manifest(const GroupState& state) const {
@@ -228,10 +250,7 @@ bool AdminApi::push_index(const GroupId& gid, GroupState& state,
     // its own delta by hash, and each delta pins its predecessor's, so a
     // client folding a clobbered delta falls back to a snapshot — it can
     // never fold the wrong ops silently.
-    with_retries([&] {
-      cloud_.put(delta_path(gid, delta.seq), bytes);
-      return 0;
-    });
+    put_object(delta_path(gid, delta.seq), bytes);
     delta_hash = content_hash(bytes);
     if (delta_base == 0) delta_base = token.counter;  // first-ever delta
     std::uint64_t window = std::max<std::uint64_t>(config_.delta_window, 1);
@@ -245,8 +264,7 @@ bool AdminApi::push_index(const GroupId& gid, GroupState& state,
   m.freshness = token;
   m.delta_base = delta_base;
   m.delta_hash = delta_hash;
-  auto env = SignedEnvelope::sign(signing_key_, m.to_bytes());
-  auto bytes = env.to_bytes();
+  auto bytes = sign_record(signing_key_, m);
 
   auto committed = [&](std::uint64_t version) {
     state.index_version = version;
@@ -286,32 +304,6 @@ bool AdminApi::push_index(const GroupId& gid, GroupState& state,
   return false;
 }
 
-void AdminApi::check_index_freshness(const GroupId& gid,
-                                     const GroupManifest& m) {
-  if (m.freshness.counter == 0) {
-    throw util::IntegrityError(
-        "sync_from_cloud: manifest lacks a freshness attestation");
-  }
-  if (!m.freshness.verify(enclave_.freshness_verification_key(), gid)) {
-    throw util::IntegrityError(
-        "sync_from_cloud: manifest freshness token signature invalid");
-  }
-  if (m.freshness.gk_epoch != m.gk_epoch || m.freshness.log_head != m.log_head) {
-    throw util::IntegrityError(
-        "sync_from_cloud: freshness token does not bind this manifest");
-  }
-  // A counter BELOW the platform's confirmed floor is a rollback (or a
-  // badly lagging replica — indistinguishable, and both heal by re-reading).
-  // A counter ABOVE it is legitimate: a peer admin committed, or our own
-  // process died between the CAS and the confirmation; syncing it below
-  // raises the floor to match.
-  if (m.freshness.counter < enclave_.ecall_freshness_floor(gid)) {
-    ++stats_.rollback_rejections;
-    throw cloud::TransientError(
-        "sync_from_cloud: rolled-back manifest (freshness below enclave floor)");
-  }
-}
-
 void AdminApi::publish_freshness_gossip(const GroupId& gid,
                                         const enclave::FreshnessToken& token) {
   FreshnessObservation obs;
@@ -319,10 +311,7 @@ void AdminApi::publish_freshness_gossip(const GroupId& gid,
   obs.log_head = token.log_head;
   auto bytes = obs.to_bytes();
   try {
-    with_retries([&] {
-      cloud_.put(gossip_path(gid, "admin-" + config_.admin_name), bytes);
-      return 0;
-    });
+    put_object(gossip_path(gid, "admin-" + config_.admin_name), bytes);
   } catch (const cloud::TransientError&) {
     // Best-effort: the hint channel converges through the clients' own
     // observations; a missed announcement costs detection latency only.
@@ -395,14 +384,8 @@ void AdminApi::gc_group(const GroupId& gid, const GroupState& state) {
     }
   }
 
-  std::vector<std::string> files;
-  try {
-    files = with_retries([&] { return cloud_.list(group_dir(gid) + "/"); });
-  } catch (const cloud::TransientError&) {
-    return;  // best-effort; the next sweep (or recover) picks the orphans up
-  }
   const std::string dir = group_dir(gid) + "/";
-  for (const auto& path : files) {
+  for (const auto& path : list_group(gid)) {
     const std::string name = path.substr(dir.size());
     // parse_numbered (not a raw prefix compare) keeps "oplog" and "index"
     // out of the sweep: their non-digit tails fail the parse.
@@ -412,14 +395,8 @@ void AdminApi::gc_group(const GroupId& gid, const GroupState& state) {
                      parse_numbered(name, "d", "").has_value() ||
                      parse_numbered(name, "gk", ".sealed").has_value();
     if (!sweepable) continue;
-    if (std::find(live.begin(), live.end(), path) != live.end()) continue;
-    try {
-      with_retries([&] {
-        cloud_.erase(path);
-        return 0;
-      });
-    } catch (const cloud::TransientError&) {
-      // leave the orphan for the next sweep
+    if (std::find(live.begin(), live.end(), path) == live.end()) {
+      erase_object(path);
     }
   }
 }
@@ -441,18 +418,22 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
   auto raw_index =
       with_retries([&] { return cloud_.get_versioned(index_path(gid)); });
   if (!raw_index) {
-    throw std::runtime_error("sync_from_cloud: no index for group " + gid);
+    throw cloud::TransientError("sync_from_cloud: no manifest for " + gid);
   }
-  auto index_env = SignedEnvelope::from_bytes(raw_index->value);
-  if (!index_env.verify(trusted_keys_)) {
-    throw std::runtime_error("sync_from_cloud: index signature not trusted");
+  GroupManifest manifest =
+      adopt(reader_.manifest(std::move(raw_index->value), gid,
+                             &enclave_.freshness_verification_key()),
+            "manifest");
+  // The enclave-signed freshness counter (unlike the cloud-assigned version,
+  // it survives an admin restart) BELOW the platform's confirmed floor is a
+  // rollback or a badly lagging replica: both heal by re-reading. ABOVE it
+  // is legitimate (a peer committed, or we died between CAS and
+  // confirmation); the late confirmation below raises the floor to match.
+  if (manifest.freshness.counter < enclave_.ecall_freshness_floor(gid)) {
+    ++stats_.rollback_rejections;
+    throw cloud::TransientError(
+        "sync_from_cloud: rolled-back manifest (freshness below enclave floor)");
   }
-  GroupManifest manifest = GroupManifest::from_bytes(index_env.payload);
-  // The enclave-anchored freshness token subsumes the old version-
-  // monotonicity heuristic: unlike the cloud-assigned version it is SIGNED,
-  // survives an admin restart, and tells a Byzantine rollback apart from
-  // benign replica lag (both heal by re-reading; only one is counted).
-  check_index_freshness(gid, manifest);
   auto old = cache_.find(gid);
 
   GroupState state;
@@ -466,58 +447,25 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
 
   for (const auto& ref : manifest.shards) {
     auto raw = with_retries([&] { return cloud_.get(shard_path(gid, ref.sid)); });
-    if (!raw) {
-      // Committed manifests only reference shards that were pushed before
-      // the commit, so absence means we read a torn/stale view.
-      throw cloud::TransientError("sync_from_cloud: shard not yet visible");
-    }
-    if (content_hash(*raw) != ref.hash) {
-      // A replica serving old bytes under a live name (or a torn write):
-      // the manifest pins content, so this heals by re-reading.
-      throw cloud::TransientError("sync_from_cloud: stale shard content");
-    }
-    auto env = SignedEnvelope::from_bytes(*raw);
-    if (!env.verify(trusted_keys_)) {
-      throw std::runtime_error("sync_from_cloud: shard signature not trusted");
-    }
-    IndexShard rec = IndexShard::from_bytes(env.payload);
-    Shard sh;
-    sh.sid = ref.sid;
-    sh.hash = ref.hash;
+    IndexShard rec = adopt(reader_.shard(raw, ref), "shard");
+    Shard sh{ref.sid, {}, ref.hash};
     for (auto& [pid, members] : rec.partitions) {
       sh.pids.push_back(pid);
-      Partition p;
-      p.id = pid;
-      p.members = std::move(members);
-      state.partitions.push_back(std::move(p));
+      state.partitions.push_back({pid, std::move(members), {}});
     }
     state.shards.push_back(std::move(sh));
   }
 
   auto raw_bundle = with_retries(
       [&] { return cloud_.get(cipher_bundle_path(gid, manifest.cipher_set)); });
-  if (!raw_bundle) {
-    throw cloud::TransientError("sync_from_cloud: cipher bundle not yet visible");
-  }
-  auto bundle_env = SignedEnvelope::from_bytes(*raw_bundle);
-  if (!bundle_env.verify(trusted_keys_)) {
-    throw std::runtime_error("sync_from_cloud: bundle signature not trusted");
-  }
-  CipherBundle bundle = CipherBundle::from_bytes(bundle_env.payload);
-
+  CipherBundle bundle =
+      adopt(reader_.bundle(raw_bundle, manifest), "cipher bundle");
   std::map<PartitionId, enclave::PartitionCiphertext> overlay_ciphers;
   for (const auto& [pid, oid] : manifest.overlays) {
     auto raw =
         with_retries([&] { return cloud_.get(cipher_overlay_path(gid, oid)); });
-    if (!raw) {
-      throw cloud::TransientError("sync_from_cloud: overlay not yet visible");
-    }
-    auto env = SignedEnvelope::from_bytes(*raw);
-    if (!env.verify(trusted_keys_)) {
-      throw std::runtime_error("sync_from_cloud: overlay signature not trusted");
-    }
-    CipherOverlay overlay = CipherOverlay::from_bytes(env.payload);
-    overlay_ciphers[pid] = std::move(overlay.cipher);
+    overlay_ciphers[pid] =
+        adopt(reader_.overlay(raw, manifest, pid), "overlay").cipher;
   }
   for (auto& p : state.partitions) {
     if (auto it = overlay_ciphers.find(p.id); it != overlay_ciphers.end()) {
@@ -536,7 +484,11 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
   auto sealed = with_retries(
       [&] { return cloud_.get(sealed_gk_path(gid, manifest.gk_epoch)); });
   if (sealed) {
-    state.sealed_gk = sgx::SealedBlob::from_bytes(*sealed);
+    try {
+      state.sealed_gk = sgx::SealedBlob::from_bytes(*sealed);
+    } catch (const util::DeserializeError&) {
+      throw util::IntegrityError("sync_from_cloud: sealed gk malformed");
+    }
   } else if (old != cache_.end() && old->second.gk_epoch == manifest.gk_epoch) {
     state.sealed_gk = old->second.sealed_gk;  // we sealed this epoch ourselves
   } else {
@@ -574,22 +526,7 @@ bool AdminApi::recover(const GroupId& gid) {
   if (!raw_index) {
     // No commit point ever landed: a creation died mid-flight. Roll it back
     // by deleting every torn file under the group's directory.
-    std::vector<std::string> files;
-    try {
-      files = with_retries([&] { return cloud_.list(group_dir(gid) + "/"); });
-    } catch (const cloud::TransientError&) {
-      files.clear();
-    }
-    for (const auto& path : files) {
-      try {
-        with_retries([&] {
-          cloud_.erase(path);
-          return 0;
-        });
-      } catch (const cloud::TransientError&) {
-        // leave it; a later recover retries
-      }
-    }
+    for (const auto& path : list_group(gid)) erase_object(path);
     cache_.erase(gid);
     logs_.erase(gid);
     return false;
@@ -609,14 +546,8 @@ bool AdminApi::recover(const GroupId& gid) {
   // id could otherwise collide with a stale orphan file. Deltas are absent
   // from this scan on purpose — their names carry the GLOBAL freshness
   // counter, not an admin-spaced id, so there is no local counter to bump.
-  std::vector<std::string> files;
-  try {
-    files = with_retries([&] { return cloud_.list(group_dir(gid) + "/"); });
-  } catch (const cloud::TransientError&) {
-    files.clear();
-  }
   const std::string dir = group_dir(gid) + "/";
-  for (const auto& path : files) {
+  for (const auto& path : list_group(gid)) {
     const std::string name = path.substr(dir.size());
     bool is_epoch = false;
     std::optional<std::uint64_t> id = parse_numbered(name, "s", "");
@@ -704,34 +635,21 @@ MembershipLog::AuditResult AdminApi::audit_group_log(const GroupId& gid) const {
 
   // Anchor on the committed manifest's log head so a rolled-back suffix — a
   // perfectly valid shorter chain — is still caught; check the manifest's
-  // freshness token against the enclave floor so a WHOLESALE rollback of a
+  // freshness counter against the enclave floor so a WHOLESALE rollback of a
   // consistent old manifest+log pair (which the anchor alone cannot see) is
-  // caught too.
-  LogHead anchor{};
-  const LogHead* anchor_ptr = nullptr;
-  if (auto raw_index = fetch(index_path(gid))) {
-    try {
-      auto env = SignedEnvelope::from_bytes(*raw_index);
-      if (env.verify(trusted_keys_)) {
-        GroupManifest m = GroupManifest::from_bytes(env.payload);
-        if (!m.freshness.verify(enclave_.freshness_verification_key(), gid) ||
-            m.freshness.gk_epoch != m.gk_epoch ||
-            m.freshness.log_head != m.log_head) {
-          return {false, "manifest freshness attestation invalid", 0};
-        }
-        if (m.freshness.counter < enclave_.ecall_freshness_floor(gid)) {
-          return {false,
-                  "rolled-back manifest+log pair (freshness below enclave floor)",
-                  0};
-        }
-        anchor = m.log_head;
-        anchor_ptr = &anchor;
-      }
-    } catch (const util::DeserializeError&) {
-      // unanchored audit is still better than no audit
-    }
+  // caught too. Without a manifest the audit runs unanchored.
+  auto index = reader_.manifest(fetch(index_path(gid)), gid,
+                                &enclave_.freshness_verification_key());
+  if (index.verdict == ReadVerdict::unauthenticated) {
+    return {false, "manifest or its freshness attestation not authentic", 0};
   }
-  return log.audit(trusted_keys_, anchor_ptr);
+  if (index.ok() &&
+      index.record.freshness.counter < enclave_.ecall_freshness_floor(gid)) {
+    return {false,
+            "rolled-back manifest+log pair (freshness below enclave floor)", 0};
+  }
+  return log.audit(reader_.admin_keys(),
+                   index.ok() ? &index.record.log_head : nullptr);
 }
 
 void AdminApi::create_group(const GroupId& gid,
@@ -804,7 +722,8 @@ AdminApi::GroupState AdminApi::stage_generation(
     rewrite_shard(gid, state, s);
   }
   write_bundle(gid, state);
-  push_sealed_gk(gid, state);
+  put_object(sealed_gk_path(gid, state.gk_epoch),
+             state.sealed_gk.to_bytes());
   stats_.partitions_created += state.partitions.size();
   return state;
 }
@@ -1005,7 +924,8 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
         // Every partition's ciphertext changed, but they travel as ONE
         // rotated bundle: the revocation stays O(1) uploaded objects.
         write_bundle(gid, state);
-        push_sealed_gk(gid, state);
+        put_object(sealed_gk_path(gid, state.gk_epoch),
+                   state.sealed_gk.to_bytes());
         return OpOutcome::published;
       });
 
@@ -1132,9 +1052,6 @@ std::size_t AdminApi::cloud_object_count(const GroupId& gid) const {
 
 std::size_t AdminApi::metadata_size(const GroupId& gid) const {
   const GroupState& state = state_of(gid);
-  // Stored envelope bytes = 4-byte payload prefix + payload + signature.
-  constexpr std::size_t env_overhead =
-      4 + pki::EcdsaSignature::serialized_size;
   std::size_t total = 0;
   for (const auto& sh : state.shards) {
     IndexShard rec;
@@ -1143,20 +1060,20 @@ std::size_t AdminApi::metadata_size(const GroupId& gid) const {
       rec.partitions.emplace_back(
           pid, state.partitions[partition_index(state, pid)].members);
     }
-    total += rec.to_bytes().size() + env_overhead;
+    total += rec.to_bytes().size() + SignedEnvelope::stored_overhead;
   }
   CipherBundle bundle;
   for (const auto& p : state.partitions) {
     bundle.entries.emplace_back(p.id, p.cipher);
   }
-  total += bundle.to_bytes().size() + env_overhead;
+  total += bundle.to_bytes().size() + SignedEnvelope::stored_overhead;
   for (const auto& [pid, oid] : state.overlays) {
-    CipherOverlay overlay;
-    overlay.pid = pid;
-    overlay.cipher = state.partitions[partition_index(state, pid)].cipher;
-    total += overlay.to_bytes().size() + env_overhead;
+    CipherOverlay overlay{pid, state.gk_epoch,
+                          state.partitions[partition_index(state, pid)].cipher};
+    total += overlay.to_bytes().size() + SignedEnvelope::stored_overhead;
   }
-  total += build_manifest(state).to_bytes().size() + env_overhead;
+  total +=
+      build_manifest(state).to_bytes().size() + SignedEnvelope::stored_overhead;
   total += state.sealed_gk.to_bytes().size();  // gk<epoch>.sealed
   // Retained deltas are not mirrored in memory; size the live window off the
   // cloud (const path: bare retry helper, stats untouched).

@@ -136,10 +136,11 @@ class AdminApi {
 
   /// Rebuilds the local cache for `gid` from signed cloud metadata (the
   /// manifest, every shard — verified against the manifest's hashes — the
-  /// cipher bundle + overlays, and the sealed gk of the committed epoch).
-  /// Throws on missing or unverifiable metadata; throws
-  /// cloud::TransientError when the cloud serves a torn or stale view
-  /// (caller may retry).
+  /// cipher bundle + overlays, and the sealed gk of the committed epoch),
+  /// each authenticated by MetadataReader. Throws cloud::TransientError when
+  /// the cloud serves a torn, stale or rolled-back view (caller may retry)
+  /// and util::IntegrityError on forged or malformed metadata. Caches
+  /// nothing unless every object checks out.
   void sync_from_cloud(const GroupId& gid);
 
   /// Startup crash recovery. Returns true if the group exists (its manifest
@@ -271,6 +272,12 @@ class AdminApi {
   /// single id, or "batch=<removed>" when `log_as_batch`.
   void remove_members(const GroupId& gid, std::span<const core::Identity> ids,
                       bool log_as_batch);
+  /// Non-CAS put with retries (a retried ambiguous put rewrites the same
+  /// bytes). Best-effort list of groups/<gid>/ and erase of one file:
+  /// exhausted retries leave files for the next sweep or recover().
+  void put_object(const std::string& path, const util::Bytes& bytes);
+  std::vector<std::string> list_group(const GroupId& gid);
+  void erase_object(const std::string& path);
   /// Serializes, signs and uploads one shard under a fresh object id;
   /// updates the shard's sid + hash in the state.
   void rewrite_shard(const GroupId& gid, GroupState& state, std::size_t shard);
@@ -294,17 +301,11 @@ class AdminApi {
   /// Builds the manifest for the current state (shards, cipher objects,
   /// epoch, log head, freshness, delta window).
   [[nodiscard]] GroupManifest build_manifest(const GroupState& state) const;
-  /// Verifies a synced manifest's freshness token: enclave signature,
-  /// binding to (gk_epoch, log_head), and counter not below the platform's
-  /// confirmed floor. Throws util::IntegrityError on forgery/mis-binding and
-  /// cloud::TransientError on a rolled-back (or lagging) view.
-  void check_index_freshness(const GroupId& gid, const GroupManifest& m);
   /// Best-effort publication of the committed (counter, log_head) to the
   /// gossip channel, so clients can spot rollbacks served to them even
   /// before any peer client has seen the new commit.
   void publish_freshness_gossip(const GroupId& gid,
                                 const enclave::FreshnessToken& token);
-  void push_sealed_gk(const GroupId& gid, const GroupState& state);
   /// CAS-merge publication of one op-log entry (pre-commit): fetch, rebase
   /// our entry onto the remote head, put_cas; on conflict re-fetch and merge
   /// so no concurrent admin's entries are lost. Returns the entry's hash —
@@ -357,8 +358,8 @@ class AdminApi {
   cloud::CloudStore& cloud_;
   pki::EcdsaKeyPair signing_key_;
   AdminConfig config_;
-  // Own key + the well-formed peer_verification_keys, parsed once.
-  std::vector<ec::P256Point> trusted_keys_;
+  // Trusts our own key + the well-formed peer_verification_keys.
+  MetadataReader reader_;
   crypto::Drbg rng_;  // untrusted-side randomness (partition placement only)
   std::map<GroupId, GroupState> cache_;
   std::map<GroupId, MembershipLog> logs_;

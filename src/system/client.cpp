@@ -18,7 +18,7 @@ ClientApi::ClientApi(cloud::CloudStore& cloud, core::PublicKey pk,
     : cloud_(cloud),
       pk_(std::move(pk)),
       usk_(std::move(usk)),
-      admin_keys_(std::move(admin_keys)) {}
+      reader_(std::move(admin_keys)) {}
 
 bool ClientApi::verify_credentials() const {
   return core::verify_user_key(pk_, usk_);
@@ -28,6 +28,19 @@ std::optional<util::Bytes> ClientApi::last_key(const GroupId& gid) const {
   auto it = last_verified_key_.find(gid);
   if (it == last_verified_key_.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<util::Bytes> ClientApi::get_object(const std::string& path) {
+  try {
+    return with_retries([&] { return cloud_.get(path); });
+  } catch (const cloud::TransientError&) {
+    return std::nullopt;  // retries exhausted: as torn as an absent object
+  }
+}
+
+bool ClientApi::usable(ReadVerdict verdict) {
+  if (verdict == ReadVerdict::unauthenticated) ++stats_.signature_failures;
+  return verdict == ReadVerdict::ok;
 }
 
 void ClientApi::invalidate_caches(const GroupId& gid) {
@@ -84,13 +97,6 @@ ClientApi::Fetch ClientApi::check_freshness(const GroupId& gid,
                                             const GroupManifest& m,
                                             bool& fresh_rejected) {
   const auto& tok = m.freshness;
-  if (tok.counter == 0 || !tok.verify(*freshness_key_, gid) ||
-      tok.gk_epoch != m.gk_epoch || tok.log_head != m.log_head) {
-    // Unattested, forged, or mis-bound token: indistinguishable from any
-    // other unauthenticated metadata.
-    ++stats_.signature_failures;
-    return Fetch::degraded;
-  }
   auto hwm = freshness_hwm_.find(gid);
   if (hwm != freshness_hwm_.end() && tok.counter < hwm->second.counter) {
     // We have already verified a newer commit: this view is rolled back.
@@ -134,13 +140,8 @@ bool ClientApi::fold_deltas(const GroupId& gid, const GroupManifest& m,
   Hash32 link = view.delta_hash;
   for (std::uint64_t seq = view.counter + 1; seq <= m.freshness.counter;
        ++seq) {
-    std::optional<util::Bytes> raw;
-    try {
-      raw = with_retries([&] { return cloud_.get(delta_path(gid, seq)); });
-    } catch (const cloud::TransientError&) {
-      return false;  // window raced the GC, or the replica is torn
-    }
-    if (!raw) return false;
+    auto raw = get_object(delta_path(gid, seq));
+    if (!raw) return false;  // window raced the GC, or the replica is torn
     try {
       chain.push_back(IndexDelta::from_bytes(*raw));
     } catch (const util::DeserializeError&) {
@@ -170,36 +171,14 @@ bool ClientApi::fold_deltas(const GroupId& gid, const GroupManifest& m,
 bool ClientApi::load_snapshot(const GroupId& gid, const GroupManifest& m,
                               CachedIndex& view) {
   for (const auto& ref : m.shards) {
-    std::optional<util::Bytes> raw;
-    try {
-      raw = with_retries([&] { return cloud_.get(shard_path(gid, ref.sid)); });
-    } catch (const cloud::TransientError&) {
-      return false;
-    }
-    if (!raw) {
-      // The commit protocol pushes shards before the manifest references
-      // them, so absence means a torn view (stale replica, or a snapshot
-      // overlapping the garbage collector) — not proof of anything.
-      return false;
-    }
-    if (content_hash(*raw) != ref.hash) {
-      // Stale shard: live name, old bytes. Degrades exactly like the torn
-      // snapshot above — re-fetch until the replica converges.
-      return false;
-    }
-    try {
-      auto env = SignedEnvelope::from_bytes(*raw);
-      if (!env.verify(admin_keys_)) {
-        ++stats_.signature_failures;
-        return false;
-      }
-      IndexShard shard = IndexShard::from_bytes(env.payload);
-      for (auto& [pid, members] : shard.partitions) {
-        view.add_partition(pid, std::move(members));
-      }
-    } catch (const util::DeserializeError&) {
-      ++stats_.signature_failures;
-      return false;
+    // The commit protocol pushes shards before the manifest references
+    // them, so an absent or stale shard means a torn view (lagging replica,
+    // or a snapshot overlapping the garbage collector) — not proof of
+    // anything; re-fetch until the replica converges.
+    auto read = reader_.shard(get_object(shard_path(gid, ref.sid)), ref);
+    if (!usable(read.verdict)) return false;
+    for (auto& [pid, members] : read.record.partitions) {
+      view.add_partition(pid, std::move(members));
     }
   }
   view.counter = m.freshness.counter;
@@ -243,48 +222,16 @@ const enclave::PartitionCiphertext* ClientApi::get_cipher(
     if (auto it = cc.overlays.find(path); it != cc.overlays.end()) {
       return &it->second;
     }
-    std::optional<util::Bytes> raw;
-    try {
-      raw = with_retries([&] { return cloud_.get(path); });
-    } catch (const cloud::TransientError&) {
-      return nullptr;
-    }
-    if (!raw) return nullptr;  // torn: overlay pushed before the manifest
-    try {
-      auto env = SignedEnvelope::from_bytes(*raw);
-      if (!env.verify(admin_keys_)) {
-        ++stats_.signature_failures;
-        return nullptr;
-      }
-      CipherOverlay overlay = CipherOverlay::from_bytes(env.payload);
-      if (overlay.pid != pid) return nullptr;  // mis-bound object
-      return &cc.overlays.emplace(path, std::move(overlay.cipher))
-                  .first->second;
-    } catch (const util::DeserializeError&) {
-      ++stats_.signature_failures;
-      return nullptr;
-    }
+    auto read = reader_.overlay(get_object(path), m, pid);
+    if (!usable(read.verdict)) return nullptr;
+    return &cc.overlays.emplace(path, std::move(read.record.cipher))
+                .first->second;
   }
   const std::string path = cipher_bundle_path(gid, m.cipher_set);
   if (cc.bundle_path != path) {
-    std::optional<util::Bytes> raw;
-    try {
-      raw = with_retries([&] { return cloud_.get(path); });
-    } catch (const cloud::TransientError&) {
-      return nullptr;
-    }
-    if (!raw) return nullptr;
-    try {
-      auto env = SignedEnvelope::from_bytes(*raw);
-      if (!env.verify(admin_keys_)) {
-        ++stats_.signature_failures;
-        return nullptr;
-      }
-      cc.bundle = CipherBundle::from_bytes(env.payload);
-    } catch (const util::DeserializeError&) {
-      ++stats_.signature_failures;
-      return nullptr;
-    }
+    auto read = reader_.bundle(get_object(path), m);
+    if (!usable(read.verdict)) return nullptr;
+    cc.bundle = std::move(read.record);
     cc.bundle_path = path;
     // A fresh bundle means a rotation: every previous-epoch overlay is
     // superseded, so their cache entries can only go stale from here.
@@ -309,18 +256,13 @@ ClientApi::Fetch ClientApi::fetch_once(const GroupId& gid, util::Bytes& key,
     ++stats_.stale_reads_rejected;
     return Fetch::degraded;
   }
-  GroupManifest manifest;
-  try {
-    auto env = SignedEnvelope::from_bytes(raw_index->value);
-    if (!env.verify(admin_keys_)) {
-      ++stats_.signature_failures;
-      return Fetch::degraded;
-    }
-    manifest = GroupManifest::from_bytes(env.payload);
-  } catch (const util::DeserializeError&) {
-    ++stats_.signature_failures;
-    return Fetch::degraded;
-  }
+  // With freshness enabled the reader also checks the token's enclave
+  // signature and its binding to (gk_epoch, log_head): an unattested,
+  // forged or mis-bound token is as unauthenticated as a bad signature.
+  auto read = reader_.manifest(std::move(raw_index->value), gid,
+                               freshness_key_ ? &*freshness_key_ : nullptr);
+  if (!usable(read.verdict)) return Fetch::degraded;
+  const GroupManifest& manifest = read.record;
   if (freshness_key_) {
     auto verdict = check_freshness(gid, manifest, fresh_rejected);
     if (verdict != Fetch::ok) return verdict;

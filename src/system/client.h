@@ -33,10 +33,11 @@
 // are rejected by version monotonicity (the commit point only ever raises
 // the index version), and a torn snapshot — a manifest referencing a shard
 // or cipher object the replica does not serve yet, a shard whose bytes do
-// not match the pinned hash, an unverifiable envelope, or a ciphertext that
-// fails to decrypt for a listed member — triggers a full snapshot re-fetch
-// rather than an error. Only a consistent, authenticated view ever produces
-// a key; only a consistent view proves non-membership.
+// not match the pinned hash, a cipher object bound to another partition or
+// key epoch, an unverifiable envelope (MetadataReader's verdicts), or a
+// ciphertext that fails to decrypt for a listed member — triggers a full
+// snapshot re-fetch rather than an error. Only a consistent, authenticated
+// view ever produces a key; only a consistent view proves non-membership.
 //
 // Byzantine-cloud defence (opt-in, docs/fault_model.md "Malicious tier"):
 // enable_freshness() makes the client verify the enclave-signed freshness
@@ -184,12 +185,16 @@ class ClientApi {
   const enclave::PartitionCiphertext* get_cipher(const GroupId& gid,
                                                  const GroupManifest& m,
                                                  PartitionId pid);
+  /// One read with retries; nullopt when absent or retries ran out (torn).
+  std::optional<util::Bytes> get_object(const std::string& path);
+  /// Only `ok` is usable; `unauthenticated` counts a signature failure.
+  bool usable(ReadVerdict verdict);
   /// Drops the group's index + cipher caches (cross-file torn snapshot: the
   /// next attempt rebuilds from scratch).
   void invalidate_caches(const GroupId& gid);
 
-  /// Freshness-token checks + gossip cross-check for an authenticated
-  /// manifest.
+  /// High-water-mark and gossip checks for a manifest whose freshness token
+  /// the reader already authenticated.
   Fetch check_freshness(const GroupId& gid, const GroupManifest& m,
                         bool& fresh_rejected);
   /// Raises the per-group high-water mark and gossips the advance.
@@ -210,7 +215,7 @@ class ClientApi {
   cloud::CloudStore& cloud_;
   core::PublicKey pk_;
   core::UserSecretKey usk_;
-  std::vector<ec::P256Point> admin_keys_;
+  MetadataReader reader_;  // trusts the administrator keys
   util::RetryPolicy retry_;
   std::map<GroupId, std::uint64_t> seen_versions_;
   // Highest authenticated manifest version seen per group: the commit point

@@ -34,6 +34,20 @@ std::vector<core::Identity> read_members(util::ByteReader& r) {
   return members;
 }
 
+/// Envelope parse, signature check against `keys`, then record parse.
+template <typename Record>
+Verified<Record> open(std::span<const ec::P256Point> keys,
+                      const std::optional<util::Bytes>& stored) {
+  if (!stored) return {ReadVerdict::absent};
+  try {
+    auto env = SignedEnvelope::from_bytes(*stored);
+    if (!env.verify(keys)) return {ReadVerdict::unauthenticated};
+    return {ReadVerdict::ok, Record::from_bytes(env.payload)};
+  } catch (const util::DeserializeError&) {
+    return {ReadVerdict::unauthenticated};
+  }
+}
+
 }  // namespace
 
 Hash32 content_hash(std::span<const std::uint8_t> data) {
@@ -128,6 +142,7 @@ const enclave::PartitionCiphertext* CipherBundle::find(PartitionId pid) const {
 
 util::Bytes CipherBundle::to_bytes() const {
   util::ByteWriter w;
+  w.u64(gk_epoch);
   w.u32(static_cast<std::uint32_t>(entries.size()));
   for (const auto& [pid, cipher] : entries) {
     w.u64(pid);
@@ -139,6 +154,7 @@ util::Bytes CipherBundle::to_bytes() const {
 CipherBundle CipherBundle::from_bytes(std::span<const std::uint8_t> data) {
   util::ByteReader r(data);
   CipherBundle bundle;
+  bundle.gk_epoch = r.u64();
   std::size_t n = r.count(12);  // u64 pid + u32 blob prefix each
   bundle.entries.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -153,6 +169,7 @@ CipherBundle CipherBundle::from_bytes(std::span<const std::uint8_t> data) {
 util::Bytes CipherOverlay::to_bytes() const {
   util::ByteWriter w;
   w.u64(pid);
+  w.u64(gk_epoch);
   w.blob(cipher.to_bytes());
   return w.take();
 }
@@ -161,6 +178,7 @@ CipherOverlay CipherOverlay::from_bytes(std::span<const std::uint8_t> data) {
   util::ByteReader r(data);
   CipherOverlay overlay;
   overlay.pid = r.u64();
+  overlay.gk_epoch = r.u64();
   overlay.cipher = enclave::PartitionCiphertext::from_bytes(r.blob());
   r.expect_end();
   return overlay;
@@ -376,6 +394,52 @@ bool SignedEnvelope::verify(const ec::P256Point& admin_pub) const {
 bool SignedEnvelope::verify(std::span<const ec::P256Point> admin_keys) const {
   return std::any_of(admin_keys.begin(), admin_keys.end(),
                      [&](const ec::P256Point& key) { return verify(key); });
+}
+
+// ----------------------------------------------------------- MetadataReader
+
+Verified<GroupManifest> MetadataReader::manifest(
+    const std::optional<util::Bytes>& stored, const GroupId& gid,
+    const ec::P256Point* freshness_key) const {
+  auto read = open<GroupManifest>(admin_keys_, stored);
+  if (!read.ok() || !freshness_key) return read;
+  const GroupManifest& m = read.record;
+  const auto& tok = m.freshness;
+  if (tok.counter == 0 || !tok.verify(*freshness_key, gid) ||
+      tok.gk_epoch != m.gk_epoch || tok.log_head != m.log_head) {
+    return {ReadVerdict::unauthenticated};
+  }
+  return read;
+}
+
+Verified<IndexShard> MetadataReader::shard(
+    const std::optional<util::Bytes>& stored, const ShardRef& ref) const {
+  // A replica serving old bytes under a live name (or a torn write).
+  if (stored && content_hash(*stored) != ref.hash) return {ReadVerdict::stale};
+  return open<IndexShard>(admin_keys_, stored);
+}
+
+// A correctly signed cipher object of another partition or key epoch (say,
+// from before a revocation, whose key the revoked members know) served under
+// a live name is stale, never usable.
+Verified<CipherBundle> MetadataReader::bundle(
+    const std::optional<util::Bytes>& stored, const GroupManifest& m) const {
+  auto read = open<CipherBundle>(admin_keys_, stored);
+  if (read.ok() && read.record.gk_epoch != m.gk_epoch) {
+    return {ReadVerdict::stale};
+  }
+  return read;
+}
+
+Verified<CipherOverlay> MetadataReader::overlay(
+    const std::optional<util::Bytes>& stored, const GroupManifest& m,
+    PartitionId pid) const {
+  auto read = open<CipherOverlay>(admin_keys_, stored);
+  const auto& rec = read.record;
+  if (read.ok() && (rec.pid != pid || rec.gk_epoch != m.gk_epoch)) {
+    return {ReadVerdict::stale};
+  }
+  return read;
 }
 
 util::Bytes FreshnessObservation::to_bytes() const {

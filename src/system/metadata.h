@@ -13,13 +13,15 @@
 //   groups/<gid>/c<k>       — CipherBundle: EVERY partition's ciphertext +
 //                             wrapped gk, written once per gk rotation so a
 //                             revocation re-uploads one object, not one per
-//                             partition.
+//                             partition. Carries the gk_epoch it was written
+//                             under, which must match the manifest's.
 //   groups/<gid>/o<k>       — CipherOverlay: a single partition's ciphertext
 //                             superseding its bundle entry (O(1) adds and
 //                             shard-local re-partitions between rotations).
 //                             The manifest maps pid -> live overlay id; the
 //                             map is cleared whenever a rotation rewrites the
-//                             bundle.
+//                             bundle. Carries its pid and gk_epoch, both of
+//                             which must match the manifest entry.
 //   groups/<gid>/d<seq>     — IndexDelta: the membership diff of the commit
 //                             whose freshness counter is <seq>, stored bare
 //                             and hash-chained up to the manifest. Warm
@@ -34,6 +36,8 @@
 // the deltas is wrapped in SignedEnvelope so clients can authenticate that
 // membership changes come from an administrator (the paper's authenticity
 // requirement; gk is wrapped, and the signed manifest pins every delta).
+// MetadataReader (below) is the one place that decides whether a committed
+// object is authentic and current; sign_record is its write side.
 #pragma once
 
 #include <array>
@@ -114,6 +118,7 @@ struct IndexShard {
 /// a single object per gk rotation — the reason a million-member revocation
 /// uploads O(1) objects instead of one per partition.
 struct CipherBundle {
+  std::uint64_t gk_epoch = 0;  // the key epoch every entry wraps
   std::vector<std::pair<PartitionId, enclave::PartitionCiphertext>> entries;
 
   [[nodiscard]] const enclave::PartitionCiphertext* find(PartitionId pid) const;
@@ -125,6 +130,7 @@ struct CipherBundle {
 /// One partition's ciphertext superseding its bundle entry between rotations.
 struct CipherOverlay {
   PartitionId pid = 0;
+  std::uint64_t gk_epoch = 0;  // the key epoch `cipher` wraps
   enclave::PartitionCiphertext cipher;
 
   [[nodiscard]] util::Bytes to_bytes() const;
@@ -213,6 +219,10 @@ class CachedIndex {
 
 /// payload || ECDSA signature by the administrator.
 struct SignedEnvelope {
+  /// Stored bytes beyond the payload: its u32 length prefix + the signature.
+  static constexpr std::size_t stored_overhead =
+      4 + pki::EcdsaSignature::serialized_size;
+
   util::Bytes payload;
   pki::EcdsaSignature signature;
 
@@ -223,6 +233,63 @@ struct SignedEnvelope {
   [[nodiscard]] bool verify(const ec::P256Point& admin_pub) const;
   /// True if any of the trusted administrator keys signed the payload.
   [[nodiscard]] bool verify(std::span<const ec::P256Point> admin_keys) const;
+};
+
+/// Signs a record with the administrator key and returns the bytes to store:
+/// the write side of MetadataReader.
+template <typename Record>
+util::Bytes sign_record(const pki::EcdsaKeyPair& key, const Record& record) {
+  return SignedEnvelope::sign(key, record.to_bytes()).to_bytes();
+}
+
+/// What MetadataReader concluded about one committed object.
+enum class ReadVerdict {
+  ok,
+  absent,           // not served: a torn view, a lagging replica, or the GC
+  stale,            // authentic but not what the manifest committed (hash
+                    // pin, pid or gk_epoch mismatch); heals by re-reading
+  unauthenticated,  // malformed, untrusted signature, or a freshness token
+                    // that is forged or binds other state
+};
+
+template <typename Record>
+struct Verified {
+  ReadVerdict verdict = ReadVerdict::absent;
+  Record record{};  // meaningful only when ok()
+  [[nodiscard]] bool ok() const { return verdict == ReadVerdict::ok; }
+};
+
+/// The one place that decides whether committed group metadata is authentic
+/// and current. Each method takes an object's stored bytes (nullopt = not
+/// served) and the commit referencing it, and never throws on hostile bytes.
+/// Callers keep their own cloud reads and only map the verdict: AdminApi to
+/// cloud::TransientError (absent, stale) or util::IntegrityError
+/// (unauthenticated), ClientApi to a degraded fetch.
+class MetadataReader {
+ public:
+  explicit MetadataReader(std::vector<ec::P256Point> admin_keys)
+      : admin_keys_(std::move(admin_keys)) {}
+  [[nodiscard]] const std::vector<ec::P256Point>& admin_keys() const {
+    return admin_keys_;
+  }
+
+  /// With a `freshness_key`, the freshness token must also be attested
+  /// (counter > 0), enclave-signed for `gid` and bound to the manifest's
+  /// gk_epoch and log_head. Counter monotonicity stays with the caller.
+  [[nodiscard]] Verified<GroupManifest> manifest(
+      const std::optional<util::Bytes>& stored, const GroupId& gid,
+      const ec::P256Point* freshness_key) const;
+  [[nodiscard]] Verified<IndexShard> shard(
+      const std::optional<util::Bytes>& stored, const ShardRef& ref) const;
+  [[nodiscard]] Verified<CipherBundle> bundle(
+      const std::optional<util::Bytes>& stored, const GroupManifest& m) const;
+  /// The overlay `m` maps to partition `pid`.
+  [[nodiscard]] Verified<CipherOverlay> overlay(
+      const std::optional<util::Bytes>& stored, const GroupManifest& m,
+      PartitionId pid) const;
+
+ private:
+  std::vector<ec::P256Point> admin_keys_;
 };
 
 /// One observer's view of a group's freshness, published to the gossip

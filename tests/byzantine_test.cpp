@@ -1,5 +1,5 @@
 // Byzantine-cloud tests: MaliciousStore adversary schedules, enclave-anchored
-// freshness, and client-side fork detection.
+// freshness, cipher-object substitution, and client-side fork detection.
 //
 // Four layers:
 //   1. unit tests for cloud::MaliciousStore (replayable attack schedules,
@@ -9,7 +9,9 @@
 //      mount — wholesale rollback, tail withholding, selective equivocation
 //      — is DETECTED (`stale` / `forked` / failed anchored audit) or
 //      harmless; a client never silently accepts unverified state and
-//      degrades to its last VERIFIED key read-only;
+//      degrades to its last VERIFIED key read-only; a signed cipher object
+//      served under another partition's or key epoch's live name is refused
+//      by clients and re-syncing administrators alike;
 //   3. the fork construction: two admins race one index CAS so two
 //      enclave-attested tokens share a counter with divergent log heads; the
 //      cloud serves one to each client, and gossip makes both clients detect
@@ -319,6 +321,121 @@ TEST_F(ByzantineFixture, SelectiveStaleIndexIsRejectedByFreshness) {
 
   malicious.clear_overrides("");
   EXPECT_EQ(client.fetch(gid).status, FetchStatus::ok);
+}
+
+// ------------------------------------------------ cipher-object substitution
+//
+// The cloud cannot forge the administrator's signature, but it can serve one
+// correctly signed cipher object under another live name. Every cipher
+// object names the partition and key epoch it was written for, and the
+// metadata reader holds both to the signed manifest: a substituted object is
+// stale (denial of service at worst), never a key.
+
+struct SubstitutionFixture : ::testing::Test {
+  SubstitutionFixture()
+      : platform("subst-box"),
+        enclave(platform, 4),
+        rng(33),
+        admin_key(ibbe::pki::EcdsaKeyPair::generate(rng)),
+        admin(enclave, cloud, admin_key, config(), /*seed=*/5) {
+    admin.create_group(gid, make_users(8));  // u0..u3 | u4..u7, both full
+  }
+
+  static AdminConfig config() {
+    AdminConfig c;
+    c.partition_size = 4;
+    c.retry = RetryPolicy{}.without_delays();
+    return c;
+  }
+
+  ibbe::system::GroupManifest manifest() {
+    auto env = ibbe::system::SignedEnvelope::from_bytes(
+        *cloud.get(ibbe::system::index_path(gid)));
+    return ibbe::system::GroupManifest::from_bytes(env.payload);
+  }
+
+  Bytes overlay_bytes(std::uint64_t oid) {
+    return *cloud.get(ibbe::system::cipher_overlay_path(gid, oid));
+  }
+
+  ClientApi::FetchResult fresh_fetch(const Identity& id) {
+    ClientApi client(cloud, enclave.public_key(),
+                     enclave.ecall_extract_user_key(id),
+                     admin.verification_point());
+    client.set_retry_policy(RetryPolicy{}.without_delays());
+    return client.fetch(gid);
+  }
+
+  /// A second administrator over the same enclave re-syncs with no cache.
+  void expect_fresh_sync_rejects() {
+    AdminApi peer(enclave, cloud, admin_key, config(), /*seed=*/6);
+    EXPECT_THROW(peer.sync_from_cloud(gid), TransientError);
+    EXPECT_FALSE(peer.is_member(gid, "u1"));  // nothing was cached
+  }
+
+  ibbe::sgx::EnclavePlatform platform;
+  ibbe::enclave::IbbeEnclave enclave;
+  CloudStore cloud;
+  ibbe::crypto::Drbg rng;
+  ibbe::pki::EcdsaKeyPair admin_key;
+  AdminApi admin;
+  const GroupId gid = "g";
+};
+
+TEST_F(SubstitutionFixture, OverlayOfAnotherPartitionIsRejected) {
+  admin.remove_user(gid, "u0");  // rotation; u1..u3 leaves room for one
+  admin.add_user(gid, "x");      // the only open partition: an overlay
+  admin.add_user(gid, "y");      // none open: a fresh partition's overlay
+  auto m = manifest();
+  ASSERT_EQ(m.overlays.size(), 2u);
+  const auto first = m.overlays.begin();
+  const auto second = std::next(first);
+  cloud.put(ibbe::system::cipher_overlay_path(gid, second->second),
+            overlay_bytes(first->second));
+
+  EXPECT_NE(fresh_fetch("y").status, FetchStatus::ok);
+  expect_fresh_sync_rejects();
+}
+
+TEST_F(SubstitutionFixture, PreRevocationBundleIsRejected) {
+  auto before = manifest();
+  auto old_bundle =
+      *cloud.get(ibbe::system::cipher_bundle_path(gid, before.cipher_set));
+  admin.remove_user(gid, "u0");
+  auto live = manifest();
+  ASSERT_NE(live.gk_epoch, before.gk_epoch);
+  cloud.put(ibbe::system::cipher_bundle_path(gid, live.cipher_set),
+            old_bundle);
+
+  // u5's partition is unchanged, so the old bundle still decrypts for it —
+  // to the pre-revocation key, which the revoked u0 holds too.
+  auto fetched = fresh_fetch("u5");
+  EXPECT_EQ(fetched.status, FetchStatus::unavailable);
+  EXPECT_FALSE(fetched.key.has_value());
+  expect_fresh_sync_rejects();
+}
+
+TEST_F(SubstitutionFixture, PreRevocationOverlayIsRejected) {
+  admin.add_user(gid, "x");  // none open: a fresh partition [x]
+  admin.add_user(gid, "w");  // [x, w], written as an overlay
+  auto before = manifest();
+  ASSERT_EQ(before.overlays.size(), 1u);
+  auto old_overlay = overlay_bytes(before.overlays.begin()->second);
+  admin.remove_user(gid, "w");  // rotation: [x], overlays cleared
+  admin.add_user(gid, "w");     // the only open partition: [x, w] again
+  auto live = manifest();
+  ASSERT_EQ(live.overlays.size(), 1u);
+  ASSERT_EQ(live.overlays.begin()->first, before.overlays.begin()->first);
+  ASSERT_NE(live.gk_epoch, before.gk_epoch);
+  cloud.put(ibbe::system::cipher_overlay_path(gid,
+                                              live.overlays.begin()->second),
+            old_overlay);
+
+  // Same partition, same members: only the key epoch tells them apart.
+  auto fetched = fresh_fetch("x");
+  EXPECT_EQ(fetched.status, FetchStatus::unavailable);
+  EXPECT_FALSE(fetched.key.has_value());
+  expect_fresh_sync_rejects();
 }
 
 // ------------------------------------------------------------ the fork test

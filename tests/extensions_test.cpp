@@ -296,7 +296,7 @@ TEST_F(MultiAdminFixture, SyncRejectsUntrustedSignatures) {
   auto rogue = ibbe::pki::EcdsaKeyPair::generate(rogue_rng);
   auto env = ibbe::system::SignedEnvelope::sign(rogue, Bytes{1, 2, 3});
   cloud.put("groups/g/index", env.to_bytes());
-  EXPECT_THROW(admin_b->sync_from_cloud("g"), std::runtime_error);
+  EXPECT_THROW(admin_b->sync_from_cloud("g"), ibbe::util::IntegrityError);
 }
 
 // ---------------------------------------------------------------- audit log

@@ -93,12 +93,14 @@ std::vector<Format> all_formats() {
                        (void)ibbe::system::IndexShard::from_bytes(d);
                      }});
   ibbe::system::CipherBundle bundle;
+  bundle.gk_epoch = 2;
   bundle.entries = {{3, group.partitions[0]}};
   formats.push_back({"CipherBundle", bundle.to_bytes(), [](auto d) {
                        (void)ibbe::system::CipherBundle::from_bytes(d);
                      }});
   ibbe::system::CipherOverlay overlay;
   overlay.pid = 3;
+  overlay.gk_epoch = 2;
   overlay.cipher = group.partitions[0];
   formats.push_back({"CipherOverlay", overlay.to_bytes(), [](auto d) {
                        (void)ibbe::system::CipherOverlay::from_bytes(d);
@@ -213,8 +215,8 @@ TEST(FuzzDeserialize, HostileCountFieldsDoNotAllocate) {
                             0xff, 0xff, 0xff, 0xff}); // member count
   EXPECT_THROW(ibbe::system::IndexShard::from_bytes(member_bomb),
                DeserializeError);
-  // CipherBundle: entry count 0xFFFFFFFF.
-  Bytes bundle_bomb = bomb({0xff, 0xff, 0xff, 0xff});
+  // CipherBundle: gk_epoch, then entry count 0xFFFFFFFF.
+  Bytes bundle_bomb = bomb({0, 0, 0, 0, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff});
   EXPECT_THROW(ibbe::system::CipherBundle::from_bytes(bundle_bomb),
                DeserializeError);
   // IndexDelta: header (seq + three hashes), then op count 0xFFFFFFFF.
@@ -229,6 +231,66 @@ TEST(FuzzDeserialize, HostileCountFieldsDoNotAllocate) {
   repart_bomb.insert(repart_bomb.end(), {0xff, 0xff, 0xff, 0xff});
   EXPECT_THROW(ibbe::system::IndexDelta::from_bytes(repart_bomb),
                DeserializeError);
+}
+
+// The metadata reader stands between untrusted cloud bytes and both the
+// clients and the re-syncing administrators: every truncation or bit flip of
+// a signed object must come back as a non-ok verdict, never as an exception.
+TEST(FuzzDeserialize, ReaderRejectsMutatedObjectsWithoutThrowing) {
+  using ibbe::system::ReadVerdict;
+  ibbe::crypto::Drbg rng(31);
+  auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
+  ibbe::system::MetadataReader reader({key.public_key()});
+  ibbe::sgx::EnclavePlatform platform("fuzz-reader");
+  ibbe::enclave::IbbeEnclave enclave(platform, 4);
+  const std::vector<ibbe::core::Identity> members = {"a", "b"};
+  auto cipher = enclave.ecall_create_group({{members}}).partitions[0];
+
+  ibbe::system::GroupManifest manifest;
+  manifest.gk_epoch = 2;
+  manifest.overlays = {{3, 12}};
+  ibbe::system::IndexShard shard;
+  shard.sid = 7;
+  shard.partitions = {{3, members}};
+  const Bytes shard_bytes = ibbe::system::sign_record(key, shard);
+  const ibbe::system::ShardRef ref{7, ibbe::system::content_hash(shard_bytes)};
+  ibbe::system::CipherBundle bundle;
+  bundle.gk_epoch = 2;
+  bundle.entries = {{3, cipher}};
+  ibbe::system::CipherOverlay overlay{3, 2, cipher};
+
+  using Read = std::function<ReadVerdict(const std::optional<Bytes>&)>;
+  const std::vector<std::pair<Bytes, Read>> objects = {
+      {ibbe::system::sign_record(key, manifest),
+       [&](const auto& b) { return reader.manifest(b, "g", nullptr).verdict; }},
+      {shard_bytes,
+       [&](const auto& b) { return reader.shard(b, ref).verdict; }},
+      {ibbe::system::sign_record(key, bundle),
+       [&](const auto& b) { return reader.bundle(b, manifest).verdict; }},
+      {ibbe::system::sign_record(key, overlay),
+       [&](const auto& b) { return reader.overlay(b, manifest, 3).verdict; }},
+  };
+  std::mt19937_64 flips(5);
+  for (const auto& [valid, read] : objects) {
+    EXPECT_EQ(read(valid), ReadVerdict::ok);
+    EXPECT_EQ(read(std::nullopt), ReadVerdict::absent);
+    std::vector<Bytes> mutants;
+    for (std::size_t len = 0; len < valid.size(); len += 7) {
+      mutants.emplace_back(valid.begin(),
+                           valid.begin() + static_cast<std::ptrdiff_t>(len));
+    }
+    for (int trial = 0; trial < 64; ++trial) {
+      Bytes mutated = valid;
+      mutated[flips() % mutated.size()] ^=
+          static_cast<std::uint8_t>(1 << (flips() % 8));
+      mutants.push_back(std::move(mutated));
+    }
+    for (const auto& mutant : mutants) {
+      ReadVerdict verdict = ReadVerdict::ok;
+      EXPECT_NO_THROW(verdict = read(mutant));
+      EXPECT_NE(verdict, ReadVerdict::ok);
+    }
+  }
 }
 
 TEST(FuzzDeserialize, TrailingBytesAreRejected) {
