@@ -206,12 +206,14 @@ fi
 
 # Sanitizer stage: ASan+UBSan over the suites that exercise the
 # fault-injection / crash-recovery machinery (heap-heavy, exception-heavy),
-# plus the deserialization fuzz suite: the metadata reader parses untrusted
-# cloud bytes.
+# plus the deserialization fuzz suite (the metadata reader parses untrusted
+# cloud bytes) and the pairing/IBBE suites (Miller-loop operands point into
+# line tables that move with PreparedPartition and the PK's caches).
 sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
   util_test cloud_test fault_injection_test byzantine_test system_test \
   extensions_test shard_delta_test thread_pool_test \
-  parallel_equivalence_test net_test fuzz_deserialize_test
+  parallel_equivalence_test net_test fuzz_deserialize_test \
+  pairing_test ibbe_test
 
 # ThreadSanitizer stage: the Byzantine store wraps every fault decision in a
 # mutex and clients race long-polls, gossip publishes, and CAS retries

@@ -233,20 +233,6 @@ util::Bytes IbbeEnclave::ecall_provision_user_key(
   return pki::ecies_encrypt(recipient, usk.to_bytes(), enclave_rng());
 }
 
-PartitionCiphertext IbbeEnclave::ecall_rekey_partition(
-    const BroadcastCiphertext& ct, const sgx::SealedBlob& sealed_gk) {
-  EcallScope scope(*this);
-  auto gk = unseal(sealed_gk);
-  if (!gk) throw std::invalid_argument("ecall_rekey_partition: bad sealed gk");
-  auto draw = draw_partition_randomness(enclave_rng());
-  auto re = core::rekey(keys_.pk, ct, draw.k);
-  PartitionCiphertext pc;
-  pc.ct = re.ct;
-  pc.nonce = std::move(draw.nonce);
-  pc.wrapped_gk = wrap_gk(re.bk, *gk, pc.nonce);
-  return pc;
-}
-
 std::string IbbeEnclave::freshness_counter_name(const std::string& group) const {
   // Scoped by measurement so another enclave build on the same platform has
   // an independent counter space (like PSE counters owned per enclave).

@@ -135,11 +135,6 @@ class IbbeEnclave : public sgx::EnclaveBase {
   [[nodiscard]] util::Bytes ecall_provision_user_key(
       const core::Identity& id, std::span<const std::uint8_t> user_p256_pub);
 
-  /// Re-wrap of the sealed group key under one partition's bk after a PK-only
-  /// re-key (used by re-partitioning maintenance).
-  [[nodiscard]] PartitionCiphertext ecall_rekey_partition(
-      const core::BroadcastCiphertext& ct, const sgx::SealedBlob& sealed_gk);
-
   // ---- freshness anchoring (rollback defense, docs/fault_model.md) -------
   //
   // Two-phase protocol around the admin's index CAS:

@@ -45,15 +45,6 @@ Fp12 Fp12::mul_by_line(const Fp2& a, const Fp2& b, const Fp2& c) const {
   return {t0 + t1.mul_by_v(), mixed - t0 - t1};
 }
 
-Fp12 Fp12::mul_by_line_affine(const Fp& a, const Fp2& b, const Fp2& c) const {
-  // As mul_by_line with A = ((a, 0), 0, 0): the t0 product is 6 Fp
-  // multiplications instead of 3 full Fp2 ones, and a + b is an Fp add.
-  Fp6 t0 = c0_.mul_by_fp(a);
-  Fp6 t1 = c1_.mul_by_01(b, c);
-  Fp6 mixed = (c0_ + c1_).mul_by_01(Fp2(b.c0() + a, b.c1()), c);
-  return {t0 + t1.mul_by_v(), mixed - t0 - t1};
-}
-
 Fp12 Fp12::pow(const bigint::BigUInt& e) const {
   Fp12 result = one();
   for (unsigned i = e.bit_length(); i-- > 0;) {

@@ -54,13 +54,6 @@ class Fp12 {
   /// denominators, so all three coefficients live in Fp2.
   [[nodiscard]] Fp12 mul_by_line(const Fp2& a, const Fp2& b, const Fp2& c) const;
 
-  /// Same, for a NORMALIZED line l = a + (b + c*v) * w whose first
-  /// coefficient is the Fp scalar a = y_P (the cached affine line tables of
-  /// pairing::G2PreparedAffine): the a-products collapse from full Fp2
-  /// multiplications to Fp scalar multiplications.
-  [[nodiscard]] Fp12 mul_by_line_affine(const Fp& a, const Fp2& b,
-                                        const Fp2& c) const;
-
   [[nodiscard]] Fp12 pow(const bigint::BigUInt& e) const;
   [[nodiscard]] Fp12 pow(const bigint::U256& e) const;
 

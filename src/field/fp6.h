@@ -46,11 +46,6 @@ class Fp6 {
   [[nodiscard]] Fp6 mul_by_fp2(const Fp2& s) const {
     return {c0_ * s, c1_ * s, c2_ * s};
   }
-  /// Scalar multiplication by an Fp element (6 Fp multiplications — the
-  /// a-coefficient of a normalized Miller line lives here).
-  [[nodiscard]] Fp6 mul_by_fp(const Fp& s) const {
-    return {c0_.mul_by_fp(s), c1_.mul_by_fp(s), c2_.mul_by_fp(s)};
-  }
   /// Sparse multiplication by b0 + b1 v (the shape of a Miller-loop line
   /// factor embedded in Fp6): 5 Fp2 multiplications instead of 6.
   [[nodiscard]] Fp6 mul_by_01(const Fp2& b0, const Fp2& b1) const;

@@ -32,7 +32,7 @@ const util::Bytes& zero_nonce() {
 HeIbeScheme::HeIbeScheme(std::uint64_t seed) : rng_(seed) {
   master_s_ = random_nonzero_fr(rng_);
   p_pub_ = G2::generator().mul(master_s_);
-  p_pub_prepared_ = pairing::G2PreparedAffine(p_pub_);
+  p_pub_prepared_ = pairing::G2Prepared(p_pub_);
 }
 
 const G1& HeIbeScheme::user_key(const core::Identity& id) {

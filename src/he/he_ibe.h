@@ -56,10 +56,9 @@ class HeIbeScheme : public GroupScheme {
   util::Bytes gk_;
   field::Fr master_s_;
   ec::G2 p_pub_;
-  /// Normalized line-table precomputation for the fixed Ppub argument —
-  /// every grant() pairs against it, so the Miller loop's G2 work (and the
-  /// line normalization) is paid once per scheme.
-  pairing::G2PreparedAffine p_pub_prepared_;
+  /// Line-table precomputation for the fixed Ppub argument — every grant()
+  /// pairs against it, so the Miller loop's G2 work is paid once per scheme.
+  pairing::G2Prepared p_pub_prepared_;
   std::map<core::Identity, ec::G1> extracted_;  // d_id cache (TA side)
   std::map<core::Identity, Entry> entries_;
 };

@@ -101,11 +101,11 @@ namespace {
 /// Double-checked lazy init so concurrent first calls on a shared const
 /// PublicKey race benignly (one winner, losers adopt its table) instead of
 /// tearing a shared_ptr.
-const pairing::G2PreparedAffine& prepare_cached(
-    std::shared_ptr<const pairing::G2PreparedAffine>& slot, const G2& q) {
+const pairing::G2Prepared& prepare_cached(
+    std::shared_ptr<const pairing::G2Prepared>& slot, const G2& q) {
   auto cur = std::atomic_load_explicit(&slot, std::memory_order_acquire);
   if (!cur) {
-    auto fresh = std::make_shared<const pairing::G2PreparedAffine>(q);
+    auto fresh = std::make_shared<const pairing::G2Prepared>(q);
     if (!std::atomic_compare_exchange_strong(&slot, &cur, fresh)) {
       return *cur;  // another thread won; cur now holds its table
     }
@@ -116,11 +116,11 @@ const pairing::G2PreparedAffine& prepare_cached(
 
 }  // namespace
 
-const pairing::G2PreparedAffine& PublicKey::prepared_h() const {
+const pairing::G2Prepared& PublicKey::prepared_h() const {
   return prepare_cached(prep_h_, h());
 }
 
-const pairing::G2PreparedAffine& PublicKey::prepared_h_gamma() const {
+const pairing::G2Prepared& PublicKey::prepared_h_gamma() const {
   return prepare_cached(prep_h_gamma_, h_powers.at(1));
 }
 
@@ -301,77 +301,43 @@ EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
   return assemble_from_c3(pk, ct.c3, rng);
 }
 
-namespace {
-
-/// The per-partition polynomial work shared by decrypt and decrypt_batched:
-/// membership check, Delta, and the MSM-assembled h^(p_i(gamma)).
-struct PartitionPlan {
-  Fr delta;
-  G2 h_pi;
-};
-
-std::optional<PartitionPlan> plan_partition(const PublicKey& pk,
-                                            const UserSecretKey& usk,
-                                            std::span<const Identity> receivers) {
-  if (receivers.size() > pk.max_receivers()) return std::nullopt;
-  bool member = false;
-  for (const Identity& id : receivers) {
-    if (id == usk.id) {
-      member = true;
-      break;
-    }
-  }
-  if (!member) return std::nullopt;
-
-  // coef = coefficients of prod_{j != i}(x + H(j)); Delta = constant term.
-  auto coef = expand_polynomial(receivers, &usk.id);
-  PartitionPlan plan;
-  plan.delta = coef[0];
-  // p_i(gamma) = (prod_{j != i}(gamma + H(j)) - Delta) / gamma: strip the
-  // constant term and shift degrees down by one.
-  std::vector<Fr> p_coef(coef.begin() + 1, coef.end());
-  plan.h_pi = evaluate_in_exponent(pk, p_coef);
-  return plan;
-}
-
-}  // namespace
-
 std::optional<Gt> decrypt(const PublicKey& pk, const UserSecretKey& usk,
                           std::span<const Identity> receivers,
                           const BroadcastCiphertext& ct) {
-  auto plan = plan_partition(pk, usk, receivers);
-  if (!plan) return std::nullopt;
-
-  // bk = (e(C1, h^p_i) * e(USK, C2))^(1/Delta), one shared final exp, then
-  // the 1/Delta tail through the GT engine (Gt::exp).
-  std::array<std::pair<G1, G2>, 2> pairs = {
-      std::make_pair(ct.c1, plan->h_pi),
-      std::make_pair(usk.value, ct.c2),
-  };
-  Gt combined = pairing::pairing_product(pairs);
-  return combined.exp(plan->delta.inverse());
+  auto part = PreparedPartition::prepare(pk, usk, receivers);
+  if (!part) return std::nullopt;
+  return decrypt(*part, ct);
 }
 
 std::optional<PreparedPartition> PreparedPartition::prepare(
     const PublicKey& pk, const UserSecretKey& usk,
     std::span<const Identity> receivers) {
-  auto plan = plan_partition(pk, usk, receivers);
-  if (!plan) return std::nullopt;
+  if (receivers.size() > pk.max_receivers()) return std::nullopt;
+  if (std::find(receivers.begin(), receivers.end(), usk.id) ==
+      receivers.end()) {
+    return std::nullopt;
+  }
+  // coef = coefficients of prod_{j != i}(x + H(j)); Delta = constant term.
+  auto coef = expand_polynomial(receivers, &usk.id);
   PreparedPartition part;
-  part.delta_inv_ = plan->delta.inverse();
+  part.delta_inv_ = coef[0].inverse();
   part.usk_value_ = usk.value;
-  part.h_pi_ = pairing::G2PreparedAffine(plan->h_pi);
+  // p_i(gamma) = (prod_{j != i}(gamma + H(j)) - Delta) / gamma: strip the
+  // constant term and shift degrees down by one.
+  std::vector<Fr> p_coef(coef.begin() + 1, coef.end());
+  part.h_pi_ = pairing::G2Prepared(evaluate_in_exponent(pk, p_coef));
   return part;
 }
 
 Gt decrypt(const PreparedPartition& part, const BroadcastCiphertext& ct) {
-  // Only C2's line table is ciphertext-dependent; everything else comes from
-  // the cache. One mixed 2-pair multi-pairing, then the GT tail.
+  // bk = (e(C1, h^p_i) * e(USK, C2))^(1/Delta): only C2's line table is
+  // ciphertext-dependent. One shared-squaring 2-pair multi-pairing with a
+  // single final exponentiation, then the 1/Delta tail through the GT
+  // engine (Gt::exp).
   pairing::G2Prepared c2_prep(ct.c2);
-  std::array<pairing::PairingInput, 1> proj = {{{part.usk_value(), &c2_prep}}};
-  std::array<pairing::PairingInputAffine, 1> affine = {{{ct.c1, &part.h_pi()}}};
-  Gt combined = pairing::pairing_product_prepared(proj, affine);
-  return combined.exp(part.delta_inv());
+  std::array<pairing::PairingInput, 2> inputs = {
+      {{ct.c1, &part.h_pi()}, {part.usk_value(), &c2_prep}}};
+  return pairing::pairing_product_prepared(inputs).exp(part.delta_inv());
 }
 
 std::vector<Gt> decrypt_batched(std::span<const PreparedPartitionRef> parts) {
@@ -387,12 +353,11 @@ std::vector<Gt> decrypt_batched(std::span<const PreparedPartitionRef> parts) {
   auto& pool = util::ThreadPool::global();
   std::vector<field::Fp12> millers(parts.size());
   pool.parallel_for(0, parts.size(), 1, [&](std::size_t i) {
+    const PreparedPartition& part = *parts[i].part;
     pairing::G2Prepared c2_prep(parts[i].ct->c2);
-    std::array<pairing::PairingInput, 1> proj = {
-        {{parts[i].part->usk_value(), &c2_prep}}};
-    std::array<pairing::PairingInputAffine, 1> affine = {
-        {{parts[i].ct->c1, &parts[i].part->h_pi()}}};
-    millers[i] = pairing::miller_loop_product_prepared(proj, affine);
+    std::array<pairing::PairingInput, 2> inputs = {
+        {{parts[i].ct->c1, &part.h_pi()}, {part.usk_value(), &c2_prep}}};
+    millers[i] = pairing::miller_loop_product_prepared(inputs);
   });
   // The batched easy-part inversion is a cross-partition reduction: serial.
   auto exped = pairing::final_exponentiation_many(millers);
@@ -422,51 +387,25 @@ std::vector<std::optional<Gt>> decrypt_batched(
     (void)pk.powers_msm(std::min(max_set, pk.max_receivers()));
   }
 
-  // Per-partition planning (polynomial expansion + MSM) and Miller loops are
-  // independent: one slot per partition.
-  struct Planned {
-    bool live = false;
-    Fr delta;
-    field::Fp12 miller;
-  };
-  auto& pool = util::ThreadPool::global();
-  std::vector<Planned> slots(parts.size());
-  pool.parallel_for(0, parts.size(), 1, [&](std::size_t i) {
-    auto plan = plan_partition(pk, usk, parts[i].receivers);
-    if (!plan) return;  // out[i] stays nullopt, exactly as decrypt would
-    std::array<std::pair<G1, G2>, 2> pairs = {
-        std::make_pair(parts[i].ct->c1, plan->h_pi),
-        std::make_pair(usk.value, parts[i].ct->c2),
-    };
-    slots[i].live = true;
-    slots[i].delta = plan->delta;
-    slots[i].miller = pairing::miller_loop_product(pairs);
+  // Preparing (polynomial expansion, MSM, line table) is independent per
+  // partition: one slot per partition.
+  std::vector<std::optional<PreparedPartition>> prepared(parts.size());
+  util::ThreadPool::global().parallel_for(0, parts.size(), 1, [&](std::size_t i) {
+    prepared[i] = PreparedPartition::prepare(pk, usk, parts[i].receivers);
   });
 
-  // Compact the live partitions in index order — the exact vectors the
-  // serial loop would have built.
+  // The member partitions in index order; the others stay nullopt, exactly
+  // as decrypt would return.
   std::vector<std::size_t> live;
-  std::vector<Fr> deltas;
-  std::vector<field::Fp12> millers;
-  live.reserve(parts.size());
-  deltas.reserve(parts.size());
-  millers.reserve(parts.size());
+  std::vector<PreparedPartitionRef> refs;
   for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (!slots[i].live) continue;
+    if (!prepared[i]) continue;
     live.push_back(i);
-    deltas.push_back(slots[i].delta);
-    millers.push_back(slots[i].miller);
+    refs.push_back({&*prepared[i], parts[i].ct});
   }
-
-  // One batched easy-part inversion for all final exponentiations, one
-  // batched Fr inversion for all Deltas (both cross-partition reductions:
-  // serial), then the independent per-partition GT tails.
-  auto exped = pairing::final_exponentiation_many(millers);
-  field::batch_inverse(std::span<Fr>(deltas));
+  auto keys = decrypt_batched(refs);
   std::vector<std::optional<Gt>> out(parts.size());
-  pool.parallel_for(0, live.size(), 1, [&](std::size_t j) {
-    out[live[j]] = Gt::from_fp12_unchecked(exped[j]).exp(deltas[j]);
-  });
+  for (std::size_t j = 0; j < live.size(); ++j) out[live[j]] = keys[j];
   return out;
 }
 
@@ -479,9 +418,9 @@ G2 compute_c3_public(const PublicKey& pk, std::span<const Identity> receivers) {
 bool verify_user_key(const PublicKey& pk, const UserSecretKey& usk) {
   if (pk.h_powers.size() < 2) return false;
   // e(usk, h^gamma) * e(usk^H(id), h) == v: moving H(id) to the (4x cheaper)
-  // G1 side leaves both G2 arguments fixed per PK, so the cached normalized
-  // line tables and the shared-squaring multi-pairing do all the work.
-  std::array<pairing::PairingInputAffine, 2> inputs = {{
+  // G1 side leaves both G2 arguments fixed per PK, so the cached line tables
+  // and the shared-squaring multi-pairing do all the work.
+  std::array<pairing::PairingInput, 2> inputs = {{
       {usk.value, &pk.prepared_h_gamma()},
       {usk.value.mul(hash_identity(usk.id)), &pk.prepared_h()},
   }};

@@ -67,16 +67,13 @@ struct PublicKey {
   /// size in IBBE-SGX, the group size in raw IBBE).
   [[nodiscard]] std::size_t max_receivers() const { return h_powers.size() - 1; }
 
-  /// Pairing precomputation (normalized Miller-loop line tables) for
-  /// h = h_powers[0] and h^gamma = h_powers[1] — the two fixed G2 arguments
-  /// every verify_user_key pairing uses. Cached G2 arguments use the
-  /// batched-inversion affine form (pairing::G2PreparedAffine): one Fp2
-  /// inversion at build time buys cheaper line evaluations on every reuse.
-  /// Built lazily on first use (concurrent first calls race benignly: one
-  /// table wins) and cached for the lifetime of this key — rebuild the key
-  /// if h_powers change.
-  [[nodiscard]] const pairing::G2PreparedAffine& prepared_h() const;
-  [[nodiscard]] const pairing::G2PreparedAffine& prepared_h_gamma() const;
+  /// Pairing precomputation (Miller-loop line tables) for h = h_powers[0]
+  /// and h^gamma = h_powers[1] — the two fixed G2 arguments every
+  /// verify_user_key pairing uses. Built lazily on first use (concurrent
+  /// first calls race benignly: one table wins) and cached for the lifetime
+  /// of this key — rebuild the key if h_powers change.
+  [[nodiscard]] const pairing::G2Prepared& prepared_h() const;
+  [[nodiscard]] const pairing::G2Prepared& prepared_h_gamma() const;
 
   /// Prepared multi-scalar-multiplication tables over the first `need`
   /// h_powers (grown to the full key once `need` passes half of it), for the
@@ -89,8 +86,8 @@ struct PublicKey {
   static PublicKey from_bytes(std::span<const std::uint8_t> data);
 
  private:
-  mutable std::shared_ptr<const pairing::G2PreparedAffine> prep_h_;
-  mutable std::shared_ptr<const pairing::G2PreparedAffine> prep_h_gamma_;
+  mutable std::shared_ptr<const pairing::G2Prepared> prep_h_;
+  mutable std::shared_ptr<const pairing::G2Prepared> prep_h_gamma_;
   mutable std::shared_ptr<const ec::G2PowersMsm> prep_msm_;
 };
 
@@ -183,30 +180,30 @@ EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
 EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
                     const field::Fr& k);
 
-/// User-side decrypt: O(|S|^2) + a 2-pair multi-pairing (shared Miller-loop
-/// squarings and a single final exponentiation), then one GT exponentiation
-/// by 1/Delta through the cyclotomic engine (pairing/gt_exp.h).
-/// Returns the broadcast key; std::nullopt if `usk.id` is not in `receivers`
-/// or the set exceeds the PK bound. (A wrong-but-well-formed ciphertext still
-/// yields a wrong bk — callers authenticate via the AEAD wrap above this
-/// layer, exactly as the paper's y_p does.)
+/// User-side decrypt: PreparedPartition::prepare (O(|S|^2)) followed by
+/// decrypt(const PreparedPartition&, ct) — a 2-pair multi-pairing (shared
+/// Miller-loop squarings and a single final exponentiation), then one GT
+/// exponentiation by 1/Delta through the cyclotomic engine
+/// (pairing/gt_exp.h). Returns the broadcast key; std::nullopt if `usk.id`
+/// is not in `receivers` or the set exceeds the PK bound. (A
+/// wrong-but-well-formed ciphertext still yields a wrong bk — callers
+/// authenticate via the AEAD wrap above this layer, exactly as the paper's
+/// y_p does.)
 std::optional<pairing::Gt> decrypt(const PublicKey& pk,
                                    const UserSecretKey& usk,
                                    std::span<const Identity> receivers,
                                    const BroadcastCiphertext& ct);
 
-/// Cached decrypt state for one (user, receiver set) pair — the partition
-/// key of IBBE-SGX. `decrypt` pays two G2Prepared constructions per call;
-/// for a client that decrypts the same partition repeatedly (every re-key,
-/// every message under a cached C3), everything that depends only on the
-/// receiver set can be computed ONCE:
+/// Decrypt state for one (user, receiver set) pair — the partition key of
+/// IBBE-SGX. Everything that depends only on the receiver set:
 ///   * the O(|S|^2) polynomial expansion and Delta (here: 1/Delta, inverted
 ///     eagerly so the per-decrypt GT tail starts immediately),
 ///   * h^{p_i(gamma)} assembled from the PK powers (one MSM), and
-///   * its Miller line table, in the batched-inversion affine form
-///     (pairing::G2PreparedAffine) since it will be replayed many times.
-/// Only the ciphertext-dependent C2 table remains per-decrypt. The cache is
-/// invalidated by membership changes (C3 changes), not by re-keying.
+///   * its Miller line table.
+/// Every decrypt goes through one; a client that decrypts the same partition
+/// repeatedly (every re-key, every message under a cached C3) can keep it,
+/// so only the ciphertext-dependent C2 table remains per-decrypt. The cache
+/// is invalidated by membership changes (C3 changes), not by re-keying.
 class PreparedPartition {
  public:
   /// std::nullopt when usk.id is not in `receivers` or the set exceeds the
@@ -217,19 +214,18 @@ class PreparedPartition {
 
   [[nodiscard]] const field::Fr& delta_inv() const { return delta_inv_; }
   [[nodiscard]] const ec::G1& usk_value() const { return usk_value_; }
-  [[nodiscard]] const pairing::G2PreparedAffine& h_pi() const { return h_pi_; }
+  [[nodiscard]] const pairing::G2Prepared& h_pi() const { return h_pi_; }
 
  private:
   PreparedPartition() = default;
   field::Fr delta_inv_;
   ec::G1 usk_value_;
-  pairing::G2PreparedAffine h_pi_;
+  pairing::G2Prepared h_pi_;
 };
 
-/// Decrypt against a cached PreparedPartition: one projective G2Prepared
-/// (C2), a 2-pair mixed multi-pairing, and the GT tail. Equals what
-/// decrypt(pk, usk, receivers, ct) returns for the receiver set the
-/// partition was prepared from.
+/// Decrypt against a PreparedPartition: one G2Prepared (C2), a 2-pair
+/// multi-pairing, and the GT tail. Equals what decrypt(pk, usk, receivers,
+/// ct) returns for the receiver set the partition was prepared from.
 pairing::Gt decrypt(const PreparedPartition& part,
                     const BroadcastCiphertext& ct);
 
@@ -254,23 +250,22 @@ struct PreparedPartitionRef {
 /// equals exactly what decrypt(pk, usk, parts[i].receivers, *parts[i].ct)
 /// would return, including std::nullopt for partitions the user is not in.
 ///
-/// Each partition's broadcast key is an independent GT element, so the
-/// per-partition Miller loops and hard-part exponentiations are irreducible
-/// (a single shared-squaring multi-pairing would only yield the PRODUCT of
-/// the keys); what the batch amortizes is everything around them: ONE
-/// Montgomery-batched field inversion for all easy parts
-/// (pairing::final_exponentiation_many), ONE batched Fr inversion for all
-/// 1/Delta exponents, and the PK's cached MSM/pairing tables warmed once.
+/// Prepares every partition (in parallel, after warming the PK's MSM table
+/// once) and hands the member partitions to the prepared decrypt_batched
+/// below. Each partition's broadcast key is an independent GT element, so
+/// the per-partition Miller loops and hard-part exponentiations are
+/// irreducible (a single shared-squaring multi-pairing would only yield the
+/// PRODUCT of the keys); what the batch amortizes is ONE Montgomery-batched
+/// field inversion for all easy parts (pairing::final_exponentiation_many).
 /// Throws std::invalid_argument on a null ct pointer.
 std::vector<std::optional<pairing::Gt>> decrypt_batched(
     const PublicKey& pk, const UserSecretKey& usk,
     std::span<const PartitionRef> parts);
 
-/// decrypt_batched over cached PreparedPartition state: same amortizations
-/// (one batched easy-part inversion across the final exponentiations), but
-/// the per-partition polynomial expansion, MSM, Delta inversion, and h^p_i
-/// line tables were all paid once at prepare() time. Throws
-/// std::invalid_argument on null pointers.
+/// decrypt_batched over PreparedPartition state: one batched easy-part
+/// inversion across the final exponentiations; the per-partition polynomial
+/// expansion, MSM, Delta inversion, and h^p_i line tables were all paid at
+/// prepare() time. Throws std::invalid_argument on null pointers.
 std::vector<pairing::Gt> decrypt_batched(
     std::span<const PreparedPartitionRef> parts);
 

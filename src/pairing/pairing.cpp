@@ -165,14 +165,11 @@ LineCoeffs add_step(ProjPoint& t, const TwistPoint& q) {
   return l;
 }
 
-/// One multi-pairing operand: P's affine coordinates plus Q's line table —
-/// exactly one of `coeffs` (projective lines) or `affine` (normalized lines)
-/// is set.
+/// One multi-pairing operand: P's affine coordinates plus Q's line table.
 struct MillerArg {
   Fp xp;
   Fp yp;
-  const std::vector<LineCoeffs>* coeffs = nullptr;
-  const std::vector<AffineLineCoeffs>* affine = nullptr;
+  const std::vector<LineCoeffs>* coeffs;
 };
 
 /// Shared-squaring Miller loop driver: one f.square() per NAF digit for ALL
@@ -185,13 +182,8 @@ Fp12 miller_loop_many(std::span<const MillerArg> args) {
   std::size_t cursor = 0;
   auto eat_lines = [&] {
     for (const auto& arg : args) {
-      if (arg.affine != nullptr) {
-        const AffineLineCoeffs& l = (*arg.affine)[cursor];
-        f = f.mul_by_line_affine(arg.yp, l.b.mul_by_fp(arg.xp), l.c);
-      } else {
-        const LineCoeffs& l = (*arg.coeffs)[cursor];
-        f = f.mul_by_line(l.a.mul_by_fp(arg.yp), l.b.mul_by_fp(arg.xp), l.c);
-      }
+      const LineCoeffs& l = (*arg.coeffs)[cursor];
+      f = f.mul_by_line(l.a.mul_by_fp(arg.yp), l.b.mul_by_fp(arg.xp), l.c);
     }
     ++cursor;
   };
@@ -289,25 +281,6 @@ G2Prepared::G2Prepared(const ec::G2& q) {
   coeffs_.push_back(add_step(t, {q2.x, q2.y.neg()}));
 }
 
-G2PreparedAffine::G2PreparedAffine(const ec::G2& q)
-    : G2PreparedAffine(G2Prepared(q)) {}
-
-G2PreparedAffine::G2PreparedAffine(const G2Prepared& prepared) {
-  if (prepared.is_infinity()) return;
-  const auto& coeffs = prepared.coeffs();
-  // Every y-coefficient is nonzero for a valid table (-2YZ of a
-  // non-infinity doubling, the nonzero chord denominator of an addition), so
-  // Montgomery's trick inverts the whole column at the cost of one inversion.
-  std::vector<Fp2> inv_a;
-  inv_a.reserve(coeffs.size());
-  for (const LineCoeffs& l : coeffs) inv_a.push_back(l.a);
-  field::batch_inverse(std::span<Fp2>(inv_a));
-  lines_.reserve(coeffs.size());
-  for (std::size_t i = 0; i < coeffs.size(); ++i) {
-    lines_.push_back({coeffs[i].b * inv_a[i], coeffs[i].c * inv_a[i]});
-  }
-}
-
 Fp12 miller_loop(const G1& p, const G2& q) {
   return miller_loop(p, G2Prepared(q));
 }
@@ -315,14 +288,7 @@ Fp12 miller_loop(const G1& p, const G2& q) {
 Fp12 miller_loop(const G1& p, const G2Prepared& q) {
   auto pa = p.to_affine();
   if (!pa || q.is_infinity()) return Fp12::one();
-  MillerArg arg{pa->first, pa->second, &q.coeffs(), nullptr};
-  return miller_loop_many({&arg, 1});
-}
-
-Fp12 miller_loop(const G1& p, const G2PreparedAffine& q) {
-  auto pa = p.to_affine();
-  if (!pa || q.is_infinity()) return Fp12::one();
-  MillerArg arg{pa->first, pa->second, nullptr, &q.lines()};
+  MillerArg arg{pa->first, pa->second, &q.coeffs()};
   return miller_loop_many({&arg, 1});
 }
 
@@ -404,76 +370,37 @@ Gt pairing(const G1& p, const G2Prepared& q) {
   return Gt::from_fp12_unchecked(final_exponentiation(miller_loop(p, q)));
 }
 
-Gt pairing(const G1& p, const G2PreparedAffine& q) {
-  return Gt::from_fp12_unchecked(final_exponentiation(miller_loop(p, q)));
-}
-
-Fp12 miller_loop_product(std::span<const std::pair<G1, G2>> pairs) {
+Gt pairing_product(std::span<const std::pair<G1, G2>> pairs) {
   std::vector<G2Prepared> prepared;
   prepared.reserve(pairs.size());
+  std::vector<PairingInput> inputs;
+  inputs.reserve(pairs.size());
+  for (const auto& [p, q] : pairs) {
+    if (p.is_infinity() || q.is_infinity()) continue;
+    prepared.emplace_back(q);
+    inputs.push_back({p, &prepared.back()});
+  }
+  return pairing_product_prepared(inputs);
+}
+
+Fp12 miller_loop_product_prepared(std::span<const PairingInput> pairs) {
+  // The live (non-infinity) operands, walked by one shared-squaring loop.
   std::vector<MillerArg> args;
   args.reserve(pairs.size());
-  for (const auto& [p, q] : pairs) {
-    auto pa = p.to_affine();
-    if (!pa || q.is_infinity()) continue;
-    prepared.emplace_back(q);
-    args.push_back({pa->first, pa->second, &prepared.back().coeffs()});
-  }
-  return miller_loop_many(args);
-}
-
-Gt pairing_product(std::span<const std::pair<G1, G2>> pairs) {
-  return Gt::from_fp12_unchecked(
-      final_exponentiation(miller_loop_product(pairs)));
-}
-
-namespace {
-
-/// Collects the live (non-infinity) operands of a mixed multi-pairing.
-std::vector<MillerArg> collect_args(std::span<const PairingInput> pairs,
-                                    std::span<const PairingInputAffine> affine) {
-  std::vector<MillerArg> args;
-  args.reserve(pairs.size() + affine.size());
   for (const auto& input : pairs) {
     if (input.g2 == nullptr) {
       throw std::invalid_argument("pairing_product_prepared: null G2Prepared");
     }
     auto pa = input.g1.to_affine();
     if (!pa || input.g2->is_infinity()) continue;
-    args.push_back({pa->first, pa->second, &input.g2->coeffs(), nullptr});
+    args.push_back({pa->first, pa->second, &input.g2->coeffs()});
   }
-  for (const auto& input : affine) {
-    if (input.g2 == nullptr) {
-      throw std::invalid_argument(
-          "pairing_product_prepared: null G2PreparedAffine");
-    }
-    auto pa = input.g1.to_affine();
-    if (!pa || input.g2->is_infinity()) continue;
-    args.push_back({pa->first, pa->second, nullptr, &input.g2->lines()});
-  }
-  return args;
+  return miller_loop_many(args);
 }
-
-}  // namespace
 
 Gt pairing_product_prepared(std::span<const PairingInput> pairs) {
-  return pairing_product_prepared(pairs, {});
-}
-
-Gt pairing_product_prepared(std::span<const PairingInputAffine> pairs) {
-  return pairing_product_prepared({}, pairs);
-}
-
-Gt pairing_product_prepared(std::span<const PairingInput> pairs,
-                            std::span<const PairingInputAffine> affine_pairs) {
-  return Gt::from_fp12_unchecked(final_exponentiation(
-      miller_loop_many(collect_args(pairs, affine_pairs))));
-}
-
-Fp12 miller_loop_product_prepared(
-    std::span<const PairingInput> pairs,
-    std::span<const PairingInputAffine> affine_pairs) {
-  return miller_loop_many(collect_args(pairs, affine_pairs));
+  return Gt::from_fp12_unchecked(
+      final_exponentiation(miller_loop_product_prepared(pairs)));
 }
 
 }  // namespace ibbe::pairing

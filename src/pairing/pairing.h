@@ -58,57 +58,16 @@ class G2Prepared {
   std::vector<LineCoeffs> coeffs_;
 };
 
-/// One normalized Miller line, l(P) = y_P + b x_P w + c w^3: the y-coefficient
-/// of every G2Prepared line is divided out (one batched inversion over the
-/// whole table), which the final exponentiation forgives — any Fp2 line
-/// scaling has order dividing p^2 - 1. Evaluating a normalized line uses the
-/// cheaper Fp12::mul_by_line_affine and skips the per-line a*y_P scaling.
-struct AffineLineCoeffs {
-  field::Fp2 b, c;
-};
-
-/// The batched-inversion ("affine") form of G2Prepared, for G2 arguments
-/// cached and reused across MANY pairings (the PK's h and h^gamma, HE-IBE's
-/// Ppub, a PreparedPartition's h^p_i): costs one Fp2 batch inversion plus two
-/// Fp2 multiplications per line up front, then every subsequent Miller loop
-/// evaluates cheaper lines. For one-shot pairings plain G2Prepared wins.
-class G2PreparedAffine {
- public:
-  /// Prepared point at infinity (pairs to 1 with everything).
-  G2PreparedAffine() = default;
-  explicit G2PreparedAffine(const ec::G2& q);
-  explicit G2PreparedAffine(const G2Prepared& prepared);
-
-  [[nodiscard]] bool is_infinity() const { return lines_.empty(); }
-  [[nodiscard]] const std::vector<AffineLineCoeffs>& lines() const {
-    return lines_;
-  }
-
- private:
-  std::vector<AffineLineCoeffs> lines_;
-};
-
 /// One (G1, prepared G2) input of a multi-pairing.
 struct PairingInput {
   ec::G1 g1;
   const G2Prepared* g2;
 };
 
-/// One (G1, normalized prepared G2) input of a multi-pairing.
-struct PairingInputAffine {
-  ec::G1 g1;
-  const G2PreparedAffine* g2;
-};
-
 /// Miller loop only (no final exponentiation). Returns 1 if either input is
 /// the point at infinity.
 field::Fp12 miller_loop(const ec::G1& p, const ec::G2& q);
 field::Fp12 miller_loop(const ec::G1& p, const G2Prepared& q);
-/// CAVEAT: normalized tables scale every line by 1/a, so this raw Miller
-/// value differs from miller_loop(p, G2Prepared(q)) by a nonzero Fp2 factor.
-/// The two agree only AFTER a final exponentiation — do not compare or cache
-/// raw Fp12 values across table kinds.
-field::Fp12 miller_loop(const ec::G1& p, const G2PreparedAffine& q);
 
 /// Reference Miller loop in affine coordinates (one Fp2 inversion per step);
 /// kept as the cross-check oracle for the projective implementation.
@@ -121,7 +80,7 @@ field::Fp12 final_exponentiation(const field::Fp12& f);
 /// pairing values, not one product). Element-wise identical to calling
 /// final_exponentiation on each, but the easy part's Fp12 inversions are
 /// batched through one Montgomery simultaneous inversion. Used by the
-/// batched decrypt and group-bootstrap paths.
+/// batched decrypt and HE-IBE bulk-grant paths.
 std::vector<field::Fp12> final_exponentiation_many(
     std::span<const field::Fp12> fs);
 
@@ -132,37 +91,19 @@ field::Fp12 final_exponentiation_naive(const field::Fp12& f);
 /// The full pairing.
 Gt pairing(const ec::G1& p, const ec::G2& q);
 Gt pairing(const ec::G1& p, const G2Prepared& q);
-Gt pairing(const ec::G1& p, const G2PreparedAffine& q);
-
-/// Shared-squaring Miller loop over several pairs WITHOUT the final
-/// exponentiation: the raw f value of prod_i e(p_i, q_i). Callers that
-/// compute many independent products (batched decrypt) finish them together
-/// with final_exponentiation_many.
-field::Fp12 miller_loop_product(std::span<const std::pair<ec::G1, ec::G2>> pairs);
 
 /// prod_i e(p_i, q_i) as a true multi-pairing: one shared f.square() per
-/// Miller iteration across all pairs and a single final exponentiation — the
-/// decrypt path computes e(C1, h^poly) * e(USK, C2) this way.
+/// Miller iteration across all pairs and a single final exponentiation.
 Gt pairing_product(std::span<const std::pair<ec::G1, ec::G2>> pairs);
 
 /// Multi-pairing over precomputed G2 arguments (null g2 pointers are
-/// rejected; infinity on either side skips the pair).
+/// rejected; infinity on either side skips the pair). The decrypt path
+/// computes e(C1, h^p_i) * e(USK, C2) this way.
 Gt pairing_product_prepared(std::span<const PairingInput> pairs);
-Gt pairing_product_prepared(std::span<const PairingInputAffine> pairs);
 
-/// Mixed multi-pairing: projective and normalized prepared arguments walk the
-/// same shared-squaring Miller loop (decrypt pairs a cached affine h^p_i
-/// table with a per-ciphertext projective C2 table this way).
-Gt pairing_product_prepared(std::span<const PairingInput> pairs,
-                            std::span<const PairingInputAffine> affine_pairs);
-
-/// Miller-loop-only variant of the mixed multi-pairing, for callers that
-/// batch the final exponentiation themselves (decrypt_batched). Same caveat
-/// as miller_loop over G2PreparedAffine: the raw value carries the affine
-/// tables' 1/a line scalings and is only meaningful modulo final
-/// exponentiation.
-field::Fp12 miller_loop_product_prepared(
-    std::span<const PairingInput> pairs,
-    std::span<const PairingInputAffine> affine_pairs);
+/// Miller-loop-only variant of pairing_product_prepared, for callers that
+/// finish many independent products together with final_exponentiation_many
+/// (decrypt_batched).
+field::Fp12 miller_loop_product_prepared(std::span<const PairingInput> pairs);
 
 }  // namespace ibbe::pairing

@@ -897,8 +897,7 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
                                : ids.front();
         // The global §V-A heuristic first (a full rebuild subsumes any
         // shard-local one), then the same rule scoped to each dirty shard.
-        if (!state.partitions.empty() && config_.repartitioning &&
-            should_repartition(state)) {
+        if (!state.partitions.empty() && should_repartition(state)) {
           // The rebuild's repartition entry must follow ours on the cloud,
           // and the manifest pins the newer one. A re-run after a lost CAS
           // keeps our entry and logs its own generation's rebuild again.
@@ -915,8 +914,7 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
                         state.shards[s].sid) == dirty_sids.end()) {
             continue;
           }
-          if (config_.repartitioning &&
-              shard_should_repartition(state, state.shards[s])) {
+          if (shard_should_repartition(state, state.shards[s])) {
             repartition_shard(state, s);
           }
           rewrite_shard(gid, state, s);

@@ -62,7 +62,6 @@ namespace ibbe::system {
 
 struct AdminConfig {
   std::size_t partition_size = 1000;  // the paper's |p|
-  bool repartitioning = true;
 
   /// Partitions per shard; 0 = let the advisor's churn model pick
   /// (PartitionAdvisor::recommend_shard_partitions) at each (re)creation.

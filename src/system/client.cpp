@@ -315,7 +315,12 @@ ClientApi::FetchResult ClientApi::fetch(const GroupId& gid) {
   }
   // Record the directory version *before* reading so that a concurrent
   // update triggers the next wait_for_update rather than being missed.
-  seen_versions_[gid] = cloud_.dir_version(group_dir(gid));
+  try {
+    seen_versions_[gid] =
+        with_retries([&] { return cloud_.dir_version(group_dir(gid)); });
+  } catch (const cloud::TransientError&) {
+    return {FetchStatus::unavailable, std::nullopt};
+  }
 
   bool fresh_rejected = false;
   for (int attempt = 0;; ++attempt) {
@@ -389,25 +394,27 @@ std::optional<util::Bytes> ClientApi::wait_for_update(
       // store never wakes us.
       remaining = std::min(remaining, std::chrono::milliseconds(25));
     }
-    std::optional<std::uint64_t> version;
+    bool committed = false;
     try {
-      version = cloud_.long_poll(group_dir(gid), cursor, remaining);
+      auto version = cloud_.long_poll(group_dir(gid), cursor, remaining);
+      if (!version) {
+        // nullopt may be a spurious timeout: if the directory did move, the
+        // wake-up was dropped, not absent.
+        auto dir_now = cloud_.dir_version(group_dir(gid));
+        if (dir_now <= cursor) continue;  // genuine timeout; deadline loop exits
+        version = dir_now;
+      }
+      committed = index_since == 0 ||
+                  cloud_.file_version(index_path(gid)) != index_since;
+      cursor = *version;  // don't re-wake on the writes we just observed
     } catch (const cloud::TransientError&) {
+      // Re-arm with whatever budget is left. The cursor only advances once
+      // the checks succeed, so the next round re-checks this wake instead
+      // of sleeping through a commit it never looked at.
       ++stats_.transient_retries;
-      continue;  // re-arm with whatever budget is left
+      continue;
     }
-    if (!version) {
-      // nullopt may be a spurious timeout: if the directory did move, the
-      // wake-up was dropped, not absent.
-      auto dir_now = cloud_.dir_version(group_dir(gid));
-      if (dir_now <= cursor) continue;  // genuine timeout; deadline loop exits
-      version = dir_now;
-    }
-    cursor = *version;  // don't re-wake on the writes we just observed
-    if (index_since == 0 ||
-        cloud_.file_version(index_path(gid)) != index_since) {
-      return fetch_group_key(gid);
-    }
+    if (committed) return fetch_group_key(gid);
     // Pre-commit shadow traffic, or the GC tail of an update we already
     // fetched: keep watching with the rest of the budget.
   }

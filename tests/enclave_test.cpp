@@ -146,21 +146,6 @@ TEST_F(EnclaveFixture, RemoveUserRotatesGkEverywhere) {
                    .has_value());
 }
 
-TEST_F(EnclaveFixture, RekeyPartitionRotatesBkButKeepsGk) {
-  auto members = make_users(3);
-  auto group = enclave.ecall_create_group({{members}});
-  auto rekeyed = enclave.ecall_rekey_partition(group.partitions[0].ct,
-                                               group.sealed_gk);
-  EXPECT_EQ(rekeyed.ct.c3, group.partitions[0].ct.c3);
-  EXPECT_FALSE(rekeyed.ct.c2 == group.partitions[0].ct.c2);
-  auto gk_old = unwrap_gk(enclave.public_key(), usk(members[0]), members,
-                          group.partitions[0]);
-  auto gk_new = unwrap_gk(enclave.public_key(), usk(members[0]), members, rekeyed);
-  ASSERT_TRUE(gk_old.has_value());
-  ASSERT_TRUE(gk_new.has_value());
-  EXPECT_EQ(*gk_old, *gk_new);
-}
-
 TEST_F(EnclaveFixture, SealedGkIsBoundToTheEnclave) {
   auto group = enclave.ecall_create_group({{make_users(2)}});
   // A second enclave instance (fresh MSK, same build) cannot use this blob's

@@ -13,6 +13,7 @@
 //      whole-suffix truncation of the audit log.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <set>
@@ -348,6 +349,134 @@ TEST(ClientDegradedMode, StaleIndexReadsAreRejectedByVersionFloor) {
   EXPECT_EQ(client.fetch_group_key(gid), key);
 }
 
+/// Forwards every call to `inner`, except that the next `n` version checks
+/// (dir_version / file_version) throw TransientError, and the next long poll
+/// can be made to time out spuriously. FaultInjectingStore never faults the
+/// version checks, so this covers what its schedules cannot reach.
+class FlakyCheckStore : public CloudStore {
+ public:
+  explicit FlakyCheckStore(CloudStore& inner) : inner_(inner) {}
+
+  void fail_next_checks(int n) { failing_checks_ = n; }
+  void drop_next_wake() { drop_wake_ = true; }
+
+  std::uint64_t put(const std::string& path, Bytes value) override {
+    return inner_.put(path, std::move(value));
+  }
+  std::optional<std::uint64_t> put_cas(const std::string& path, Bytes value,
+                                       std::uint64_t expected) override {
+    return inner_.put_cas(path, std::move(value), expected);
+  }
+  std::optional<Bytes> get(const std::string& path) const override {
+    return inner_.get(path);
+  }
+  std::optional<Versioned> get_versioned(const std::string& path) const override {
+    return inner_.get_versioned(path);
+  }
+  std::uint64_t file_version(const std::string& path) const override {
+    check();
+    return inner_.file_version(path);
+  }
+  bool erase(const std::string& path) override { return inner_.erase(path); }
+  std::vector<std::string> list(const std::string& prefix) const override {
+    return inner_.list(prefix);
+  }
+  std::uint64_t dir_version(const std::string& dir) const override {
+    check();
+    return inner_.dir_version(dir);
+  }
+  std::optional<std::uint64_t> long_poll(
+      const std::string& dir, std::uint64_t since,
+      std::chrono::milliseconds timeout) const override {
+    if (drop_wake_.exchange(false)) return std::nullopt;
+    return inner_.long_poll(dir, since, timeout);
+  }
+  ibbe::cloud::CloudStats stats() const override { return inner_.stats(); }
+  std::size_t stored_bytes() const override { return inner_.stored_bytes(); }
+
+ private:
+  void check() const {
+    if (failing_checks_ > 0) {
+      --failing_checks_;
+      throw TransientError("flaky version check");
+    }
+  }
+
+  CloudStore& inner_;
+  mutable std::atomic<int> failing_checks_{0};
+  mutable std::atomic<bool> drop_wake_{false};
+};
+
+struct FlakyCheckFixture : ::testing::Test {
+  FlakyCheckFixture()
+      : platform("flaky-box"),
+        enclave(platform, 8),
+        rng(23),
+        admin(enclave, inner, ibbe::pki::EcdsaKeyPair::generate(rng),
+              config(), /*seed=*/6),
+        client(flaky, enclave.public_key(),
+               enclave.ecall_extract_user_key("u0"),
+               admin.verification_point()) {
+    client.set_retry_policy(RetryPolicy{}.without_delays());
+    admin.create_group(gid, make_users(5));
+  }
+
+  static AdminConfig config() {
+    AdminConfig c;
+    c.partition_size = 3;
+    return c;
+  }
+
+  ibbe::sgx::EnclavePlatform platform;
+  ibbe::enclave::IbbeEnclave enclave;
+  CloudStore inner;
+  FlakyCheckStore flaky{inner};
+  ibbe::crypto::Drbg rng;
+  AdminApi admin;
+  ClientApi client;
+  const GroupId gid = "g";
+};
+
+TEST_F(FlakyCheckFixture, FetchRetriesAFailedDirectoryCheck) {
+  flaky.fail_next_checks(1);
+  auto result = client.fetch(gid);
+  EXPECT_EQ(result.status, ClientApi::FetchStatus::ok);
+  EXPECT_TRUE(result.key.has_value());
+  EXPECT_GT(client.stats().transient_retries, 0u);
+
+  // A check that keeps failing exhausts the budget: unavailable, no throw.
+  flaky.fail_next_checks(1000);
+  result = client.fetch(gid);
+  EXPECT_EQ(result.status, ClientApi::FetchStatus::unavailable);
+  EXPECT_FALSE(result.key.has_value());
+}
+
+TEST_F(FlakyCheckFixture, WaitReArmsAfterAFailedIndexCheck) {
+  auto before = client.fetch_group_key(gid);
+  ASSERT_TRUE(before.has_value());
+  admin.remove_user(gid, "u4");  // rotates the key
+  // The wake is seen, then the index check fails once: the wait must look
+  // at the same wake again rather than skip the commit.
+  flaky.fail_next_checks(1);
+  auto after = client.wait_for_update(gid, std::chrono::seconds(5));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_NE(*after, *before);
+  EXPECT_EQ(client.fetch_group_key(gid), after);
+}
+
+TEST_F(FlakyCheckFixture, WaitReArmsAfterAFailedDirectoryCheck) {
+  auto before = client.fetch_group_key(gid);
+  ASSERT_TRUE(before.has_value());
+  admin.remove_user(gid, "u4");
+  // A dropped wake-up sends the wait to its directory check, which fails
+  // once; the next round still finds the commit.
+  flaky.drop_next_wake();
+  flaky.fail_next_checks(1);
+  auto after = client.wait_for_update(gid, std::chrono::seconds(5));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_NE(*after, *before);
+}
+
 // ------------------------------------------------ crash-point enumeration
 //
 // For every membership operation we count its cloud mutations M in a crash-
@@ -390,7 +519,6 @@ class CrashEnumeration : public ::testing::Test {
                                               std::uint64_t seed) {
     AdminConfig config;
     config.partition_size = 3;
-    config.repartitioning = true;
     config.log_operations = true;
     config.retry = RetryPolicy{}.without_delays();
     return std::make_unique<AdminApi>(*enclave_, store, *admin_key_, config,

@@ -407,17 +407,6 @@ TEST(FieldLazy, Fp2InverseOnWorstCaseOperands) {
   }
 }
 
-TEST(Fp12, MulByLineAffineMatchesGenericMul) {
-  for (int i = 0; i < 10; ++i) {
-    Fp12 f = random_fp12();
-    Fp a = i == 0 ? Fp::zero() - Fp::one() : random_fp();
-    Fp2 b = random_fp2(), c = random_fp2();
-    Fp12 line(Fp6(Fp2(a, Fp::zero()), Fp2::zero(), Fp2::zero()),
-              Fp6(b, c, Fp2::zero()));
-    EXPECT_EQ(f.mul_by_line_affine(a, b, c), f * line);
-  }
-}
-
 TEST(TowerConsts, GammaPowersConsistent) {
   const auto& g = ibbe::field::TowerConsts::get().gamma;
   // g[k] = g1^(k+1); g1^6 = xi^(p-1).

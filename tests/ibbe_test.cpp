@@ -4,7 +4,10 @@
 #include <vector>
 
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
+#include "he/he_ibe.h"
 #include "ibbe/ibbe.h"
+#include "util/hex.h"
 
 namespace {
 
@@ -404,6 +407,82 @@ TEST_F(IbbeFixture, PreparedBatchedDecryptEqualsPerPartitionDecrypt) {
 TEST(PreparedPartitionErrors, NullRefsRejected) {
   std::vector<ibbe::core::PreparedPartitionRef> bad = {{nullptr, nullptr}};
   EXPECT_THROW(ibbe::core::decrypt_batched(bad), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- golden pin
+
+TEST(IbbeGolden, PairingOutputsArePinned) {
+  // One SHA-256 over every pairing-derived output of a seeded fixture: the
+  // one-shot decrypt of every member at |S| in {1, 16, 33}, the prepared
+  // decrypt, both decrypt_batched overloads (with a non-member slot),
+  // verify_user_key verdicts and the HE-IBE grant entries. GT values are
+  // canonical after the final exponentiation, so a change to how Miller
+  // lines are tabulated or evaluated must leave this hash alone. It must
+  // hold on both Montgomery backends (IBBE_FORCE_PORTABLE_MUL=1).
+  Drbg rng(0x601DE);
+  auto keys = ibbe::core::setup(33, rng);
+  ibbe::crypto::Sha256 h;
+  auto absorb = [&](const std::optional<ibbe::pairing::Gt>& bk) {
+    if (bk) {
+      h.update(bk->to_bytes());
+    } else {
+      h.update("nullopt");
+    }
+  };
+  auto absorb_verdict = [&](bool ok) { h.update(ok ? "valid" : "invalid"); };
+
+  const auto client = ibbe::core::extract_user_key(keys.msk, "client@example.com");
+  std::vector<std::vector<Identity>> sets;
+  std::vector<BroadcastCiphertext> cts;
+  for (std::size_t n : {1u, 16u, 33u}) {
+    auto set = make_users(n, "golden" + std::to_string(n) + "-");
+    set[n / 2] = client.id;
+    auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, set, rng);
+    for (const auto& id : set) {
+      auto key = ibbe::core::extract_user_key(keys.msk, id);
+      absorb(ibbe::core::decrypt(keys.pk, key, set, enc.ct));
+      auto part = ibbe::core::PreparedPartition::prepare(keys.pk, key, set);
+      ASSERT_TRUE(part.has_value());
+      absorb(ibbe::core::decrypt(*part, enc.ct));
+      absorb_verdict(ibbe::core::verify_user_key(keys.pk, key));
+    }
+    sets.push_back(std::move(set));
+    cts.push_back(enc.ct);
+  }
+  auto stranger_set = make_users(4, "stranger");
+  auto stranger = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, stranger_set, rng);
+  absorb(ibbe::core::decrypt(keys.pk, client, stranger_set, stranger.ct));
+
+  std::vector<ibbe::core::PartitionRef> refs = {
+      {sets[1], &cts[1]}, {stranger_set, &stranger.ct}, {sets[0], &cts[0]},
+      {sets[2], &cts[2]}};
+  for (const auto& bk : ibbe::core::decrypt_batched(keys.pk, client, refs)) {
+    absorb(bk);
+  }
+  std::vector<ibbe::core::PreparedPartition> parts;
+  for (const auto& set : sets) {
+    parts.push_back(*ibbe::core::PreparedPartition::prepare(keys.pk, client, set));
+  }
+  std::vector<ibbe::core::PreparedPartitionRef> prepared_refs;
+  for (std::size_t i = parts.size(); i-- > 0;) {
+    prepared_refs.push_back({&parts[i], &cts[i]});
+  }
+  for (const auto& bk : ibbe::core::decrypt_batched(prepared_refs)) absorb(bk);
+
+  // Rejected keys: a valid value under another identity, and a tampered value.
+  absorb_verdict(ibbe::core::verify_user_key(keys.pk, {"forged", client.value}));
+  absorb_verdict(ibbe::core::verify_user_key(
+      keys.pk, {client.id, client.value + ibbe::ec::G1::generator()}));
+
+  ibbe::he::HeIbeScheme he(7);
+  auto members = make_users(12, "he");
+  he.create_group(members);
+  he.add_user("late@example.com");
+  he.remove_user(members[3]);
+  h.update(he.entries_digest());
+
+  EXPECT_EQ(ibbe::util::to_hex(h.finish()),
+            "99019abc38a00f7a1633fc704fa9c2c30d3adbcebe49c088779dce3fce83d8e5");
 }
 
 }  // namespace

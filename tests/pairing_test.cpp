@@ -166,65 +166,6 @@ TEST(G2Prepared, NullInputRejected) {
                std::invalid_argument);
 }
 
-TEST(G2PreparedAffine, MatchesUnpreparedPairing) {
-  // The normalized (batched-inversion) line tables scale every line by a
-  // nonzero Fp2 factor, which the final exponentiation kills — full pairing
-  // values must be identical.
-  for (int i = 0; i < 3; ++i) {
-    G1 p = G1::generator().mul(random_fr());
-    G2 q = G2::generator().mul(random_fr());
-    ibbe::pairing::G2PreparedAffine prep(q);
-    EXPECT_EQ(ibbe::pairing::pairing(p, prep), ibbe::pairing::pairing(p, q));
-    // And the two-step construction path agrees with the direct one.
-    ibbe::pairing::G2Prepared proj(q);
-    ibbe::pairing::G2PreparedAffine from_proj(proj);
-    EXPECT_EQ(ibbe::pairing::pairing(p, from_proj),
-              ibbe::pairing::pairing(p, q));
-  }
-}
-
-TEST(G2PreparedAffine, InfinityPairsToOne) {
-  ibbe::pairing::G2PreparedAffine prep_inf;
-  EXPECT_TRUE(prep_inf.is_infinity());
-  EXPECT_TRUE(ibbe::pairing::pairing(G1::generator(), prep_inf).is_one());
-  EXPECT_TRUE(ibbe::pairing::G2PreparedAffine(G2::infinity()).is_infinity());
-}
-
-TEST(G2PreparedAffine, MixedProductMatchesIndependentPairings) {
-  // One projective table and one normalized table walking the same
-  // shared-squaring Miller loop — the exact shape of the cached decrypt path.
-  Fr a = random_fr(), b = random_fr(), c = random_fr();
-  G2 q1 = G2::generator().mul(b);
-  G2 q2 = G2::generator().mul(c);
-  ibbe::pairing::G2Prepared prep1(q1);
-  ibbe::pairing::G2PreparedAffine prep2(q2);
-  std::array<ibbe::pairing::PairingInput, 1> proj = {{
-      {G1::generator().mul(a), &prep1},
-  }};
-  std::array<ibbe::pairing::PairingInputAffine, 1> affine = {{
-      {G1::generator(), &prep2},
-  }};
-  Gt combined = ibbe::pairing::pairing_product_prepared(proj, affine);
-  Gt expected = ibbe::pairing::pairing(proj[0].g1, q1) *
-                ibbe::pairing::pairing(affine[0].g1, q2);
-  EXPECT_EQ(combined, expected);
-
-  // All-affine overload.
-  ibbe::pairing::G2PreparedAffine prep1_affine(q1);
-  std::array<ibbe::pairing::PairingInputAffine, 2> all_affine = {{
-      {proj[0].g1, &prep1_affine},
-      {affine[0].g1, &prep2},
-  }};
-  EXPECT_EQ(ibbe::pairing::pairing_product_prepared(all_affine), expected);
-}
-
-TEST(G2PreparedAffine, NullInputRejected) {
-  std::array<ibbe::pairing::PairingInputAffine, 1> inputs = {
-      {{G1::generator(), nullptr}}};
-  EXPECT_THROW((void)ibbe::pairing::pairing_product_prepared(inputs),
-               std::invalid_argument);
-}
-
 TEST(Pairing, ProductMatchesIndividualPairings) {
   Fr a = random_fr(), b = random_fr();
   std::vector<std::pair<G1, G2>> pairs = {

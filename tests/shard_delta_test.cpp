@@ -128,8 +128,7 @@ TEST_F(ShardDeltaFixture, DeltaGapFallsBackToSnapshot) {
 TEST_F(ShardDeltaFixture, WarmClientFoldsAcrossShardRepartition) {
   ibbe::cloud::CloudStore cloud;
   auto admin =
-      admin_on(cloud, {.partition_size = 3, .repartitioning = true,
-                       .shard_partitions = 2});
+      admin_on(cloud, {.partition_size = 3, .shard_partitions = 2});
   // 12 users -> 4 full partitions -> 2 shards of 2.
   admin.create_group(gid, make_users(12));
   ASSERT_EQ(admin.partition_count(gid), 4u);

@@ -220,9 +220,9 @@ TEST(PsiInvariants, PreparedAffineEntryMatchesPrepareAfterPsi) {
   ASSERT_TRUE(aff.has_value());
   AffinePt<Fp2> entry{aff->first, aff->second, false};
 
-  ibbe::pairing::G2PreparedAffine via_entry(
+  ibbe::pairing::G2Prepared via_entry(
       G2::from_affine(ibbe::ec::apply_psi(entry)));
-  ibbe::pairing::G2PreparedAffine via_point(ibbe::ec::apply_psi(q));
+  ibbe::pairing::G2Prepared via_point(ibbe::ec::apply_psi(q));
   EXPECT_EQ(ibbe::pairing::pairing(p, via_entry),
             ibbe::pairing::pairing(p, via_point));
   // And both equal the unprepared pairing against psi(q).

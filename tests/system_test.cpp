@@ -30,7 +30,7 @@ struct SystemFixture : ::testing::Test {
         enclave(platform, 8),
         rng(11),
         admin(enclave, cloud, ibbe::pki::EcdsaKeyPair::generate(rng),
-              AdminConfig{.partition_size = 3, .repartitioning = true},
+              AdminConfig{.partition_size = 3},
               /*seed=*/5) {}
 
   ClientApi client(const Identity& id) {
