@@ -1,7 +1,7 @@
 // Scalar-multiplication perf trajectory: a small always-built suite (no
 // google-benchmark dependency) that times the operations ISSUE/ROADMAP track
-// across PRs — pairing, G1/G2 single muls (naive ladder vs 2-dim GLS vs the
-// 4-dim psi split), GT exponentiation (naive ladder vs cyclotomic engine), a 64-term
+// across PRs — pairing, G1/G2 single muls (naive ladder vs GLV / the 4-dim
+// psi split), GT exponentiation (naive ladder vs cyclotomic engine), a 64-term
 // G2 MSM, end-to-end decrypt(|S|=16), and a 4-partition batched decrypt —
 // and optionally writes them as JSON so CI can diff a BENCH_scalar.json
 // between revisions. The schema is documented in docs/benchmarks.md.
@@ -150,11 +150,6 @@ int main(int argc, char** argv) {
   metrics.push_back({"g1_mul_glv_us", time_us([&] { (void)p1.mul(k); }, iters)});
   metrics.push_back({"g2_mul_naive_us",
                      time_us([&] { (void)p2.scalar_mul(ku); }, iters)});
-  // g2_mul_gls_us keeps measuring the 2-dim split it always measured;
-  // mul() itself routes through the 4-dim path since PR 5.
-  metrics.push_back({"g2_mul_gls_us",
-                     time_us([&] { (void)ibbe::ec::g2_mul_endo(p2, ku); },
-                             iters)});
   metrics.push_back({"g2_mul_4dim_us", time_us([&] { (void)p2.mul(k); }, iters)});
   metrics.push_back({"gt_pow_naive_us", time_us(
       [&] { (void)gt_elem.value().pow_cyclotomic(gt_k.to_u256()); }, iters)});

@@ -24,7 +24,6 @@ namespace {
 // The per-scalar decomposition works on 8-limb products from mul_wide via
 // the shared bigint/int512.h toolkit so it never allocates; BigUInt appears
 // on the derivation (init) path only.
-using bigint::Limbs8;
 using bigint::round_shift_512;
 using bigint::S512;
 using bigint::signed_add;
@@ -194,58 +193,8 @@ struct GlvCtx {
   }
 };
 
-// ----------------------------------------------------------------- G2 GLS
-
 /// u = 4965661367192848881, the BN254 curve parameter.
 constexpr std::uint64_t kBnU = 0x44e992b44a6909f1ULL;
-
-struct GlsCtx {
-  U256 mu;    // psi = [mu] on G2; mu = 6u^2 = p mod r, ~127 bits
-  U256 recip; // floor(2^381 / mu) for the Barrett division below
-
-  GlsCtx() {
-    const BigUInt u = BigUInt::from_u256(U256::from_u64(kBnU));
-    const BigUInt mu_big = BigUInt(6) * u * u;
-    mu = mu_big.to_u256();
-    recip = ((BigUInt(1) << 381) / mu_big).to_u256();
-
-    const G2 g = G2::generator();
-    if (g.scalar_mul(mu) != apply_psi(g)) {
-      throw std::logic_error("gls: psi does not act as [6u^2] on G2");
-    }
-  }
-
-  /// k = k1 mu + k0 by Barrett division (floor quotient, then <= 2 fixups).
-  [[nodiscard]] EndoDecomp decompose(const U256& k) const {
-    U256 q;
-    {
-      Limbs8 prod = bigint::mul_wide(k, recip);
-      // floor shift by 381 = 5*64 + 61 (no rounding bit: under-estimate).
-      for (unsigned i = 0; i < 4; ++i) {
-        std::uint64_t lo = 5 + i < 8 ? prod[5 + i] : 0;
-        std::uint64_t hi = 6 + i < 8 ? prod[6 + i] : 0;
-        q.limb[i] = (lo >> 61) | (hi << 3);
-      }
-    }
-    Limbs8 qm = bigint::mul_wide(q, mu);
-    U256 low{{qm[0], qm[1], qm[2], qm[3]}};
-    U256 rem;
-    bigint::sub_with_borrow(k, low, rem);
-    while (bigint::cmp(rem, mu) >= 0) {
-      bigint::sub_with_borrow(rem, mu, rem);
-      bigint::add_with_carry(q, U256::one(), q);
-    }
-    EndoDecomp d;
-    d.k0 = rem;
-    d.k1 = q;
-    return d;
-  }
-
-  static const GlsCtx& get() {
-    static const GlsCtx ctx;
-    return ctx;
-  }
-};
 
 // ----------------------------------------------------------- G2 4-dim GLS
 
@@ -333,27 +282,26 @@ U256 reduce_mod_r(const U256& k) {
 }
 
 /// Simultaneous double-and-add over the two half-length sub-scalars with
-/// width-4 wNAF. The second odd-multiple table is the endomorphism image of
-/// the first (one cheap map per entry instead of point additions).
-template <typename Point, typename ApplyEndo>
-Point dual_wnaf_mul(const Point& p, const EndoDecomp& d, ApplyEndo&& endo) {
+/// width-4 wNAF. The second odd-multiple table is the phi image of the first
+/// (one cheap map per entry instead of point additions).
+G1 dual_wnaf_mul(const G1& p, const EndoDecomp& d) {
   constexpr unsigned kWindow = 4;
   auto d0 = wnaf_digits(d.k0, kWindow);
   auto d1 = wnaf_digits(d.k1, kWindow);
-  if (d0.empty() && d1.empty()) return Point::infinity();
+  if (d0.empty() && d1.empty()) return G1::infinity();
 
-  std::array<Point, 4> t0;  // (2i+1) * (+-P)
+  std::array<G1, 4> t0;  // (2i+1) * (+-P)
   t0[0] = d.neg0 ? p.neg() : p;
-  Point twice = t0[0].dbl();
+  G1 twice = t0[0].dbl();
   for (std::size_t i = 1; i < t0.size(); ++i) t0[i] = t0[i - 1] + twice;
-  std::array<Point, 4> t1;  // (2i+1) * (+-endo(P))
+  std::array<G1, 4> t1;  // (2i+1) * (+-phi(P))
   const bool flip = d.neg0 != d.neg1;
   for (std::size_t i = 0; i < t1.size(); ++i) {
-    t1[i] = endo(t0[i]);
+    t1[i] = apply_phi(t0[i]);
     if (flip) t1[i] = t1[i].neg();
   }
 
-  Point acc = Point::infinity();
+  G1 acc = G1::infinity();
   for (std::size_t i = std::max(d0.size(), d1.size()); i-- > 0;) {
     acc = acc.dbl();
     if (i < d0.size() && d0[i] != 0) {
@@ -393,29 +341,20 @@ AffinePt<Fp2> apply_psi(const AffinePt<Fp2>& p) {
 }
 
 const U256& glv_lambda() { return GlvCtx::get().lambda; }
-const U256& gls_mu() { return GlsCtx::get().mu; }
+const U256& gls_mu() {
+  static const U256 mu = (BigUInt(6) * BigUInt(kBnU) * BigUInt(kBnU)).to_u256();
+  return mu;
+}
 
 EndoDecomp decompose_glv(const U256& k) {
   return GlvCtx::get().decompose(reduce_mod_r(k));
-}
-
-EndoDecomp decompose_gls(const U256& k) {
-  return GlsCtx::get().decompose(reduce_mod_r(k));
 }
 
 G1 g1_mul_endo(const G1& p, const U256& k) {
   if (p.is_infinity()) return p;
   U256 kr = reduce_mod_r(k);
   if (kr.is_zero()) return G1::infinity();
-  return dual_wnaf_mul(p, GlvCtx::get().decompose(kr), apply_phi);
-}
-
-G2 g2_mul_endo(const G2& q, const U256& k) {
-  if (q.is_infinity()) return q;
-  U256 kr = reduce_mod_r(k);
-  if (kr.is_zero()) return G2::infinity();
-  return dual_wnaf_mul(q, GlsCtx::get().decompose(kr),
-                       [](const G2& p) { return apply_psi(p); });
+  return dual_wnaf_mul(p, GlvCtx::get().decompose(kr));
 }
 
 const bigint::Lattice4& bn_psi_lattice() {

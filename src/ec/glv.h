@@ -7,20 +7,16 @@
 // |k0|, |k1| ~ sqrt(r) via lattice reduction, so one ~254-bit ladder becomes
 // a simultaneous ~128-bit double-and-add over {P, phi(P)}.
 //
-// G2 (GLS): the untwist-Frobenius-twist map
+// G2 (4-dim GLS): the untwist-Frobenius-twist map
 //   psi(x, y) = (conj(x) g2, conj(y) g3),   g_k = xi^(k(p-1)/6),
-// acts on G2 as multiplication by p = t - 1 = 6u^2 (mod r). Since
-// 6u^2 ~ sqrt(r), plain integer division k = k1*(6u^2) + k0 already yields
-// two half-length non-negative sub-scalars — no lattice needed.
-//
-// G2 (4-dim GLS): psi's eigenvalue mu = 6u^2 has the degree-4 minimal
-// polynomial X^4 - X^2 + 1 on the order-r subgroup (the cyclotomic quartic
-// that also governs the Gt Frobenius), so k splits further into FOUR ~65-bit
-// sub-scalars over {Q, psi(Q), psi^2(Q), psi^3(Q)} via Babai round-off
-// against an LLL-reduced u-linear lattice basis (bigint/lattice4.h — the
-// exact machinery, and in fact the exact lattice, of the Gt engine in
-// pairing/gt_exp.cpp). The joint 4-term wNAF ladder halves the shared
-// doubling count again, ~128 -> ~64.
+// acts on G2 as multiplication by mu = p = t - 1 = 6u^2 (mod r). mu has the
+// degree-4 minimal polynomial X^4 - X^2 + 1 on the order-r subgroup (the
+// cyclotomic quartic that also governs the Gt Frobenius), so k splits into
+// FOUR ~65-bit sub-scalars over {Q, psi(Q), psi^2(Q), psi^3(Q)} via Babai
+// round-off against an LLL-reduced u-linear lattice basis (bigint/lattice4.h
+// — the exact machinery, and in fact the exact lattice, of the Gt engine in
+// pairing/gt_exp.cpp). The joint 4-term wNAF ladder needs ~64 shared
+// doublings where a plain ladder needs ~254.
 //
 // All constants (beta, lambda, the GLV lattice basis, 6u^2, the psi lattice)
 // are derived and cross-checked at first use against scalar_mul, so a
@@ -48,7 +44,7 @@ const bigint::U256& glv_lambda();
 const bigint::U256& gls_mu();
 
 /// Two-dimensional scalar decomposition: k = (-1)^neg0 k0 + (-1)^neg1 k1 * eig
-/// (mod r), with k0, k1 < ~2^131. GLS decompositions are always non-negative.
+/// (mod r), with k0, k1 < ~2^131.
 struct EndoDecomp {
   bigint::U256 k0;
   bigint::U256 k1;
@@ -58,16 +54,10 @@ struct EndoDecomp {
 
 /// GLV split of k (any U256; reduced mod r internally).
 EndoDecomp decompose_glv(const bigint::U256& k);
-/// GLS split of k (any U256; reduced mod r internally).
-EndoDecomp decompose_gls(const bigint::U256& k);
 
 /// k*P via GLV (valid for any P in G1; k reduced mod r, which agrees with
 /// plain scalar_mul because G1 has order r).
 G1 g1_mul_endo(const G1& p, const bigint::U256& k);
-/// k*Q via GLS. Q must lie in the order-r subgroup (true for every G2 value
-/// produced by this library; untrusted twist points outside the subgroup
-/// must use scalar_mul).
-G2 g2_mul_endo(const G2& q, const bigint::U256& k);
 
 // ------------------------------------------------------------- 4-dim GLS
 
@@ -85,7 +75,9 @@ bigint::Decomp4 decompose_gls4(const bigint::U256& k);
 
 /// k*Q via the 4-dim psi decomposition: one joint width-4 wNAF ladder of
 /// ~64 shared doublings over batch-normalized affine tables for
-/// {Q, psi(Q), psi^2(Q), psi^3(Q)}. Same subgroup caveat as g2_mul_endo.
+/// {Q, psi(Q), psi^2(Q), psi^3(Q)}. Q must lie in the order-r subgroup
+/// (true for every G2 value produced by this library; untrusted twist points
+/// outside the subgroup must use scalar_mul).
 G2 g2_mul_endo4(const G2& q, const bigint::U256& k);
 
 }  // namespace ibbe::ec

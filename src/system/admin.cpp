@@ -1,7 +1,6 @@
 #include "system/admin.h"
 
 #include <algorithm>
-#include <charconv>
 #include <stdexcept>
 
 namespace ibbe::system {
@@ -13,25 +12,12 @@ namespace {
 constexpr int max_cas_retries = 8;
 constexpr int max_log_publish_attempts = 64;
 
-/// Parses the decimal id out of a group-relative filename of the form
-/// "s<digits>" / "c<digits>" / "o<digits>" / "d<digits>" or
-/// "gk<digits>.sealed". nullopt for anything else — note that "oplog" and
-/// "index" fail the digit parse, which is why every sweep below matches
-/// files through this helper and never by raw prefix.
-std::optional<std::uint64_t> parse_numbered(const std::string& name,
-                                            const std::string& prefix,
-                                            const std::string& suffix) {
-  if (name.size() <= prefix.size() + suffix.size()) return std::nullopt;
-  if (name.compare(0, prefix.size(), prefix) != 0) return std::nullopt;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return std::nullopt;
-  }
-  const char* first = name.data() + prefix.size();
-  const char* last = name.data() + name.size() - suffix.size();
-  std::uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc() || ptr != last) return std::nullopt;
-  return value;
+/// The member list of a partition the admin's index must hold.
+const std::vector<Identity>& members_of(const CachedIndex& index,
+                                        PartitionId pid) {
+  const auto* members = index.members_of(pid);
+  if (!members) throw std::logic_error("AdminApi: unknown partition id");
+  return *members;
 }
 
 std::vector<ec::P256Point> trusted_keys(
@@ -118,14 +104,6 @@ std::uint64_t AdminApi::fresh_object_id(GroupState& state) const {
          state.object_counter++;
 }
 
-std::size_t AdminApi::partition_index(const GroupState& state,
-                                      PartitionId pid) const {
-  for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-    if (state.partitions[p].id == pid) return p;
-  }
-  throw std::logic_error("AdminApi: unknown partition id");
-}
-
 std::size_t AdminApi::shard_index_of(const GroupState& state,
                                      PartitionId pid) const {
   for (std::size_t s = 0; s < state.shards.size(); ++s) {
@@ -174,8 +152,7 @@ void AdminApi::rewrite_shard(const GroupId& gid, GroupState& state,
   rec.sid = fresh_object_id(state);
   rec.partitions.reserve(sh.pids.size());
   for (PartitionId pid : sh.pids) {
-    const auto& p = state.partitions[partition_index(state, pid)];
-    rec.partitions.emplace_back(pid, p.members);
+    rec.partitions.emplace_back(pid, members_of(state.index, pid));
   }
   auto bytes = sign_record(signing_key_, rec);
   put_object(shard_path(gid, rec.sid), bytes);
@@ -186,9 +163,9 @@ void AdminApi::rewrite_shard(const GroupId& gid, GroupState& state,
 void AdminApi::write_bundle(const GroupId& gid, GroupState& state) {
   CipherBundle bundle;
   bundle.gk_epoch = state.gk_epoch;
-  bundle.entries.reserve(state.partitions.size());
-  for (const auto& p : state.partitions) {
-    bundle.entries.emplace_back(p.id, p.cipher);
+  bundle.entries.reserve(state.ciphers.size());
+  for (const auto& [pid, members] : state.index.partitions()) {
+    bundle.entries.emplace_back(pid, state.ciphers.at(pid));
   }
   auto id = fresh_object_id(state);
   put_object(cipher_bundle_path(gid, id), sign_record(signing_key_, bundle));
@@ -200,8 +177,7 @@ void AdminApi::write_bundle(const GroupId& gid, GroupState& state) {
 
 void AdminApi::write_overlay(const GroupId& gid, GroupState& state,
                              PartitionId pid) {
-  CipherOverlay overlay{pid, state.gk_epoch,
-                        state.partitions[partition_index(state, pid)].cipher};
+  CipherOverlay overlay{pid, state.gk_epoch, state.ciphers.at(pid)};
   auto id = fresh_object_id(state);
   put_object(cipher_overlay_path(gid, id), sign_record(signing_key_, overlay));
   state.overlays[pid] = id;
@@ -384,17 +360,9 @@ void AdminApi::gc_group(const GroupId& gid, const GroupState& state) {
     }
   }
 
-  const std::string dir = group_dir(gid) + "/";
   for (const auto& path : list_group(gid)) {
-    const std::string name = path.substr(dir.size());
-    // parse_numbered (not a raw prefix compare) keeps "oplog" and "index"
-    // out of the sweep: their non-digit tails fail the parse.
-    bool sweepable = parse_numbered(name, "s", "").has_value() ||
-                     parse_numbered(name, "c", "").has_value() ||
-                     parse_numbered(name, "o", "").has_value() ||
-                     parse_numbered(name, "d", "").has_value() ||
-                     parse_numbered(name, "gk", ".sealed").has_value();
-    if (!sweepable) continue;
+    // Only numbered objects are swept; the manifest and op-log never are.
+    if (!parse_object_path(gid, path)) continue;
     if (std::find(live.begin(), live.end(), path) == live.end()) {
       erase_object(path);
     }
@@ -407,7 +375,9 @@ void AdminApi::bump_counters_past(GroupState& state) const {
     auto low = static_cast<std::uint32_t>(id);
     if (low >= counter) counter = low + 1;
   };
-  for (const auto& p : state.partitions) bump(p.id, state.partition_counter);
+  for (const auto& [pid, members] : state.index.partitions()) {
+    bump(pid, state.partition_counter);
+  }
   for (const auto& sh : state.shards) bump(sh.sid, state.object_counter);
   bump(state.cipher_set, state.object_counter);
   for (const auto& [pid, oid] : state.overlays) bump(oid, state.object_counter);
@@ -451,7 +421,7 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
     Shard sh{ref.sid, {}, ref.hash};
     for (auto& [pid, members] : rec.partitions) {
       sh.pids.push_back(pid);
-      state.partitions.push_back({pid, std::move(members), {}});
+      state.index.add_partition(pid, std::move(members));
     }
     state.shards.push_back(std::move(sh));
   }
@@ -460,25 +430,19 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
       [&] { return cloud_.get(cipher_bundle_path(gid, manifest.cipher_set)); });
   CipherBundle bundle =
       adopt(reader_.bundle(raw_bundle, manifest), "cipher bundle");
-  std::map<PartitionId, enclave::PartitionCiphertext> overlay_ciphers;
   for (const auto& [pid, oid] : manifest.overlays) {
     auto raw =
         with_retries([&] { return cloud_.get(cipher_overlay_path(gid, oid)); });
-    overlay_ciphers[pid] =
+    state.ciphers[pid] =
         adopt(reader_.overlay(raw, manifest, pid), "overlay").cipher;
   }
-  for (auto& p : state.partitions) {
-    if (auto it = overlay_ciphers.find(p.id); it != overlay_ciphers.end()) {
-      p.cipher = std::move(it->second);
-    } else if (const auto* c = bundle.find(p.id)) {
-      p.cipher = *c;
-    } else {
+  for (const auto& [pid, members] : state.index.partitions()) {
+    if (state.ciphers.count(pid)) continue;  // an overlay supersedes
+    const auto* cipher = bundle.find(pid);
+    if (!cipher) {
       throw cloud::TransientError("sync_from_cloud: partition cipher missing");
     }
-  }
-  state.member_of.reserve(state.partitions.size());
-  for (const auto& p : state.partitions) {
-    for (const auto& m : p.members) state.member_of.emplace(m, p.id);
+    state.ciphers.emplace(pid, *cipher);
   }
 
   auto sealed = with_retries(
@@ -508,7 +472,7 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
         config_.shard_partitions
             ? config_.shard_partitions
             : PartitionAdvisor::recommend_shard_partitions(
-                  std::max<std::size_t>(state.partitions.size(), 1),
+                  std::max<std::size_t>(state.index.partitions().size(), 1),
                   state.target_partition_size);
   }
   bump_counters_past(state);
@@ -546,21 +510,16 @@ bool AdminApi::recover(const GroupId& gid) {
   // id could otherwise collide with a stale orphan file. Deltas are absent
   // from this scan on purpose — their names carry the GLOBAL freshness
   // counter, not an admin-spaced id, so there is no local counter to bump.
-  const std::string dir = group_dir(gid) + "/";
   for (const auto& path : list_group(gid)) {
-    const std::string name = path.substr(dir.size());
-    bool is_epoch = false;
-    std::optional<std::uint64_t> id = parse_numbered(name, "s", "");
-    if (!id) id = parse_numbered(name, "c", "");
-    if (!id) id = parse_numbered(name, "o", "");
-    if (!id) {
-      id = parse_numbered(name, "gk", ".sealed");
-      is_epoch = id.has_value();
+    auto name = parse_object_path(gid, path);
+    if (!name || name->kind == ObjectName::Kind::delta) continue;
+    if (static_cast<std::uint32_t>(name->id >> 32) != config_.admin_nonce) {
+      continue;
     }
-    if (!id) continue;
-    if (static_cast<std::uint32_t>(*id >> 32) != config_.admin_nonce) continue;
-    auto low = static_cast<std::uint32_t>(*id);
-    auto& counter = is_epoch ? state.epoch_counter : state.object_counter;
+    auto low = static_cast<std::uint32_t>(name->id);
+    auto& counter = name->kind == ObjectName::Kind::sealed_gk
+                        ? state.epoch_counter
+                        : state.object_counter;
     if (low >= counter) counter = low + 1;
   }
 
@@ -710,13 +669,10 @@ AdminApi::GroupState AdminApi::stage_generation(
           : PartitionAdvisor::recommend_shard_partitions(partitions.size(),
                                                          partition_size);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    Partition rec;
-    rec.id = fresh_partition_id(state);
-    rec.members = std::move(partitions[p]);
-    rec.cipher = std::move(creation.partitions[p]);
-    for (const auto& m : rec.members) state.member_of.emplace(m, rec.id);
-    assign_to_shard(state, rec.id);
-    state.partitions.push_back(std::move(rec));
+    const PartitionId pid = fresh_partition_id(state);
+    state.ciphers.emplace(pid, std::move(creation.partitions[p]));
+    assign_to_shard(state, pid);
+    state.index.add_partition(pid, std::move(partitions[p]));
   }
   for (std::size_t s = 0; s < state.shards.size(); ++s) {
     rewrite_shard(gid, state, s);
@@ -724,7 +680,7 @@ AdminApi::GroupState AdminApi::stage_generation(
   write_bundle(gid, state);
   put_object(sealed_gk_path(gid, state.gk_epoch),
              state.sealed_gk.to_bytes());
-  stats_.partitions_created += state.partitions.size();
+  stats_.partitions_created += partitions.size();
   return state;
 }
 
@@ -734,50 +690,39 @@ void AdminApi::add_user(const GroupId& gid, const Identity& id) {
       gid, LogOp::add_user, id,
       [&](GroupState& state, std::optional<LogHead>&) {
         created_partition = false;
-        if (state.member_of.count(id)) return OpOutcome::noop;
+        if (state.index.find_user(id)) return OpOutcome::noop;
 
         // Algorithm 2, line 1: partitions with spare capacity.
-        std::vector<std::size_t> open;
-        for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-          if (state.partitions[p].members.size() < state.target_partition_size) {
-            open.push_back(p);
-          }
+        std::vector<PartitionId> open;
+        for (const auto& [pid, members] : state.index.partitions()) {
+          if (members.size() < state.target_partition_size) open.push_back(pid);
         }
 
         PartitionId pid;
         std::size_t shard;
         if (open.empty()) {
           // Lines 3-7: new partition wrapping the existing gk.
-          Partition rec;
-          rec.id = fresh_partition_id(state);
-          rec.members = {id};
-          rec.cipher =
-              enclave_.ecall_create_partition(rec.members, state.sealed_gk);
-          pid = rec.id;
+          pid = fresh_partition_id(state);
+          state.ciphers[pid] = enclave_.ecall_create_partition(
+              std::span(&id, 1), state.sealed_gk);
           shard = assign_to_shard(state, pid);
-          state.partitions.push_back(std::move(rec));
           created_partition = true;
         } else {
           // Lines 9-12: random open partition; O(1) ciphertext extension; the
           // wrapped key y_p is untouched. The partition keeps its stable id —
           // immutability lives in the shard/overlay objects rewritten below.
-          auto& rec = state.partitions[open[rng_.uniform(open.size())]];
-          rec.cipher.ct = enclave_.ecall_add_user_to_partition(rec.cipher.ct, id);
-          rec.members.push_back(id);
-          pid = rec.id;
+          pid = open[rng_.uniform(open.size())];
+          auto& cipher = state.ciphers.at(pid);
+          cipher.ct = enclave_.ecall_add_user_to_partition(cipher.ct, id);
           shard = shard_index_of(state, pid);
         }
-        state.member_of.emplace(id, pid);
+        stage_op(state,
+                 {.kind = DeltaOp::Kind::add_member, .user = id, .pid = pid});
 
         // O(1) objects regardless of group size: one overlay, one shard, the
         // delta + op-log entry + manifest that push_index publishes.
         write_overlay(gid, state, pid);
         rewrite_shard(gid, state, shard);
-        DeltaOp op;
-        op.kind = DeltaOp::Kind::add_member;
-        op.user = id;
-        op.pid = pid;
-        state.pending_delta.push_back(std::move(op));
         return OpOutcome::published;
       });
 
@@ -809,27 +754,30 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
       [&](GroupState& state, std::optional<LogHead>& staged) {
         removed_count = 0;
         // Algorithm 3, line 1: group the batch by hosting partition (O(1)
-        // lookups); silently skip non-members.
-        std::map<std::size_t, std::vector<Identity>> by_partition;
+        // lookups); silently skip non-members and repeated ids.
+        std::map<PartitionId, std::vector<Identity>> by_partition;
         for (const auto& id : ids) {
-          auto mit = state.member_of.find(id);
-          if (mit == state.member_of.end()) continue;
-          by_partition[partition_index(state, mit->second)].push_back(id);
+          auto pid = state.index.find_user(id);
+          if (!pid) continue;
+          auto& leavers = by_partition[*pid];
+          if (std::find(leavers.begin(), leavers.end(), id) == leavers.end()) {
+            leavers.push_back(id);
+          }
         }
         if (by_partition.empty()) return OpOutcome::noop;
 
         std::vector<enclave::IbbeEnclave::BatchRemovalSpec> hosts;
-        std::vector<std::size_t> host_indices;
+        std::vector<PartitionId> host_pids;
         std::vector<core::BroadcastCiphertext> others;
-        std::vector<std::size_t> other_indices;
-        for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-          auto it = by_partition.find(p);
+        std::vector<PartitionId> other_pids;
+        for (const auto& [pid, members] : state.index.partitions()) {
+          auto it = by_partition.find(pid);
           if (it != by_partition.end()) {
-            hosts.push_back({state.partitions[p].cipher.ct, it->second});
-            host_indices.push_back(p);
+            hosts.push_back({state.ciphers.at(pid).ct, it->second});
+            host_pids.push_back(pid);
           } else {
-            others.push_back(state.partitions[p].cipher.ct);
-            other_indices.push_back(p);
+            others.push_back(state.ciphers.at(pid).ct);
+            other_pids.push_back(pid);
           }
         }
 
@@ -839,65 +787,51 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
         state.sealed_gk = result.sealed_gk;
         state.gk_epoch = fresh_gk_epoch(state);
 
-        // Track which shards lose members; sids are stable until the final
-        // rewrite, so they key the dirty set safely across erasures below.
+        // Enclave output order: hosts first, then the others. Track which
+        // shards lose members; sids are stable until the final rewrite, so
+        // they key the dirty set safely across the erasures below (an
+        // erased shard's sid just matches nothing).
         std::vector<std::uint64_t> dirty_sids;
-        auto mark_dirty = [&](PartitionId pid) {
-          auto sid = state.shards[shard_index_of(state, pid)].sid;
-          if (std::find(dirty_sids.begin(), dirty_sids.end(), sid) ==
-              dirty_sids.end()) {
-            dirty_sids.push_back(sid);
+        for (std::size_t h = 0; h < host_pids.size(); ++h) {
+          const PartitionId pid = host_pids[h];
+          state.ciphers[pid] = std::move(result.partitions[h]);
+          const std::size_t s = shard_index_of(state, pid);
+          if (std::find(dirty_sids.begin(), dirty_sids.end(),
+                        state.shards[s].sid) == dirty_sids.end()) {
+            dirty_sids.push_back(state.shards[s].sid);
           }
-        };
-
-        // Enclave output order: hosts first, then the others.
-        for (std::size_t h = 0; h < host_indices.size(); ++h) {
-          auto& rec = state.partitions[host_indices[h]];
-          rec.cipher = std::move(result.partitions[h]);
-          mark_dirty(rec.id);
-          for (const auto& id : by_partition[host_indices[h]]) {
-            rec.members.erase(
-                std::find(rec.members.begin(), rec.members.end(), id));
-            state.member_of.erase(id);
-            DeltaOp op;
-            op.kind = DeltaOp::Kind::remove_member;
-            op.user = id;
-            op.pid = rec.id;
-            state.pending_delta.push_back(std::move(op));
+          for (const auto& id : by_partition[pid]) {
+            stage_op(state, {.kind = DeltaOp::Kind::remove_member,
+                             .user = id,
+                             .pid = pid});
           }
-          removed_count += by_partition[host_indices[h]].size();
-        }
-        for (std::size_t o = 0; o < other_indices.size(); ++o) {
-          state.partitions[other_indices[o]].cipher =
-              std::move(result.partitions[hosts.size() + o]);
-        }
-
-        // An emptied partition just leaves the index, largest offset first;
-        // its shard entry goes with it (and an emptied shard drops out of the
-        // manifest — the old file is swept by the post-commit GC).
-        for (std::size_t p = state.partitions.size(); p-- > 0;) {
-          if (!state.partitions[p].members.empty()) continue;
-          const PartitionId pid = state.partitions[p].id;
-          std::size_t s = shard_index_of(state, pid);
+          removed_count += by_partition[pid].size();
+          if (state.index.members_of(pid)) continue;
+          // The index dropped the emptied partition; its cipher and shard
+          // entry go with it (and an emptied shard drops out of the
+          // manifest — the old file is swept by the post-commit GC).
+          state.ciphers.erase(pid);
           auto& pids = state.shards[s].pids;
           pids.erase(std::find(pids.begin(), pids.end(), pid));
           if (pids.empty()) {
-            auto sid = state.shards[s].sid;
-            dirty_sids.erase(
-                std::remove(dirty_sids.begin(), dirty_sids.end(), sid),
-                dirty_sids.end());
             state.shards.erase(state.shards.begin() +
                                static_cast<std::ptrdiff_t>(s));
           }
-          state.partitions.erase(state.partitions.begin() +
-                                 static_cast<std::ptrdiff_t>(p));
+        }
+        for (std::size_t o = 0; o < other_pids.size(); ++o) {
+          state.ciphers[other_pids[o]] =
+              std::move(result.partitions[hosts.size() + o]);
         }
 
         subject = log_as_batch ? "batch=" + std::to_string(removed_count)
                                : ids.front();
         // The global §V-A heuristic first (a full rebuild subsumes any
         // shard-local one), then the same rule scoped to each dirty shard.
-        if (!state.partitions.empty() && should_repartition(state)) {
+        std::vector<PartitionId> all;
+        for (const auto& [pid, members] : state.index.partitions()) {
+          all.push_back(pid);
+        }
+        if (mostly_sparse(state, all)) {
           // The rebuild's repartition entry must follow ours on the cloud,
           // and the manifest pins the newer one. A re-run after a lost CAS
           // keeps our entry and logs its own generation's rebuild again.
@@ -914,7 +848,7 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
                         state.shards[s].sid) == dirty_sids.end()) {
             continue;
           }
-          if (shard_should_repartition(state, state.shards[s])) {
+          if (mostly_sparse(state, state.shards[s].pids)) {
             repartition_shard(state, s);
           }
           rewrite_shard(gid, state, s);
@@ -932,32 +866,26 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
   for (std::size_t i = 0; i < removed_count; ++i) advisor_.record_remove();
 }
 
-bool AdminApi::should_repartition(const GroupState& state) const {
-  // §V-A heuristic: "if less than half of the partitions are only two thirds
-  // full, then re-partitioning is triggered."
-  if (state.partitions.size() < 2) return false;
-  std::size_t threshold = (state.target_partition_size * 2 + 2) / 3;  // ceil(2m/3)
-  std::size_t sparse = 0;
-  for (const auto& rec : state.partitions) {
-    if (rec.members.size() < threshold) ++sparse;
+void AdminApi::stage_op(GroupState& state, DeltaOp op) {
+  if (!state.index.apply_op(op)) {
+    throw std::logic_error("AdminApi: delta op inconsistent with the index");
   }
-  return sparse * 2 > state.partitions.size();
+  state.pending_delta.push_back(std::move(op));
 }
 
-bool AdminApi::shard_should_repartition(const GroupState& state,
-                                        const Shard& shard) const {
-  // The §V-A occupancy rule scoped to one shard: compacting only the shard
-  // that churned keeps the repair O(shard), and clients fold it as a delta
-  // instead of hitting the full-rebuild snapshot barrier.
-  if (shard.pids.size() < 2) return false;
-  std::size_t threshold = (state.target_partition_size * 2 + 2) / 3;
+bool AdminApi::mostly_sparse(const GroupState& state,
+                             std::span<const PartitionId> pids) const {
+  // §V-A heuristic: "if less than half of the partitions are only two thirds
+  // full, then re-partitioning is triggered." Scoped to one shard, it
+  // compacts only the shard that churned: the repair stays O(shard), and
+  // clients fold it as a delta instead of hitting a snapshot barrier.
+  if (pids.size() < 2) return false;
+  std::size_t threshold = (state.target_partition_size * 2 + 2) / 3;  // ceil(2m/3)
   std::size_t sparse = 0;
-  for (PartitionId pid : shard.pids) {
-    if (state.partitions[partition_index(state, pid)].members.size() < threshold) {
-      ++sparse;
-    }
+  for (PartitionId pid : pids) {
+    if (members_of(state.index, pid).size() < threshold) ++sparse;
   }
-  return sparse * 2 > shard.pids.size();
+  return sparse * 2 > pids.size();
 }
 
 void AdminApi::repartition_shard(GroupState& state, std::size_t shard) {
@@ -968,38 +896,35 @@ void AdminApi::repartition_shard(GroupState& state, std::size_t shard) {
 
   std::vector<Identity> pool;
   for (PartitionId pid : sh.pids) {
-    auto idx = partition_index(state, pid);
-    auto& members = state.partitions[idx].members;
+    const auto& members = members_of(state.index, pid);
     pool.insert(pool.end(), members.begin(), members.end());
-    state.partitions.erase(state.partitions.begin() +
-                           static_cast<std::ptrdiff_t>(idx));
+    state.ciphers.erase(pid);
   }
   sh.pids.clear();
 
   const std::size_t m = std::max<std::size_t>(state.target_partition_size, 1);
   for (std::size_t i = 0; i < pool.size(); i += m) {
     auto last = std::min(pool.size(), i + m);
-    Partition rec;
-    rec.id = fresh_partition_id(state);
-    rec.members.assign(pool.begin() + static_cast<std::ptrdiff_t>(i),
-                       pool.begin() + static_cast<std::ptrdiff_t>(last));
+    const PartitionId pid = fresh_partition_id(state);
+    std::vector<Identity> members(
+        pool.begin() + static_cast<std::ptrdiff_t>(i),
+        pool.begin() + static_cast<std::ptrdiff_t>(last));
     // Wraps the CURRENT (post-rotation) gk — the caller writes the bundle
     // after this, so the new ciphertexts ride the same O(1) object.
-    rec.cipher = enclave_.ecall_create_partition(rec.members, state.sealed_gk);
-    for (const auto& u : rec.members) state.member_of[u] = rec.id;
-    sh.pids.push_back(rec.id);
-    op.created.emplace_back(rec.id, rec.members);
-    state.partitions.push_back(std::move(rec));
+    state.ciphers[pid] =
+        enclave_.ecall_create_partition(members, state.sealed_gk);
+    sh.pids.push_back(pid);
+    op.created.emplace_back(pid, std::move(members));
     stats_.partitions_created++;
   }
   stats_.shard_repartitions++;
-  state.pending_delta.push_back(std::move(op));
+  stage_op(state, std::move(op));
 }
 
 std::size_t AdminApi::rebuild_group(const GroupId& gid, GroupState& state) {
   std::vector<Identity> all;
-  for (const auto& rec : state.partitions) {
-    all.insert(all.end(), rec.members.begin(), rec.members.end());
+  for (const auto& [pid, members] : state.index.partitions()) {
+    all.insert(all.end(), members.begin(), members.end());
   }
   stats_.repartitions++;
 
@@ -1016,15 +941,15 @@ std::size_t AdminApi::rebuild_group(const GroupId& gid, GroupState& state) {
 bool AdminApi::is_member(const GroupId& gid, const Identity& id) const {
   auto it = cache_.find(gid);
   if (it == cache_.end()) return false;
-  return it->second.member_of.count(id) != 0;
+  return it->second.index.find_user(id).has_value();
 }
 
 std::size_t AdminApi::group_size(const GroupId& gid) const {
-  return state_of(gid).member_of.size();
+  return state_of(gid).index.member_count();
 }
 
 std::size_t AdminApi::partition_count(const GroupId& gid) const {
-  return state_of(gid).partitions.size();
+  return state_of(gid).index.partitions().size();
 }
 
 std::size_t AdminApi::shard_count(const GroupId& gid) const {
@@ -1055,19 +980,17 @@ std::size_t AdminApi::metadata_size(const GroupId& gid) const {
     IndexShard rec;
     rec.sid = sh.sid;
     for (PartitionId pid : sh.pids) {
-      rec.partitions.emplace_back(
-          pid, state.partitions[partition_index(state, pid)].members);
+      rec.partitions.emplace_back(pid, members_of(state.index, pid));
     }
     total += rec.to_bytes().size() + SignedEnvelope::stored_overhead;
   }
   CipherBundle bundle;
-  for (const auto& p : state.partitions) {
-    bundle.entries.emplace_back(p.id, p.cipher);
+  for (const auto& [pid, members] : state.index.partitions()) {
+    bundle.entries.emplace_back(pid, state.ciphers.at(pid));
   }
   total += bundle.to_bytes().size() + SignedEnvelope::stored_overhead;
   for (const auto& [pid, oid] : state.overlays) {
-    CipherOverlay overlay{pid, state.gk_epoch,
-                          state.partitions[partition_index(state, pid)].cipher};
+    CipherOverlay overlay{pid, state.gk_epoch, state.ciphers.at(pid)};
     total += overlay.to_bytes().size() + SignedEnvelope::stored_overhead;
   }
   total +=

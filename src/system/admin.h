@@ -8,7 +8,10 @@
 //   * partition assignment (fixed-size partitions, random placement of
 //     joiners, as in Algorithm 2 line 9) and shard assignment (a few whole
 //     partitions per shard, sized by the advisor's churn model);
-//   * the local metadata cache that saves cloud round trips (§IV-C);
+//   * the local metadata cache that saves cloud round trips (§IV-C): a
+//     CachedIndex — the same view clients fold — plus each partition's
+//     ciphertext. After a snapshot fills it, every mutation changes it only
+//     by applying the DeltaOps its commit publishes;
 //   * pushing signed metadata to the cloud store — under the sharded
 //     manifest layout a mutation touches O(1) objects: the host shard, one
 //     cipher object (an overlay for adds, the rotated bundle for removes),
@@ -48,7 +51,6 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 
 #include "cloud/store.h"
 #include "crypto/drbg.h"
@@ -191,14 +193,6 @@ class AdminApi {
  private:
   using LogHead = std::array<std::uint8_t, 32>;
 
-  /// In-memory partition: a STABLE id (kept across mutations — CoW
-  /// immutability lives in shard/bundle/overlay object ids now), the member
-  /// list, and the current ciphertext.
-  struct Partition {
-    PartitionId id = 0;
-    std::vector<core::Identity> members;
-    enclave::PartitionCiphertext cipher;
-  };
   /// One shard of the committed layout: which partitions it holds, the
   /// object id it was last written under, and the stored bytes' hash (what
   /// the manifest pins).
@@ -209,12 +203,14 @@ class AdminApi {
   };
 
   struct GroupState {
-    std::vector<Partition> partitions;
+    /// Partition -> members under STABLE pids, in commit order: the same
+    /// view clients fold (its commit fields stay unset; `freshness` and
+    /// `delta_hash` below track the commit). Filled by add_partition when a
+    /// snapshot is staged or synced; after that only stage_op changes it.
+    CachedIndex index;
+    /// Each partition's current ciphertext.
+    std::map<PartitionId, enclave::PartitionCiphertext> ciphers;
     std::vector<Shard> shards;
-    /// O(1) membership/host lookup, maintained incrementally by every
-    /// mutation and rebuilt on sync (the linear scans were O(total members)
-    /// per op).
-    std::unordered_map<core::Identity, PartitionId> member_of;
     std::uint64_t cipher_set = 0;                   // live bundle object id
     std::map<PartitionId, std::uint64_t> overlays;  // pid -> overlay object id
     sgx::SealedBlob sealed_gk;
@@ -251,8 +247,6 @@ class AdminApi {
   /// shared counter; the path prefix disambiguates the kind).
   std::uint64_t fresh_object_id(GroupState& state) const;
 
-  [[nodiscard]] std::size_t partition_index(const GroupState& state,
-                                            PartitionId pid) const;
   [[nodiscard]] std::size_t shard_index_of(const GroupState& state,
                                            PartitionId pid) const;
   /// Places a (new) partition into the last shard with spare capacity, or a
@@ -319,16 +313,19 @@ class AdminApi {
   /// Advances the local id/epoch/object counters past every id the
   /// committed state carries for this admin's nonce.
   void bump_counters_past(GroupState& state) const;
-  /// The heuristic from §V-A: more than half of the partitions below 2/3
-  /// occupancy triggers a full rebuild (snapshot barrier).
-  bool should_repartition(const GroupState& state) const;
-  /// The same occupancy rule applied to one shard's partitions.
-  bool shard_should_repartition(const GroupState& state,
-                                const Shard& shard) const;
+  /// Applies `op` to the cached index and stages it for the commit's
+  /// delta, so the published delta is exactly the change made. An op the
+  /// index rejects is a bug here: std::logic_error.
+  static void stage_op(GroupState& state, DeltaOp op);
+  /// The occupancy rule of §V-A over `pids`: more than half of them below
+  /// 2/3 of the target size. Over all partitions it triggers a full rebuild
+  /// (snapshot barrier); over one shard's, a shard-local one.
+  bool mostly_sparse(const GroupState& state,
+                     std::span<const PartitionId> pids) const;
   /// Shard-local rebuild: merges the shard's members into fresh partitions
   /// of the target size wrapping the CURRENT gk (no rotation), under fresh
-  /// stable pids; stages a repartition delta op so warm clients fold it.
-  /// Pure state surgery — the caller rewrites the shard and the bundle.
+  /// stable pids, as one staged repartition op that warm clients fold.
+  /// The caller rewrites the shard and the bundle.
   void repartition_shard(GroupState& state, std::size_t shard);
   /// Full re-partition (§V-A): replaces `state` with a staged fresh
   /// generation of all its members (stage_generation), at the advisor's

@@ -1,6 +1,7 @@
 #include "system/metadata.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "crypto/sha256.h"
 
@@ -272,18 +273,19 @@ std::size_t CachedIndex::partition_index(PartitionId pid) const {
   return partitions_.size();
 }
 
+void CachedIndex::build_map() const {
+  if (map_built_) return;
+  user_map_.clear();
+  user_map_.reserve(member_count());
+  for (const auto& [pid, members] : partitions_) {
+    for (const auto& m : members) user_map_.emplace(m, pid);
+  }
+  map_built_ = true;
+}
+
 std::optional<PartitionId> CachedIndex::find_user(
     const core::Identity& id) const {
-  if (!map_built_) {
-    user_map_.clear();
-    std::size_t total = 0;
-    for (const auto& [pid, members] : partitions_) total += members.size();
-    user_map_.reserve(total);
-    for (const auto& [pid, members] : partitions_) {
-      for (const auto& m : members) user_map_.emplace(m, pid);
-    }
-    map_built_ = true;
-  }
+  build_map();
   auto it = user_map_.find(id);
   if (it == user_map_.end()) return std::nullopt;
   return it->second;
@@ -302,58 +304,59 @@ std::size_t CachedIndex::member_count() const {
   return total;
 }
 
+bool CachedIndex::apply_op(const DeltaOp& op) {
+  build_map();  // every op below keeps it current
+  switch (op.kind) {
+    case DeltaOp::Kind::add_member: {
+      if (!user_map_.emplace(op.user, op.pid).second) return false;
+      auto p = partition_index(op.pid);
+      if (p == partitions_.size()) {
+        partitions_.emplace_back(op.pid, std::vector<core::Identity>{op.user});
+      } else {
+        partitions_[p].second.push_back(op.user);
+      }
+      return true;
+    }
+    case DeltaOp::Kind::remove_member: {
+      auto p = partition_index(op.pid);
+      if (p == partitions_.size()) return false;
+      auto& members = partitions_[p].second;
+      auto it = std::find(members.begin(), members.end(), op.user);
+      if (it == members.end()) return false;
+      members.erase(it);
+      if (members.empty()) {
+        partitions_.erase(partitions_.begin() + static_cast<std::ptrdiff_t>(p));
+      }
+      user_map_.erase(op.user);
+      return true;
+    }
+    case DeltaOp::Kind::repartition: {
+      for (PartitionId pid : op.dropped) {
+        auto p = partition_index(pid);
+        if (p == partitions_.size()) return false;
+        for (const auto& m : partitions_[p].second) user_map_.erase(m);
+        partitions_.erase(partitions_.begin() + static_cast<std::ptrdiff_t>(p));
+      }
+      for (const auto& [pid, members] : op.created) {
+        if (partition_index(pid) != partitions_.size()) return false;
+        for (const auto& m : members) {
+          if (!user_map_.emplace(m, pid).second) return false;
+        }
+        partitions_.emplace_back(pid, members);
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
 bool CachedIndex::apply(const IndexDelta& d) {
   // Chain check: exactly the next commit, chained from our log head. A
   // duplicate (seq <= counter) or a gap (seq > counter+1) is rejected
   // without touching the view.
   if (d.seq != counter + 1 || d.prev_log_head != log_head) return false;
   for (const auto& op : d.ops) {
-    switch (op.kind) {
-      case DeltaOp::Kind::add_member: {
-        auto p = partition_index(op.pid);
-        if (p == partitions_.size()) {
-          partitions_.emplace_back(op.pid,
-                                   std::vector<core::Identity>{op.user});
-        } else {
-          partitions_[p].second.push_back(op.user);
-        }
-        if (map_built_) user_map_.emplace(op.user, op.pid);
-        break;
-      }
-      case DeltaOp::Kind::remove_member: {
-        auto p = partition_index(op.pid);
-        if (p == partitions_.size()) return false;  // inconsistent delta
-        auto& members = partitions_[p].second;
-        auto it = std::find(members.begin(), members.end(), op.user);
-        if (it == members.end()) return false;
-        members.erase(it);
-        if (members.empty()) {
-          partitions_.erase(partitions_.begin() +
-                            static_cast<std::ptrdiff_t>(p));
-        }
-        if (map_built_) user_map_.erase(op.user);
-        break;
-      }
-      case DeltaOp::Kind::repartition: {
-        for (PartitionId pid : op.dropped) {
-          auto p = partition_index(pid);
-          if (p == partitions_.size()) return false;
-          if (map_built_) {
-            for (const auto& m : partitions_[p].second) user_map_.erase(m);
-          }
-          partitions_.erase(partitions_.begin() +
-                            static_cast<std::ptrdiff_t>(p));
-        }
-        for (const auto& [pid, members] : op.created) {
-          if (partition_index(pid) != partitions_.size()) return false;
-          if (map_built_) {
-            for (const auto& m : members) user_map_.emplace(m, pid);
-          }
-          partitions_.emplace_back(pid, members);
-        }
-        break;
-      }
-    }
+    if (!apply_op(op)) return false;
   }
   counter = d.seq;
   log_head = d.log_head;
@@ -487,6 +490,38 @@ std::string gossip_dir(const GroupId& gid) { return "gossip/" + gid; }
 
 std::string gossip_path(const GroupId& gid, const std::string& observer) {
   return gossip_dir(gid) + "/" + observer;
+}
+
+std::optional<ObjectName> parse_object_path(const GroupId& gid,
+                                            const std::string& path) {
+  struct Form {
+    std::string_view prefix, suffix;
+    ObjectName::Kind kind;
+  };
+  static constexpr Form forms[] = {
+      {"s", "", ObjectName::Kind::shard},
+      {"c", "", ObjectName::Kind::cipher_bundle},
+      {"o", "", ObjectName::Kind::cipher_overlay},
+      {"d", "", ObjectName::Kind::delta},
+      {"gk", ".sealed", ObjectName::Kind::sealed_gk},
+  };
+  const std::string dir = group_dir(gid) + "/";
+  if (!path.starts_with(dir)) return std::nullopt;
+  const std::string_view name = std::string_view(path).substr(dir.size());
+  for (const auto& form : forms) {
+    if (!name.starts_with(form.prefix) || !name.ends_with(form.suffix) ||
+        name.size() <= form.prefix.size() + form.suffix.size()) {
+      continue;
+    }
+    // The digit parse must consume everything between prefix and suffix,
+    // which keeps "oplog", "index" and "s12x" out.
+    const char* first = name.data() + form.prefix.size();
+    const char* last = name.data() + name.size() - form.suffix.size();
+    std::uint64_t id = 0;
+    auto [ptr, ec] = std::from_chars(first, last, id);
+    if (ec == std::errc() && ptr == last) return ObjectName{form.kind, id};
+  }
+  return std::nullopt;
 }
 
 }  // namespace ibbe::system

@@ -137,11 +137,12 @@ struct CipherOverlay {
   static CipherOverlay from_bytes(std::span<const std::uint8_t> data);
 };
 
-/// One membership diff inside an IndexDelta.
+/// One membership diff inside an IndexDelta; CachedIndex::apply_op says
+/// what each kind does to a view.
 struct DeltaOp {
   enum class Kind : std::uint8_t {
-    add_member = 1,     // add `user` to partition `pid` (created if absent)
-    remove_member = 2,  // remove `user` from `pid` (dropped when emptied)
+    add_member = 1,     // `user` joins `pid`
+    remove_member = 2,  // `user` leaves `pid`
     repartition = 3,    // shard-local rebuild: `dropped` pids replaced by
                         // `created` (pid, members) partitions
   };
@@ -170,12 +171,14 @@ struct IndexDelta {
   static IndexDelta from_bytes(std::span<const std::uint8_t> data);
 };
 
-/// A client's (or test's) locally cached, foldable view of a group's
-/// membership: the partition -> members mapping at a known commit
-/// (counter, log_head). `apply` folds one IndexDelta; `find_user` is the
-/// O(1) membership lookup backed by a lazily built hash map that fold
-/// operations keep incrementally up to date (the seed's linear scan was
-/// O(total members) per fetch — at 10⁶ members that dominated everything).
+/// A group's membership view: the partition -> members mapping at a known
+/// commit (counter, log_head), in commit order. Clients fold IndexDeltas
+/// into it with `apply`; the administrator keeps its own state in one and
+/// changes it only through `apply_op`, so `apply_op` is the one place that
+/// defines what a DeltaOp does. `find_user` is the O(1) membership lookup
+/// backed by a lazily built hash map that ops keep incrementally up to date
+/// (the seed's linear scan was O(total members) per fetch — at 10⁶ members
+/// that dominated everything).
 class CachedIndex {
  public:
   std::uint64_t counter = 0;
@@ -199,14 +202,21 @@ class CachedIndex {
       PartitionId pid) const;
   [[nodiscard]] std::size_t member_count() const;
 
+  /// Applies one op. add_member appends `user` to `pid`, creating the
+  /// partition at the end if absent; remove_member drops a partition it
+  /// empties; repartition removes `dropped` and appends `created` in order.
+  /// Returns false, possibly after a partial change, unless the op is
+  /// structurally consistent with the view: no user in two partitions, no
+  /// removal of an absent user, no unknown dropped or reused created pid.
+  [[nodiscard]] bool apply_op(const DeltaOp& op);
+
   /// Folds one delta. Returns false unless `d` is exactly the next commit
   /// (seq == counter+1 and prev_log_head chains from our log_head) and every
-  /// op is structurally consistent with the current view; a replayed or
-  /// duplicated delta therefore is a no-op by construction (the chain check
-  /// rejects it before anything mutates). A STRUCTURAL rejection may leave a
-  /// partially folded view — callers must discard the view and fall back to
-  /// a snapshot, which is what the client's fold path does. On success the
-  /// lookup map is updated incrementally.
+  /// op applies; a replayed or duplicated delta therefore is a no-op by
+  /// construction (the chain check rejects it before anything mutates). A
+  /// STRUCTURAL rejection may leave a partially folded view — callers must
+  /// discard the view and fall back to a snapshot, which is what the
+  /// client's fold path does.
   [[nodiscard]] bool apply(const IndexDelta& d);
 
  private:
@@ -214,6 +224,7 @@ class CachedIndex {
   mutable std::unordered_map<core::Identity, PartitionId> user_map_;
   mutable bool map_built_ = false;
 
+  void build_map() const;
   [[nodiscard]] std::size_t partition_index(PartitionId pid) const;
 };
 
@@ -320,5 +331,17 @@ std::string sealed_gk_path(const GroupId& gid, std::uint64_t epoch);
 /// the out-of-band client-to-client path of ROTE-style fork detection.
 std::string gossip_dir(const GroupId& gid);
 std::string gossip_path(const GroupId& gid, const std::string& observer);
+
+/// The numbered object kinds under groups/<gid>/ and the id each name
+/// carries (a delta's is its seq, a sealed gk's its epoch).
+struct ObjectName {
+  enum class Kind { shard, cipher_bundle, cipher_overlay, delta, sealed_gk };
+  Kind kind = Kind::shard;
+  std::uint64_t id = 0;
+};
+/// Inverts the numbered path builders above; nullopt for the manifest, the
+/// op-log and any other name.
+std::optional<ObjectName> parse_object_path(const GroupId& gid,
+                                            const std::string& path);
 
 }  // namespace ibbe::system

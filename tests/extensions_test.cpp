@@ -174,6 +174,19 @@ TEST_F(SystemBatchFixture, BatchRemovalDropsEmptiedPartitions) {
   EXPECT_EQ(admin.group_size("g"), 4u);
 }
 
+TEST_F(SystemBatchFixture, RepeatedIdInBatchIsRemovedOnce) {
+  admin.create_group("g", make_users(8));  // two full partitions of 4
+  std::vector<Identity> leavers = {"user1", "user1"};
+  admin.remove_users("g", leavers);
+  EXPECT_EQ(admin.stats().users_removed, 1u);
+  EXPECT_EQ(admin.group_size("g"), 7u);
+  EXPECT_FALSE(client("user1").fetch_group_key("g").has_value());
+  // The rest of user1's partition keeps its members and the key.
+  for (const auto& id : {"user0", "user2", "user3"}) {
+    EXPECT_TRUE(client(id).fetch_group_key("g").has_value()) << id;
+  }
+}
+
 TEST_F(SystemBatchFixture, BatchOfUnknownUsersIsNoOp) {
   admin.create_group("g", make_users(4));
   auto before = client("user0").fetch_group_key("g");

@@ -49,23 +49,6 @@ TEST(Glv, DecompositionRoundTripsAndIsShort) {
   }
 }
 
-TEST(Gls, DecompositionRoundTripsAndIsShort) {
-  const BigUInt n = BigUInt::from_u256(ibbe::ec::bn_group_order());
-  auto scalars = edge_scalars();
-  for (int i = 0; i < 50; ++i) scalars.push_back(random_u256());
-  for (const U256& k : scalars) {
-    auto d = ibbe::ec::decompose_gls(k);
-    EXPECT_FALSE(d.neg0);
-    EXPECT_FALSE(d.neg1);
-    // Exact integer identity: k mod r = k1 * mu + k0 with k0 < mu.
-    EXPECT_EQ(BigUInt::from_u256(d.k1) * BigUInt::from_u256(ibbe::ec::gls_mu())
-                  + BigUInt::from_u256(d.k0),
-              BigUInt::from_u256(k) % n);
-    EXPECT_LT(ibbe::bigint::cmp(d.k0, ibbe::ec::gls_mu()), 0);
-    EXPECT_LE(d.k1.bit_length(), 129u);
-  }
-}
-
 TEST(Glv, LambdaIsPrimitiveCubeRootModR) {
   Fr l = Fr::from_u256(ibbe::ec::glv_lambda());
   EXPECT_FALSE(l.is_one());
@@ -98,18 +81,6 @@ TEST(Glv, MulMatchesScalarMulOnEdgeAndRandomScalars) {
     EXPECT_EQ(ibbe::ec::g1_mul_endo(p, k), p.scalar_mul(k)) << k.to_hex();
   }
   EXPECT_TRUE(ibbe::ec::g1_mul_endo(G1::infinity(), random_u256()).is_infinity());
-}
-
-TEST(Gls, MulMatchesScalarMulOnEdgeAndRandomScalars) {
-  G2 p = G2::generator().scalar_mul(random_u256());
-  for (const U256& k : edge_scalars()) {
-    EXPECT_EQ(ibbe::ec::g2_mul_endo(p, k), p.scalar_mul(k)) << k.to_hex();
-  }
-  for (int i = 0; i < 10; ++i) {
-    U256 k = random_u256();
-    EXPECT_EQ(ibbe::ec::g2_mul_endo(p, k), p.scalar_mul(k)) << k.to_hex();
-  }
-  EXPECT_TRUE(ibbe::ec::g2_mul_endo(G2::infinity(), random_u256()).is_infinity());
 }
 
 TEST(MulRouting, SpecializedMulMatchesGenericOracle) {

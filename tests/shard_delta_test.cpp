@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "cloud/fault.h"
 #include "system/admin.h"
@@ -26,6 +27,8 @@ using ibbe::system::ClientApi;
 using ibbe::system::DeltaOp;
 using ibbe::system::GroupId;
 using ibbe::system::IndexDelta;
+using ibbe::system::MetadataReader;
+using ibbe::system::ObjectName;
 using ibbe::util::Bytes;
 
 std::vector<Identity> make_users(std::size_t n, std::size_t offset = 0) {
@@ -419,6 +422,118 @@ TEST(CachedIndexFold, StructurallyInconsistentDeltaIsRejected) {
   d.ops = {repart};
   EXPECT_FALSE(view.apply(d));
   EXPECT_EQ(view.counter, 1u);
+
+  // Adding a user who is already in the view, even to another partition,
+  // would put one user in two partitions.
+  CachedIndex two;
+  two.counter = 1;
+  two.add_partition(1, {"a"});
+  two.add_partition(2, {"b"});
+  DeltaOp again;
+  again.kind = DeltaOp::Kind::add_member;
+  again.user = "a";
+  again.pid = 2;
+  d.ops = {again};
+  EXPECT_FALSE(two.apply(d));
+  EXPECT_EQ(two.member_count(), 2u);
+  EXPECT_EQ(two.find_user("a"), std::optional<std::uint64_t>(1));
+
+  // A repartition may only regroup the members it drops: `b` stays in
+  // partition 2, so listing it again in a created partition is rejected.
+  DeltaOp regroup;
+  regroup.kind = DeltaOp::Kind::repartition;
+  regroup.dropped = {1};
+  regroup.created = {{3, {"a", "b"}}};
+  d.ops = {regroup};
+  EXPECT_FALSE(two.apply(d));
+  EXPECT_EQ(two.counter, 1u);
+}
+
+TEST(ObjectPaths, ParseInvertsEveryNumberedPathBuilder) {
+  using Kind = ObjectName::Kind;
+  namespace sys = ibbe::system;
+  const std::uint64_t id = (std::uint64_t{7} << 32) | 5;  // a peer's id
+  const std::pair<std::string, Kind> built[] = {
+      {sys::shard_path("g", id), Kind::shard},
+      {sys::cipher_bundle_path("g", id), Kind::cipher_bundle},
+      {sys::cipher_overlay_path("g", id), Kind::cipher_overlay},
+      {sys::delta_path("g", id), Kind::delta},
+      {sys::sealed_gk_path("g", id), Kind::sealed_gk},
+  };
+  for (const auto& [path, kind] : built) {
+    auto name = sys::parse_object_path("g", path);
+    ASSERT_TRUE(name.has_value()) << path;
+    EXPECT_EQ(name->kind, kind) << path;
+    EXPECT_EQ(name->id, id) << path;
+    // Another group's object is not this group's.
+    EXPECT_FALSE(sys::parse_object_path("h", path).has_value()) << path;
+  }
+  const std::string dir = sys::group_dir("g") + "/";
+  for (const char* name : {"index", "oplog", "s", "s12x", "gk5", "d-1"}) {
+    EXPECT_FALSE(sys::parse_object_path("g", dir + name).has_value()) << name;
+  }
+  EXPECT_FALSE(sys::parse_object_path("g", sys::index_path("g")).has_value());
+  EXPECT_FALSE(sys::parse_object_path("g", sys::oplog_path("g")).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// A folded view is the committed snapshot
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardDeltaFixture, FoldedViewEqualsCommittedSnapshotInOrder) {
+  ibbe::cloud::CloudStore cloud;
+  auto admin = admin_on(cloud, {.partition_size = 4, .shard_partitions = 2});
+  MetadataReader reader({admin.verification_point()});
+  auto manifest = [&] {
+    auto read = reader.manifest(cloud.get(ibbe::system::index_path(gid)), gid,
+                                nullptr);
+    EXPECT_TRUE(read.ok());
+    return read.record;
+  };
+  auto snapshot = [&] {
+    auto m = manifest();
+    CachedIndex view;
+    for (const auto& ref : m.shards) {
+      auto read =
+          reader.shard(cloud.get(ibbe::system::shard_path(gid, ref.sid)), ref);
+      EXPECT_TRUE(read.ok());
+      for (auto& [pid, members] : read.record.partitions) {
+        view.add_partition(pid, std::move(members));
+      }
+    }
+    view.counter = m.freshness.counter;
+    view.log_head = m.log_head;
+    return view;
+  };
+
+  // [user0..3] [user4..7] | [user8..11] [user12 user13]
+  admin.create_group(gid, make_users(14));
+  CachedIndex folded = snapshot();
+  const std::vector<std::function<void()>> commits = {
+      [&] { admin.add_user(gid, "x0"); },  // into the one open partition
+      [&] { admin.add_user(gid, "x1"); },
+      [&] { admin.add_user(gid, "x2"); },  // overflows into a new partition
+      [&] { admin.remove_user(gid, "x2"); },  // empties it
+      [&] {  // one member from each of two shards
+        admin.remove_users(gid, std::vector<Identity>{"user0", "user8"});
+      },
+      [&] {  // empties most of the second shard: shard-local repartition
+        admin.remove_users(gid,
+                           std::vector<Identity>{"user9", "user12", "user13"});
+      },
+  };
+  for (std::size_t c = 0; c < commits.size(); ++c) {
+    commits[c]();
+    const auto head = manifest().freshness.counter;
+    ASSERT_EQ(head, folded.counter + 1) << "commit " << c;
+    auto raw = cloud.get(ibbe::system::delta_path(gid, head));
+    ASSERT_TRUE(raw.has_value()) << "commit " << c;
+    ASSERT_TRUE(folded.apply(IndexDelta::from_bytes(*raw))) << "commit " << c;
+    EXPECT_EQ(folded.partitions(), snapshot().partitions()) << "commit " << c;
+    EXPECT_EQ(folded.member_count(), admin.group_size(gid)) << "commit " << c;
+  }
+  EXPECT_EQ(admin.stats().shard_repartitions, 1u);
+  EXPECT_EQ(admin.stats().repartitions, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Differential property tests for the G2 scalar-multiplication strategies.
 //
-// The repo now ships five ways to compute k*Q on G2 — plain double-and-add,
-// wNAF, the 2-dim GLS split, the 4-dim psi split, fixed-base combs (generic
-// and psi-split), and two MSM engines that degenerate to single
-// multiplications — and their agreement is what makes routing changes safe.
+// The repo ships several ways to compute k*Q on G2 — plain double-and-add,
+// wNAF, the 4-dim psi split, fixed-base combs (generic and psi-split), and
+// two MSM engines that degenerate to single multiplications — and their
+// agreement is what makes routing changes safe.
 // Every strategy here is run against the same scalars (edge cases from
 // tests/test_util.h plus randomized ones) and the same points, and results
 // are compared BITWISE on affine coordinates, not just by the projective
@@ -75,7 +75,6 @@ void check_all_strategies(const G2& q) {
   for (const U256& k : scalars) {
     const G2 oracle = q.scalar_mul(k);  // plain double-and-add
     expect_same_affine(q.scalar_mul_wnaf(k), oracle, "wnaf", k);
-    expect_same_affine(ibbe::ec::g2_mul_endo(q, k), oracle, "gls2", k);
     expect_same_affine(ibbe::ec::g2_mul_endo4(q, k), oracle, "gls4", k);
     expect_same_affine(comb.mul(k), oracle, "comb", k);
     expect_same_affine(comb4.mul(k), oracle, "comb4", k);

@@ -2,9 +2,11 @@
 
 #include <set>
 
+#include "crypto/sha256.h"
 #include "system/admin.h"
 #include "system/client.h"
 #include "system/ibbe_scheme.h"
+#include "util/hex.h"
 
 namespace {
 
@@ -268,6 +270,110 @@ TEST(IbbeSgxScheme, ConstantMetadataPerPartition) {
   // with 4-byte framing); the cryptographic payload stays constant.
   std::size_t per_member = 2 * (4 + 5);  // "userN" in record + index
   EXPECT_LT(big.metadata_size(), small.metadata_size() + 8 * per_member + 16);
+}
+
+// ------------------------------------------------------------- golden pin
+
+/// A plain store that hashes every call's verb and path (the store-call
+/// order) and every write's path and bytes (the stored objects). Sealed gk
+/// bytes are left out — their seal nonces come from platform entropy — and
+/// only their paths are hashed.
+class RecordingStore : public ibbe::cloud::CloudStore {
+ public:
+  std::uint64_t put(const std::string& path, Bytes value) override {
+    record_write("put", path, value);
+    return CloudStore::put(path, std::move(value));
+  }
+  std::optional<std::uint64_t> put_cas(const std::string& path, Bytes value,
+                                       std::uint64_t expected) override {
+    record_write("put_cas", path, value);
+    return CloudStore::put_cas(path, std::move(value), expected);
+  }
+  std::optional<Bytes> get(const std::string& path) const override {
+    record_call("get", path);
+    return CloudStore::get(path);
+  }
+  std::optional<Versioned> get_versioned(
+      const std::string& path) const override {
+    record_call("get_versioned", path);
+    return CloudStore::get_versioned(path);
+  }
+  bool erase(const std::string& path) override {
+    record_call("erase", path);
+    return CloudStore::erase(path);
+  }
+  std::vector<std::string> list(const std::string& prefix) const override {
+    record_call("list", prefix);
+    return CloudStore::list(prefix);
+  }
+
+  std::string calls_hex() { return ibbe::util::to_hex(calls_.finish()); }
+  std::string objects_hex() { return ibbe::util::to_hex(objects_.finish()); }
+
+ private:
+  void record_call(std::string_view verb, const std::string& path) const {
+    calls_.update(verb);
+    calls_.update(" " + path + "\n");
+  }
+  void record_write(std::string_view verb, const std::string& path,
+                    const Bytes& value) {
+    record_call(verb, path);
+    objects_.update(path + "\n");
+    if (!path.ends_with(".sealed")) {
+      objects_.update(std::to_string(value.size()) + "\n");
+      objects_.update(value);
+    }
+  }
+
+  mutable ibbe::crypto::Sha256 calls_;
+  ibbe::crypto::Sha256 objects_;
+};
+
+// Every object a seeded admin writes, and the order of its store calls,
+// over create, both kinds of add, a single and a batch revocation, a
+// shard-local re-partition, a full §V-A rebuild and a recovery. The pins
+// hold at any IBBE_THREADS and under IBBE_FORCE_PORTABLE_MUL.
+TEST(AdminGolden, StoredObjectsAndStoreCallsArePinned) {
+  ibbe::sgx::EnclavePlatform platform("golden-box");
+  ibbe::enclave::IbbeEnclave enclave(platform, 8, /*rng_seed=*/0x601D);
+  RecordingStore cloud;
+  ibbe::crypto::Drbg key_rng(23);
+  AdminApi admin(enclave, cloud, ibbe::pki::EcdsaKeyPair::generate(key_rng),
+                 AdminConfig{.partition_size = 4,
+                             .shard_partitions = 2,
+                             .log_operations = true},
+                 /*seed=*/9);
+  const GroupId gid = "golden";
+
+  // [u0..u3] [u4..u7] | [u8..u11] [u12 u13]
+  admin.create_group(gid, make_users(14));
+  admin.add_user(gid, "x0");  // the one open partition
+  admin.add_user(gid, "x1");  // fills it
+  admin.add_user(gid, "x2");  // overflows into a new partition and shard
+  ASSERT_EQ(admin.partition_count(gid), 5u);
+  admin.remove_user(gid, "x2");  // empties and drops that partition
+  ASSERT_EQ(admin.partition_count(gid), 4u);
+  admin.remove_users(gid, std::vector<Identity>{"user0", "user8"});
+  ASSERT_EQ(admin.stats().shard_repartitions, 0u);
+  // Both partitions of the second shard fall below ceil(2m/3) = 3; globally
+  // only 2 of 4 do.
+  admin.remove_users(gid, std::vector<Identity>{"user9", "user12", "user13"});
+  ASSERT_EQ(admin.stats().shard_repartitions, 1u);
+  ASSERT_EQ(admin.stats().repartitions, 0u);
+  // Now 2 of 3 partitions are sparse: the full rebuild.
+  admin.remove_users(gid,
+                     std::vector<Identity>{"user1", "user2", "user4", "user5"});
+  ASSERT_EQ(admin.stats().repartitions, 1u);
+  admin.add_user(gid, "x3");
+  // A restart's recovery re-reads the committed snapshot and sweeps.
+  ASSERT_TRUE(admin.recover(gid));
+  admin.add_user(gid, "x4");
+  EXPECT_EQ(admin.group_size(gid), 9u);
+
+  EXPECT_EQ(cloud.objects_hex(),
+            "4be54bfb387a1f6bbe41bbd6dcf91c45f98b0d19d70cd6dc9a8f473c8a6fd80c");
+  EXPECT_EQ(cloud.calls_hex(),
+            "926ce83763a299bc7f31ce5ae34590f30b24dea24d0e3adb2d332586f8523126");
 }
 
 }  // namespace
