@@ -3,9 +3,11 @@
 
 Usage: bench_diff.py BASELINE.json FRESH.json
 
-Prints one row per metric (ratio = fresh / baseline; > 1 means slower than
-the baseline) and a WARNING line for every shared metric that regressed by
-more than the threshold. Always exits 0 — container benchmarks jitter by
+Prints one row per metric (ratio = fresh / baseline) and a WARNING line for
+every shared metric that regressed by more than the threshold. Most metrics
+are costs (lower is better): a ratio above the threshold is a regression.
+The throughputs in HIGHER_IS_BETTER regress when the ratio falls below
+1 / threshold instead. Always exits 0 — container benchmarks jitter by
 +-10%, so the perf trajectory warns instead of failing CI; a genuine
 regression shows up as the same warning on every run.
 
@@ -18,6 +20,14 @@ import json
 import sys
 
 THRESHOLD = 1.15
+
+# Throughputs and ratios where a larger value is the improvement.
+HIGHER_IS_BETTER = frozenset({
+    "mutation_ops_s",
+    "replay_ops_s",
+    "net_grant_revoke_ops",
+    "index_churn_ratio",
+})
 
 
 def main() -> int:
@@ -44,11 +54,16 @@ def main() -> int:
             print(f"{key:<{width}}  (only in {present}: {value:.2f})")
             continue
         ratio = n / b if b else float("inf")
-        flag = "  <-- regression" if ratio > THRESHOLD else ""
+        # How many times worse than the baseline: > 1 is a regression.
+        if key in HIGHER_IS_BETTER:
+            worse = b / n if n else float("inf")
+        else:
+            worse = ratio
+        flag = "  <-- regression" if worse > THRESHOLD else ""
         print(f"{key:<{width}}  {b:12.2f}  {n:12.2f}  {ratio:7.3f}{flag}")
-        if ratio > THRESHOLD:
+        if worse > THRESHOLD:
             warnings.append(
-                f"bench_diff: WARNING: {key} regressed {ratio:.2f}x "
+                f"bench_diff: WARNING: {key} regressed {worse:.2f}x "
                 f"({b:.2f} -> {n:.2f})")
     for w in warnings:
         print(w, file=sys.stderr)

@@ -544,31 +544,52 @@ template <typename Op>
 AdminApi::OpOutcome AdminApi::mutate_with_retry(const GroupId& gid, LogOp logop,
                                                 const std::string& subject,
                                                 Op&& op) {
-  std::optional<LogHead> staged;
-  for (int attempt = 0;; ++attempt) {
-    GroupState& state = state_of(gid);
-    // A re-run after a CAS conflict restages its delta ops from scratch.
-    state.pending_delta.clear();
-    OpOutcome outcome = op(state, staged);
-    if (outcome == OpOutcome::noop) {
-      // Nothing to publish, but an earlier conflicted attempt (or a crashed
-      // predecessor) may have left shadow files behind: sweep them.
-      gc_group(gid, state);
-      return outcome;
-    }
-    if (!staged) staged = publish_log_entry(gid, logop, subject);
-    if (push_index(gid, state, *staged)) {
-      gc_group(gid, state);
-      return outcome;
-    }
-    if (attempt >= max_cas_retries) {
-      throw std::runtime_error("AdminApi: persistent CAS conflicts on group " +
-                               gid);
-    }
+  auto resync = [&] {
     with_retries([&] {
       sync_from_cloud(gid);
       return 0;
     });
+  };
+  if (state_of(gid).needs_sync) resync();
+  std::optional<LogHead> staged;
+  try {
+    for (int attempt = 0;; ++attempt) {
+      GroupState& state = state_of(gid);
+      // A re-run after a CAS conflict restages its delta ops from scratch.
+      state.pending_delta.clear();
+      OpOutcome outcome = op(state, staged);
+      if (outcome == OpOutcome::noop) {
+        // Nothing to publish, but an earlier conflicted attempt (or a crashed
+        // predecessor) may have left shadow files behind: sweep them.
+        gc_group(gid, state);
+        return outcome;
+      }
+      if (!staged) staged = publish_log_entry(gid, logop, subject);
+      if (push_index(gid, state, *staged)) {
+        gc_group(gid, state);
+        return outcome;
+      }
+      if (attempt >= max_cas_retries) {
+        throw std::runtime_error(
+            "AdminApi: persistent CAS conflicts on group " + gid);
+      }
+      resync();
+    }
+  } catch (const util::CrashError&) {
+    // Simulated process death: the caller discards this admin, so no
+    // further store calls; the flag covers a caller that does not.
+    state_of(gid).needs_sync = true;
+    throw;
+  } catch (...) {
+    // The failed attempt may have staged ops and taken the enclave's output
+    // into the cache without committing them: re-read the committed state.
+    state_of(gid).needs_sync = true;
+    try {
+      resync();
+    } catch (...) {
+      // still flagged: the next mutation re-syncs first
+    }
+    throw;
   }
 }
 

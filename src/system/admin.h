@@ -34,7 +34,9 @@
 // collector, and recover() rolls a torn mutation back (manifest CAS never
 // landed) or forward (it did; finish the GC) after a crash. Transient cloud
 // errors are retried under config.retry; a cloud::CrashError is never
-// retried in place.
+// retried in place. A mutation that throws leaves no uncommitted change in
+// the cache: it re-syncs the group before the rethrow, or flags it so the
+// next mutation re-syncs first.
 //
 // Extensions beyond the paper's evaluation (its §VIII future work):
 //   * batch revocation: remove_users() rotates gk once per batch; a single
@@ -231,6 +233,9 @@ class AdminApi {
     /// push_index (empty = snapshot-barrier commit). Cleared before each
     /// retry so a re-run after a CAS conflict restages from scratch.
     std::vector<DeltaOp> pending_delta;
+    /// Set when a mutation failed and its uncommitted changes may still be
+    /// here; the next mutation re-syncs first. sync_from_cloud clears it.
+    bool needs_sync = false;
   };
 
   /// What a mutation attempt did with the cached state.
@@ -334,7 +339,10 @@ class AdminApi {
 
   /// Retry wrapper for a whole mutation: runs `op` against the cached state,
   /// publishes the staged op-log entry, then attempts the manifest CAS; on
-  /// conflict re-syncs and re-runs the (idempotent) op. `op` is called as
+  /// conflict re-syncs and re-runs the (idempotent) op. When the mutation
+  /// throws, the cached state is re-synced before the rethrow (or, if that
+  /// fails too, before the next mutation), so uncommitted changes never
+  /// reach a later commit. `op` is called as
   /// op(state, staged); `staged` is the newest op-log entry the op has
   /// published, which the manifest pins — the re-partitioning path publishes
   /// its own entry first and then the rebuild's.

@@ -46,6 +46,7 @@ bool ClientApi::usable(ReadVerdict verdict) {
 void ClientApi::invalidate_caches(const GroupId& gid) {
   cache_.erase(gid);
   cipher_cache_.erase(gid);
+  prepared_.erase(gid);
 }
 
 std::vector<FreshnessObservation> ClientApi::read_gossip(
@@ -228,16 +229,30 @@ const enclave::PartitionCiphertext* ClientApi::get_cipher(
                 .first->second;
   }
   const std::string path = cipher_bundle_path(gid, m.cipher_set);
-  if (cc.bundle_path != path) {
-    auto read = reader_.bundle(get_object(path), m);
+  if (cc.bundle_path != path || cc.pid != pid) {
+    auto read = reader_.bundle_entry(get_object(path), m, pid);
     if (!usable(read.verdict)) return nullptr;
-    cc.bundle = std::move(read.record);
-    cc.bundle_path = path;
     // A fresh bundle means a rotation: every previous-epoch overlay is
     // superseded, so their cache entries can only go stale from here.
-    cc.overlays.clear();
+    if (cc.bundle_path != path) cc.overlays.clear();
+    cc.bundle_path = path;
+    cc.pid = pid;
+    cc.entry = std::move(read.record);
   }
-  return cc.bundle.find(pid);
+  return &cc.entry;
+}
+
+const core::PreparedPartition* ClientApi::get_prepared(
+    const GroupId& gid, PartitionId pid,
+    const std::vector<core::Identity>& members) {
+  PreparedCache& pc = prepared_[gid];
+  if (!pc.part || pc.pid != pid || pc.members != members) {
+    ++stats_.prepares;
+    pc.part = core::PreparedPartition::prepare(pk_, usk_, members);
+    pc.pid = pid;
+    pc.members = members;
+  }
+  return pc.part ? &*pc.part : nullptr;
 }
 
 ClientApi::Fetch ClientApi::fetch_once(const GroupId& gid, util::Bytes& key,
@@ -287,20 +302,22 @@ ClientApi::Fetch ClientApi::fetch_once(const GroupId& gid, util::Bytes& key,
   const auto* members = view->members_of(*slot);
   if (!members) return Fetch::degraded;  // cannot happen on a consistent view
 
+  // Exactly core::decrypt(pk_, usk_, *members, cipher->ct), with the
+  // prepare step reused while the member list stays the same.
+  const auto* part = get_prepared(gid, *slot, *members);
+  if (!part) {
+    invalidate_caches(gid);  // a list over the PK bound: no consistent view
+    return Fetch::degraded;
+  }
   ++stats_.decryptions;
-  auto bk = core::decrypt(pk_, usk_, *members, cipher->ct);
-  if (!bk) {
+  crypto::Aes256Gcm gcm(core::decrypt(*part, cipher->ct).hash());
+  auto gk = gcm.open(cipher->nonce, cipher->wrapped_gk);
+  if (!gk) {
     // The index lists us but the ciphertext excludes us: a cross-file torn
     // snapshot. Drop the caches so the retry rebuilds from scratch — a
     // consistent view will tell us which side is true.
     invalidate_caches(gid);
     return Fetch::degraded;
-  }
-  crypto::Aes256Gcm gcm(bk->hash());
-  auto gk = gcm.open(cipher->nonce, cipher->wrapped_gk);
-  if (!gk) {
-    invalidate_caches(gid);
-    return Fetch::degraded;  // same torn-snapshot reasoning
   }
   note_fresh_view(gid, manifest.freshness);
   key = std::move(*gk);

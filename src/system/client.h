@@ -5,8 +5,16 @@
 // entirely from public cloud metadata:
 //
 //   manifest -> my partition (cached index) -> partition ciphertext
-//            -> IBBE decrypt bk (O(|p|^2) + 2 pairings)
+//            -> IBBE decrypt bk (prepared partition + 2 pairings)
 //            -> gk = AES-GCM-open(SHA-256(bk), y_p)
+//
+// A fetch pays only for what the commit changed. After a gk rotation it
+// downloads the new bundle, authenticates it whole, and decodes only its
+// own partition's entry (MetadataReader::bundle_entry). It keeps one
+// core::PreparedPartition per group together with the exact member list it
+// was prepared from, so the O(|p|^2) polynomial expansion and MSM run only
+// when that list changes; every other fetch runs the prepared decrypt (one
+// C2 line table, a 2-pair multi-pairing and the GT tail).
 //
 // The membership index is sharded (metadata.h): the manifest pins each
 // shard's content hash, and every commit publishes an incremental delta that
@@ -68,6 +76,7 @@ namespace ibbe::system {
 struct ClientStats {
   std::uint64_t fetches = 0;
   std::uint64_t decryptions = 0;
+  std::uint64_t prepares = 0;             // O(|p|^2) partition preparations
   std::uint64_t signature_failures = 0;
   std::uint64_t transient_retries = 0;    // cloud round trips retried
   std::uint64_t stale_reads_rejected = 0; // manifest versions below the floor
@@ -179,18 +188,25 @@ class ClientApi {
   bool load_snapshot(const GroupId& gid, const GroupManifest& m,
                      CachedIndex& view);
   /// The partition's current ciphertext: the manifest's overlay if one is
-  /// live for `pid`, else the bundle entry. Caches by object path (objects
-  /// are copy-on-write, so a path's content never changes). nullptr on a
-  /// torn or unauthenticated read.
+  /// live for `pid`, else the bundle entry. Caches by object path, plus the
+  /// pid for the bundle's one decoded entry (objects are copy-on-write, so a
+  /// path's content never changes). nullptr on a torn or unauthenticated
+  /// read.
   const enclave::PartitionCiphertext* get_cipher(const GroupId& gid,
                                                  const GroupManifest& m,
                                                  PartitionId pid);
+  /// The group's PreparedPartition for `members` under `pid`, re-prepared
+  /// only when either differs from what the cached one was prepared from.
+  /// nullptr when prepare refuses the list (see PreparedPartition::prepare).
+  const core::PreparedPartition* get_prepared(
+      const GroupId& gid, PartitionId pid,
+      const std::vector<core::Identity>& members);
   /// One read with retries; nullopt when absent or retries ran out (torn).
   std::optional<util::Bytes> get_object(const std::string& path);
   /// Only `ok` is usable; `unauthenticated` counts a signature failure.
   bool usable(ReadVerdict verdict);
-  /// Drops the group's index + cipher caches (cross-file torn snapshot: the
-  /// next attempt rebuilds from scratch).
+  /// Drops the group's index, cipher and prepared-partition caches
+  /// (cross-file torn snapshot: the next attempt rebuilds from scratch).
   void invalidate_caches(const GroupId& gid);
 
   /// High-water-mark and gossip checks for a manifest whose freshness token
@@ -222,16 +238,24 @@ class ClientApi {
   // only moves versions forward, so anything below is a stale replica read.
   std::map<GroupId, std::uint64_t> index_floor_;
 
-  // ---- local index + cipher caches (the warm/fold fast paths) ----
+  // ---- local index, cipher and decrypt caches (the warm/fold fast paths) --
   std::map<GroupId, CachedIndex> cache_;
   struct CipherCache {
-    std::string bundle_path;  // which bundle object `bundle` was parsed from
-    CipherBundle bundle;
+    // The one bundle entry decoded, keyed by (bundle object path, pid).
+    std::string bundle_path;
+    PartitionId pid = 0;
+    enclave::PartitionCiphertext entry;
     // overlay object path -> ciphertext; cleared when the bundle rotates
     // (a rotation supersedes every overlay of the previous epoch).
     std::map<std::string, enclave::PartitionCiphertext> overlays;
   };
   std::map<GroupId, CipherCache> cipher_cache_;
+  struct PreparedCache {
+    PartitionId pid = 0;
+    std::vector<core::Identity> members;  // exactly what `part` was built from
+    std::optional<core::PreparedPartition> part;
+  };
+  std::map<GroupId, PreparedCache> prepared_;
 
   // ---- Byzantine defence state (inert until enable_freshness) ----
   struct FreshnessHwm {

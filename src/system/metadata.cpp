@@ -35,18 +35,45 @@ std::vector<core::Identity> read_members(util::ByteReader& r) {
   return members;
 }
 
-/// Envelope parse, signature check against `keys`, then record parse.
-template <typename Record>
+/// Envelope parse and signature check against `keys`, then
+/// `parse(payload)`, which returns the verdict; a DeserializeError anywhere
+/// is unauthenticated.
+template <typename Record, typename Parse>
 Verified<Record> open(std::span<const ec::P256Point> keys,
-                      const std::optional<util::Bytes>& stored) {
+                      const std::optional<util::Bytes>& stored, Parse&& parse) {
   if (!stored) return {ReadVerdict::absent};
   try {
     auto env = SignedEnvelope::from_bytes(*stored);
     if (!env.verify(keys)) return {ReadVerdict::unauthenticated};
-    return {ReadVerdict::ok, Record::from_bytes(env.payload)};
+    return parse(std::span<const std::uint8_t>(env.payload));
   } catch (const util::DeserializeError&) {
     return {ReadVerdict::unauthenticated};
   }
+}
+
+template <typename Record>
+Verified<Record> open(std::span<const ec::P256Point> keys,
+                      const std::optional<util::Bytes>& stored) {
+  return open<Record>(keys, stored, [](std::span<const std::uint8_t> payload) {
+    return Verified<Record>{ReadVerdict::ok, Record::from_bytes(payload)};
+  });
+}
+
+/// The one CipherBundle parser: reads the framing (gk_epoch, then a counted
+/// list of (pid, length-prefixed entry)), calls visit(pid, entry bytes) for
+/// each entry in order, and returns the gk_epoch. Decoding an entry is the
+/// visitor's choice, so a reader that needs one partition skips the rest.
+template <typename Visit>
+std::uint64_t walk_bundle(std::span<const std::uint8_t> data, Visit&& visit) {
+  util::ByteReader r(data);
+  const std::uint64_t gk_epoch = r.u64();
+  std::size_t n = r.count(12);  // u64 pid + u32 blob prefix each
+  for (std::size_t i = 0; i < n; ++i) {
+    auto pid = r.u64();
+    visit(pid, r.blob());
+  }
+  r.expect_end();
+  return gk_epoch;
 }
 
 }  // namespace
@@ -153,17 +180,11 @@ util::Bytes CipherBundle::to_bytes() const {
 }
 
 CipherBundle CipherBundle::from_bytes(std::span<const std::uint8_t> data) {
-  util::ByteReader r(data);
   CipherBundle bundle;
-  bundle.gk_epoch = r.u64();
-  std::size_t n = r.count(12);  // u64 pid + u32 blob prefix each
-  bundle.entries.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto pid = r.u64();
+  bundle.gk_epoch = walk_bundle(data, [&](PartitionId pid, util::Bytes entry) {
     bundle.entries.emplace_back(
-        pid, enclave::PartitionCiphertext::from_bytes(r.blob()));
-  }
-  r.expect_end();
+        pid, enclave::PartitionCiphertext::from_bytes(entry));
+  });
   return bundle;
 }
 
@@ -432,6 +453,24 @@ Verified<CipherBundle> MetadataReader::bundle(
     return {ReadVerdict::stale};
   }
   return read;
+}
+
+Verified<enclave::PartitionCiphertext> MetadataReader::bundle_entry(
+    const std::optional<util::Bytes>& stored, const GroupManifest& m,
+    PartitionId pid) const {
+  using Entry = Verified<enclave::PartitionCiphertext>;
+  return open<enclave::PartitionCiphertext>(
+      admin_keys_, stored, [&](std::span<const std::uint8_t> payload) {
+        Entry read{ReadVerdict::absent};
+        const auto gk_epoch =
+            walk_bundle(payload, [&](PartitionId id, util::Bytes entry) {
+              // The first match, as CipherBundle::find returns.
+              if (id != pid || read.ok()) return;
+              read = {ReadVerdict::ok,
+                      enclave::PartitionCiphertext::from_bytes(entry)};
+            });
+        return gk_epoch == m.gk_epoch ? read : Entry{ReadVerdict::stale};
+      });
 }
 
 Verified<CipherOverlay> MetadataReader::overlay(

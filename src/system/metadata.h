@@ -294,6 +294,13 @@ class MetadataReader {
       const std::optional<util::Bytes>& stored, const ShardRef& ref) const;
   [[nodiscard]] Verified<CipherBundle> bundle(
       const std::optional<util::Bytes>& stored, const GroupManifest& m) const;
+  /// Partition `pid`'s entry of the bundle `m` commits: authenticated
+  /// exactly as bundle() does, but only this entry's ciphertext is decoded
+  /// (the others are skipped by their length prefix). `absent` also when the
+  /// bundle holds no entry for `pid`.
+  [[nodiscard]] Verified<enclave::PartitionCiphertext> bundle_entry(
+      const std::optional<util::Bytes>& stored, const GroupManifest& m,
+      PartitionId pid) const;
   /// The overlay `m` maps to partition `pid`.
   [[nodiscard]] Verified<CipherOverlay> overlay(
       const std::optional<util::Bytes>& stored, const GroupManifest& m,

@@ -21,6 +21,7 @@
 //      deployment, plus the splice-across-fork audit regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -358,12 +359,40 @@ struct SubstitutionFixture : ::testing::Test {
     return *cloud.get(ibbe::system::cipher_overlay_path(gid, oid));
   }
 
+  std::unique_ptr<ClientApi> client_for(const Identity& id) {
+    auto client = std::make_unique<ClientApi>(
+        cloud, enclave.public_key(), enclave.ecall_extract_user_key(id),
+        admin.verification_point());
+    client->set_retry_policy(RetryPolicy{}.without_delays());
+    return client;
+  }
+
   ClientApi::FetchResult fresh_fetch(const Identity& id) {
-    ClientApi client(cloud, enclave.public_key(),
-                     enclave.ecall_extract_user_key(id),
-                     admin.verification_point());
-    client.set_retry_policy(RetryPolicy{}.without_delays());
-    return client.fetch(gid);
+    return client_for(id)->fetch(gid);
+  }
+
+  /// A client that has fetched once already: its index, cipher and
+  /// prepared-partition caches hold whatever that fetch saw.
+  std::unique_ptr<ClientApi> warm_client(const Identity& id) {
+    auto client = client_for(id);
+    (void)client->fetch(gid);
+    return client;
+  }
+
+  /// The partition `id` is listed in by the committed shards.
+  ibbe::system::PartitionId partition_of(const Identity& id) {
+    for (const auto& ref : manifest().shards) {
+      auto env = ibbe::system::SignedEnvelope::from_bytes(
+          *cloud.get(ibbe::system::shard_path(gid, ref.sid)));
+      for (const auto& [pid, members] :
+           ibbe::system::IndexShard::from_bytes(env.payload).partitions) {
+        if (std::find(members.begin(), members.end(), id) != members.end()) {
+          return pid;
+        }
+      }
+    }
+    ADD_FAILURE() << id << " is in no committed partition";
+    return 0;
   }
 
   /// A second administrator over the same enclave re-syncs with no cache.
@@ -385,6 +414,7 @@ struct SubstitutionFixture : ::testing::Test {
 TEST_F(SubstitutionFixture, OverlayOfAnotherPartitionIsRejected) {
   admin.remove_user(gid, "u0");  // rotation; u1..u3 leaves room for one
   admin.add_user(gid, "x");      // the only open partition: an overlay
+  auto warm = warm_client("y");  // not yet a member; its index is cached
   admin.add_user(gid, "y");      // none open: a fresh partition's overlay
   auto m = manifest();
   ASSERT_EQ(m.overlays.size(), 2u);
@@ -394,6 +424,7 @@ TEST_F(SubstitutionFixture, OverlayOfAnotherPartitionIsRejected) {
             overlay_bytes(first->second));
 
   EXPECT_NE(fresh_fetch("y").status, FetchStatus::ok);
+  EXPECT_NE(warm->fetch(gid).status, FetchStatus::ok);
   expect_fresh_sync_rejects();
 }
 
@@ -401,6 +432,7 @@ TEST_F(SubstitutionFixture, PreRevocationBundleIsRejected) {
   auto before = manifest();
   auto old_bundle =
       *cloud.get(ibbe::system::cipher_bundle_path(gid, before.cipher_set));
+  auto warm = warm_client("u5");  // prepared over u4..u7, old entry cached
   admin.remove_user(gid, "u0");
   auto live = manifest();
   ASSERT_NE(live.gk_epoch, before.gk_epoch);
@@ -412,12 +444,19 @@ TEST_F(SubstitutionFixture, PreRevocationBundleIsRejected) {
   auto fetched = fresh_fetch("u5");
   EXPECT_EQ(fetched.status, FetchStatus::unavailable);
   EXPECT_FALSE(fetched.key.has_value());
+  // The warm client's partition is unchanged, so its prepared partition
+  // stays valid; only the bundle's epoch tells the entry is old.
+  fetched = warm->fetch(gid);
+  EXPECT_EQ(fetched.status, FetchStatus::unavailable);
+  EXPECT_FALSE(fetched.key.has_value());
+  EXPECT_EQ(warm->stats().prepares, 1u);
   expect_fresh_sync_rejects();
 }
 
 TEST_F(SubstitutionFixture, PreRevocationOverlayIsRejected) {
   admin.add_user(gid, "x");  // none open: a fresh partition [x]
   admin.add_user(gid, "w");  // [x, w], written as an overlay
+  auto warm = warm_client("x");  // prepared over [x, w], overlay cached
   auto before = manifest();
   ASSERT_EQ(before.overlays.size(), 1u);
   auto old_overlay = overlay_bytes(before.overlays.begin()->second);
@@ -435,7 +474,51 @@ TEST_F(SubstitutionFixture, PreRevocationOverlayIsRejected) {
   auto fetched = fresh_fetch("x");
   EXPECT_EQ(fetched.status, FetchStatus::unavailable);
   EXPECT_FALSE(fetched.key.has_value());
+  // The warm client folds back to the member list it prepared from.
+  fetched = warm->fetch(gid);
+  EXPECT_EQ(fetched.status, FetchStatus::unavailable);
+  EXPECT_FALSE(fetched.key.has_value());
+  EXPECT_EQ(warm->stats().prepares, 1u);
   expect_fresh_sync_rejects();
+}
+
+TEST_F(SubstitutionFixture, ListedButExcludedDegradesWithWarmCachesThenRecovers) {
+  auto warm = warm_client("u0");  // prepared over u0..u3
+  ASSERT_EQ(warm->stats().prepares, 1u);
+  admin.remove_user(gid, "u5");   // rotation; u0's partition is unchanged
+  const auto live = manifest();
+  const std::string path =
+      ibbe::system::cipher_bundle_path(gid, live.cipher_set);
+  const Bytes genuine = *cloud.get(path);
+
+  // An authentic, current-epoch bundle whose entry for u0's partition holds
+  // the ciphertext made for the other partition: the index lists u0 next to
+  // a ciphertext produced without it.
+  auto bundle = ibbe::system::CipherBundle::from_bytes(
+      ibbe::system::SignedEnvelope::from_bytes(genuine).payload);
+  ASSERT_EQ(bundle.entries.size(), 2u);
+  const auto host = partition_of("u0");
+  auto& mine = bundle.entries[0].first == host ? bundle.entries[0]
+                                               : bundle.entries[1];
+  auto& other = bundle.entries[0].first == host ? bundle.entries[1]
+                                                : bundle.entries[0];
+  ASSERT_EQ(mine.first, host);
+  mine.second.ct = other.second.ct;
+  cloud.put(path, ibbe::system::sign_record(admin_key, bundle));
+
+  auto torn = warm->fetch(gid);
+  EXPECT_EQ(torn.status, FetchStatus::unavailable);
+  EXPECT_FALSE(torn.key.has_value());
+  // The first attempt decrypted with the cached prepared partition; each
+  // failed attempt dropped every cache, so each later one prepared afresh.
+  EXPECT_EQ(warm->stats().prepares,
+            static_cast<std::uint64_t>(
+                RetryPolicy{}.without_delays().max_attempts));
+
+  cloud.put(path, genuine);
+  auto healed = warm->fetch(gid);
+  ASSERT_EQ(healed.status, FetchStatus::ok);
+  EXPECT_EQ(healed.key, fresh_fetch("u1").key);
 }
 
 // ------------------------------------------------------------ the fork test

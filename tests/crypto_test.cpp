@@ -283,6 +283,79 @@ TEST(Aes256Gcm, TruncatedInputFailsOpen) {
   EXPECT_FALSE(gcm.open(nonce, Bytes(10, 0)).has_value());
 }
 
+TEST(Aes256Gcm, NistCase16WithAadAndPartialBlock) {
+  auto key = from_hex(
+      "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308");
+  Aes256Gcm gcm(key);
+  auto nonce = from_hex("cafebabefacedbaddecaf888");
+  auto pt = from_hex(
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
+  auto aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+  auto sealed = gcm.seal(nonce, pt, aad);
+  EXPECT_EQ(to_hex(sealed),
+            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
+            "76fc6ece0f4e1768cddf8853bb2d551b");
+}
+
+/// GHASH over the spec's bit-at-a-time GF(2^128) multiply, one byte at a
+/// time (the oracle for the library's word-wise multiply).
+Aes256::Block reference_ghash(const Aes256::Block& h, const Bytes& aad,
+                              const Bytes& ct) {
+  auto mul = [](const Aes256::Block& x, const Aes256::Block& y) {
+    Aes256::Block z{}, v = y;
+    for (int i = 0; i < 128; ++i) {
+      if ((x[static_cast<std::size_t>(i / 8)] >> (7 - i % 8)) & 1) {
+        for (std::size_t j = 0; j < 16; ++j) z[j] ^= v[j];
+      }
+      const bool lsb = v[15] & 1;
+      for (std::size_t j = 15; j > 0; --j) {
+        v[j] = static_cast<std::uint8_t>(v[j] >> 1 | v[j - 1] << 7);
+      }
+      v[0] >>= 1;
+      if (lsb) v[0] ^= 0xe1;
+    }
+    return z;
+  };
+  Aes256::Block y{};
+  for (const Bytes* data : {&aad, &ct}) {
+    for (std::size_t off = 0; off < data->size(); off += 16) {
+      for (std::size_t i = 0; i < 16 && off + i < data->size(); ++i) {
+        y[i] ^= (*data)[off + i];
+      }
+      y = mul(y, h);
+    }
+  }
+  const std::uint64_t bits[2] = {aad.size() * 8, ct.size() * 8};
+  for (std::size_t i = 0; i < 16; ++i) {
+    y[i] ^= static_cast<std::uint8_t>(bits[i / 8] >> (56 - 8 * (i % 8)));
+  }
+  return mul(y, h);
+}
+
+TEST(Aes256Gcm, TagMatchesBitSerialGhashOnRandomLengths) {
+  Drbg rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bytes key = rng.bytes(32), nonce = rng.bytes(12);
+    const Bytes pt = rng.bytes(rng.uniform(100));
+    const Bytes aad = rng.bytes(rng.uniform(40));
+    const Aes256 cipher(key);
+    const Aes256Gcm gcm(key);
+    const Bytes sealed = gcm.seal(nonce, pt, aad);
+    const Bytes ct(sealed.begin(),
+                   sealed.begin() + static_cast<std::ptrdiff_t>(pt.size()));
+    auto tag = reference_ghash(cipher.encrypt(Aes256::Block{}), aad, ct);
+    Aes256::Block j0{};
+    std::copy(nonce.begin(), nonce.end(), j0.begin());
+    j0[15] = 1;
+    const auto ek_j0 = cipher.encrypt(j0);
+    for (std::size_t i = 0; i < 16; ++i) tag[i] ^= ek_j0[i];
+    EXPECT_EQ(Bytes(sealed.end() - 16, sealed.end()), Bytes(tag.begin(), tag.end()))
+        << "pt " << pt.size() << " aad " << aad.size();
+  }
+}
+
 // --------------------------------------------------------------- ChaCha20
 
 TEST(ChaCha20, Rfc8439KeystreamBlock) {

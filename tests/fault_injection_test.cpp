@@ -932,6 +932,130 @@ TEST(RebuildConcurrency, RebuildThatLosesTheManifestCasResyncsAndRetries) {
   }
 }
 
+// ------------------------------------- a failed mutation leaves no residue
+
+/// The in-memory store, except that overlay puts fail with TransientError
+/// while `failing_puts` is set, and manifest reads while `failing_reads` is.
+class FlakyOverlayStore : public CloudStore {
+ public:
+  bool failing_puts = false;
+  bool failing_reads = false;
+
+  std::uint64_t put(const std::string& path, Bytes value) override {
+    auto name = ibbe::system::parse_object_path("g", path);
+    if (failing_puts && name &&
+        name->kind == ibbe::system::ObjectName::Kind::cipher_overlay) {
+      throw TransientError("overlay put refused");
+    }
+    return CloudStore::put(path, std::move(value));
+  }
+  std::optional<Versioned> get_versioned(
+      const std::string& path) const override {
+    if (failing_reads) throw TransientError("manifest read refused");
+    return CloudStore::get_versioned(path);
+  }
+};
+
+// add_user stages its op and takes the enclave's extended ciphertext into
+// the cached state before the overlay put exhausts its retries. Those
+// uncommitted changes must not survive the throw, or the next commit's
+// shard and cipher would carry a member its delta and op-log never name.
+struct FailedMutation : ::testing::Test {
+  FailedMutation()
+      : platform("residue-box"),
+        enclave(platform, 8),
+        rng(41),
+        admin(enclave, cloud, ibbe::pki::EcdsaKeyPair::generate(rng),
+              config(), /*seed=*/3),
+        warm(cloud, enclave.public_key(), enclave.ecall_extract_user_key("u0"),
+             admin.verification_point()) {
+    admin.create_group(gid, make_users(6));  // (4, 2): one open partition
+    warm.set_retry_policy(RetryPolicy{}.without_delays());
+    EXPECT_TRUE(warm.fetch_group_key(gid).has_value());
+  }
+
+  static AdminConfig config() {
+    AdminConfig c;
+    c.partition_size = 4;
+    c.log_operations = true;
+    c.retry = RetryPolicy{}.without_delays();
+    c.retry.max_attempts = 2;
+    return c;
+  }
+
+  /// The next add_user("late") commits a shard, delta and op-log entry that
+  /// agree — "late" joined, nobody else did — and a warm client folds it
+  /// without falling back to a snapshot.
+  void expect_clean_commit_of_late() {
+    admin.add_user(gid, "late");
+    EXPECT_TRUE(admin.is_member(gid, "late"));
+    EXPECT_FALSE(admin.is_member(gid, "ghost"));
+
+    ibbe::system::MetadataReader reader({admin.verification_point()});
+    auto m = reader.manifest(cloud.get(ibbe::system::index_path(gid)), gid,
+                             nullptr);
+    ASSERT_TRUE(m.ok());
+    std::set<Identity> listed;
+    for (const auto& ref : m.record.shards) {
+      auto shard =
+          reader.shard(cloud.get(ibbe::system::shard_path(gid, ref.sid)), ref);
+      ASSERT_TRUE(shard.ok());
+      for (const auto& [pid, members] : shard.record.partitions) {
+        listed.insert(members.begin(), members.end());
+      }
+    }
+    auto expected = to_set(make_users(6));
+    expected.insert("late");
+    EXPECT_EQ(listed, expected);
+    auto delta = ibbe::system::IndexDelta::from_bytes(*cloud.get(
+        ibbe::system::delta_path(gid, m.record.freshness.counter)));
+    ASSERT_EQ(delta.ops.size(), 1u);
+    EXPECT_EQ(delta.ops[0].kind, ibbe::system::DeltaOp::Kind::add_member);
+    EXPECT_EQ(delta.ops[0].user, "late");
+    const auto& entries = admin.log_of(gid).entries();
+    ASSERT_EQ(entries.size(), 2u);  // create_group, add_user late
+    EXPECT_EQ(entries.back().op, LogOp::add_user);
+    EXPECT_EQ(entries.back().subject, "late");
+    EXPECT_TRUE(admin.audit_group_log(gid).ok);
+
+    auto key = warm.fetch_group_key(gid);
+    ASSERT_TRUE(key.has_value());
+    EXPECT_EQ(warm.stats().degraded_refetches, 0u);
+    EXPECT_EQ(warm.stats().fold_fallbacks, 0u);
+    EXPECT_EQ(warm.stats().delta_folds, 1u);
+    ClientApi late(cloud, enclave.public_key(),
+                   enclave.ecall_extract_user_key("late"),
+                   admin.verification_point());
+    EXPECT_EQ(late.fetch_group_key(gid), key);
+  }
+
+  ibbe::sgx::EnclavePlatform platform;
+  ibbe::enclave::IbbeEnclave enclave;
+  FlakyOverlayStore cloud;
+  ibbe::crypto::Drbg rng;
+  AdminApi admin;
+  ClientApi warm;
+  const GroupId gid = "g";
+};
+
+TEST_F(FailedMutation, IsRolledBackInTheAdminCache) {
+  cloud.failing_puts = true;
+  EXPECT_THROW(admin.add_user(gid, "ghost"), TransientError);
+  cloud.failing_puts = false;
+  EXPECT_FALSE(admin.is_member(gid, "ghost"));
+  EXPECT_EQ(admin.group_size(gid), 6u);
+  expect_clean_commit_of_late();
+}
+
+TEST_F(FailedMutation, WhoseResyncFailsIsRolledBackByTheNextMutation) {
+  cloud.failing_puts = true;
+  cloud.failing_reads = true;  // the re-sync after the throw fails too
+  EXPECT_THROW(admin.add_user(gid, "ghost"), TransientError);
+  cloud.failing_puts = false;
+  cloud.failing_reads = false;
+  expect_clean_commit_of_late();
+}
+
 // ------------------------------------------------- truncation detection
 
 struct TruncationFixture : ::testing::Test {

@@ -293,6 +293,139 @@ TEST(FuzzDeserialize, ReaderRejectsMutatedObjectsWithoutThrowing) {
   }
 }
 
+// bundle_entry decodes one entry and skips the others by length; wherever
+// CipherBundle::from_bytes parses a bundle, the two must agree on every pid.
+// The bundles are signed, so the framing walk itself sees the input.
+namespace bundle_entry {
+
+using ibbe::enclave::PartitionCiphertext;
+using ibbe::system::CipherBundle;
+using ibbe::system::MetadataReader;
+using ibbe::system::PartitionId;
+using ibbe::system::ReadVerdict;
+
+struct Fixture {
+  Fixture() : rng(61), key(ibbe::pki::EcdsaKeyPair::generate(rng)) {
+    ibbe::sgx::EnclavePlatform platform("fuzz-bundle");
+    ibbe::enclave::IbbeEnclave enclave(platform, 4);
+    const std::vector<std::vector<ibbe::core::Identity>> partitions = {
+        {"a", "b"}, {"c"}, {"d", "e", "f"}};
+    pool = enclave.ecall_create_group(partitions).partitions;
+  }
+
+  Bytes sign(std::span<const std::uint8_t> payload) const {
+    return ibbe::system::SignedEnvelope::sign(key, Bytes(payload.begin(),
+                                                         payload.end()))
+        .to_bytes();
+  }
+
+  ibbe::crypto::Drbg rng;
+  ibbe::pki::EcdsaKeyPair key;
+  std::vector<PartitionCiphertext> pool;
+};
+
+/// bundle_entry on `payload` (signed) for every pid below `pids`, checked
+/// against from_bytes(payload).find(pid) whenever from_bytes parses
+/// `payload`. Returns the verdicts; never lets an exception out.
+std::vector<ReadVerdict> check_against_full_parse(
+    const Fixture& f, const Bytes& payload,
+    const ibbe::system::GroupManifest& m, PartitionId pids) {
+  const MetadataReader reader({f.key.public_key()});
+  const Bytes stored = f.sign(payload);
+  std::optional<CipherBundle> full;
+  try {
+    full = CipherBundle::from_bytes(payload);
+  } catch (const DeserializeError&) {
+    // a skipped entry may be malformed: bundle_entry need not reject it
+  }
+  std::vector<ReadVerdict> verdicts;
+  for (PartitionId pid = 0; pid < pids; ++pid) {
+    ibbe::system::Verified<PartitionCiphertext> read;
+    EXPECT_NO_THROW(read = reader.bundle_entry(stored, m, pid));
+    verdicts.push_back(read.verdict);
+    if (!full) continue;
+    if (full->gk_epoch != m.gk_epoch) {
+      EXPECT_EQ(read.verdict, ReadVerdict::stale);
+    } else if (const auto* want = full->find(pid)) {
+      EXPECT_EQ(read.verdict, ReadVerdict::ok);
+      if (read.ok()) EXPECT_EQ(read.record.to_bytes(), want->to_bytes());
+    } else {
+      EXPECT_EQ(read.verdict, ReadVerdict::absent);
+    }
+  }
+  return verdicts;
+}
+
+TEST(BundleEntry, MatchesFullParseOnRandomBundles) {
+  Fixture f;
+  std::mt19937_64 rng(43);
+  for (std::size_t size : {0, 1, 2, 7, 16}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      CipherBundle bundle;
+      bundle.gk_epoch = rng() % 3;
+      for (std::size_t i = 0; i < size; ++i) {
+        auto cipher = f.pool[rng() % f.pool.size()];
+        cipher.wrapped_gk.resize(rng() % 64);
+        for (auto& b : cipher.wrapped_gk) b = static_cast<std::uint8_t>(rng());
+        // Small pid range: repeated pids occur, and find's first match wins.
+        bundle.entries.emplace_back(rng() % (2 * size + 1), std::move(cipher));
+      }
+      ibbe::system::GroupManifest m;
+      m.gk_epoch = trial == 3 ? bundle.gk_epoch + 1 : bundle.gk_epoch;
+      // Every pid that occurs, plus ones that do not.
+      check_against_full_parse(f, bundle.to_bytes(), m, 2 * size + 3);
+    }
+  }
+}
+
+TEST(BundleEntry, HostileBundlesNeverThrow) {
+  Fixture f;
+  CipherBundle bundle;
+  bundle.gk_epoch = 2;
+  for (PartitionId pid = 0; pid < 3; ++pid) {
+    bundle.entries.emplace_back(pid, f.pool[pid]);
+  }
+  ibbe::system::GroupManifest m;
+  m.gk_epoch = 2;
+  const Bytes valid = bundle.to_bytes();
+  ASSERT_EQ(check_against_full_parse(f, valid, m, 4),
+            (std::vector<ReadVerdict>{ReadVerdict::ok, ReadVerdict::ok,
+                                      ReadVerdict::ok, ReadVerdict::absent}));
+
+  // Truncations: the framing walk reaches the end of the input early.
+  for (std::size_t len = 0; len < valid.size(); len += 5) {
+    const Bytes cut(valid.begin(),
+                    valid.begin() + static_cast<std::ptrdiff_t>(len));
+    for (auto verdict : check_against_full_parse(f, cut, m, 4)) {
+      EXPECT_EQ(verdict, ReadVerdict::unauthenticated);
+    }
+  }
+  // Bit flips anywhere: in the framing, a skipped entry or the decoded one.
+  std::mt19937_64 flips(47);
+  for (int trial = 0; trial < 96; ++trial) {
+    Bytes mutated = valid;
+    mutated[flips() % mutated.size()] ^=
+        static_cast<std::uint8_t>(1 << (flips() % 8));
+    check_against_full_parse(f, mutated, m, 4);
+  }
+  // Length bombs: the entry count, then each entry's blob length, set to
+  // 0xFFFFFFFF. Each must fail the remaining-bytes check before allocating.
+  std::vector<std::size_t> length_fields = {8};  // after gk_epoch
+  for (std::size_t pos = 12, i = 0; i < bundle.entries.size(); ++i) {
+    length_fields.push_back(pos + 8);  // after the entry's pid
+    pos += 8 + 4 + bundle.entries[i].second.to_bytes().size();
+  }
+  for (std::size_t pos : length_fields) {
+    Bytes bomb = valid;
+    std::fill_n(bomb.begin() + static_cast<std::ptrdiff_t>(pos), 4, 0xff);
+    for (auto verdict : check_against_full_parse(f, bomb, m, 4)) {
+      EXPECT_EQ(verdict, ReadVerdict::unauthenticated);
+    }
+  }
+}
+
+}  // namespace bundle_entry
+
 TEST(FuzzDeserialize, TrailingBytesAreRejected) {
   for (const auto& format : all_formats()) {
     // Fixed-size point formats tolerate no trailing data by construction;

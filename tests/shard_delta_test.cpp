@@ -10,6 +10,7 @@
 #include <functional>
 
 #include "cloud/fault.h"
+#include "crypto/gcm.h"
 #include "system/admin.h"
 #include "system/client.h"
 
@@ -352,6 +353,78 @@ TEST_F(ShardDeltaFixture, MissingShardDegradesLikeTornSnapshotThenRecovers) {
   auto healed = c.fetch(gid);
   EXPECT_EQ(healed.status, ClientApi::FetchStatus::ok);
   ASSERT_TRUE(healed.key.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Prepared-partition cache: re-prepare only when the member list changes
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardDeltaFixture, ClientRePreparesOnlyWhenItsPartitionChanges) {
+  ibbe::cloud::CloudStore cloud;
+  auto admin = admin_on(cloud, {.partition_size = 4});
+  admin.create_group(gid, make_users(4));  // one full partition
+  const MetadataReader reader({admin.verification_point()});
+
+  // The group key as the one-shot core::decrypt derives it for `id` from
+  // the committed objects, with no client cache involved.
+  auto reference_key = [&](const Identity& id) -> Bytes {
+    auto m = reader.manifest(cloud.get(ibbe::system::index_path(gid)), gid,
+                             nullptr);
+    EXPECT_TRUE(m.ok());
+    for (const auto& ref : m.record.shards) {
+      auto shard =
+          reader.shard(cloud.get(ibbe::system::shard_path(gid, ref.sid)), ref);
+      EXPECT_TRUE(shard.ok());
+      for (const auto& [pid, members] : shard.record.partitions) {
+        if (std::find(members.begin(), members.end(), id) == members.end()) {
+          continue;
+        }
+        auto overlay = m.record.overlays.find(pid);
+        auto cipher =
+            overlay != m.record.overlays.end()
+                ? reader
+                      .overlay(cloud.get(ibbe::system::cipher_overlay_path(
+                                   gid, overlay->second)),
+                               m.record, pid)
+                      .record.cipher
+                : *reader
+                       .bundle(cloud.get(ibbe::system::cipher_bundle_path(
+                                   gid, m.record.cipher_set)),
+                               m.record)
+                       .record.find(pid);
+        auto bk = ibbe::core::decrypt(enclave.public_key(),
+                                      enclave.ecall_extract_user_key(id),
+                                      members, cipher.ct);
+        EXPECT_TRUE(bk.has_value());
+        auto gk = ibbe::crypto::Aes256Gcm(bk->hash())
+                      .open(cipher.nonce, cipher.wrapped_gk);
+        EXPECT_TRUE(gk.has_value());
+        return gk.value_or(Bytes{});
+      }
+    }
+    ADD_FAILURE() << id << " is in no committed partition";
+    return {};
+  };
+
+  auto c = client_on(cloud, admin, "user0");
+  auto expect_fetch = [&](std::uint64_t prepares) {
+    auto key = c.fetch_group_key(gid);
+    ASSERT_TRUE(key.has_value());
+    EXPECT_EQ(*key, reference_key("user0"));
+    EXPECT_EQ(c.stats().prepares, prepares);
+    EXPECT_EQ(c.stats().fold_fallbacks, 0u);
+  };
+  expect_fetch(1);  // cold
+
+  admin.add_user(gid, "x");  // no open partition: a fresh one elsewhere
+  expect_fetch(1);
+  admin.remove_user(gid, "x");  // a rotation that leaves user0's alone
+  expect_fetch(1);
+  admin.remove_user(gid, "user1");  // a revocation inside it
+  expect_fetch(2);
+  admin.add_user(gid, "late");  // the only open partition: user0's
+  expect_fetch(3);
+  EXPECT_EQ(c.stats().decryptions, 5u);
 }
 
 // ---------------------------------------------------------------------------
