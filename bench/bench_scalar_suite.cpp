@@ -1,10 +1,12 @@
-// Scalar-multiplication perf trajectory: a small always-built suite (no
-// google-benchmark dependency) that times the operations ISSUE/ROADMAP track
-// across PRs — pairing, G1/G2 single muls (naive ladder vs GLV / the 4-dim
-// psi split), GT exponentiation (naive ladder vs cyclotomic engine), a 64-term
-// G2 MSM, end-to-end decrypt(|S|=16), and a 4-partition batched decrypt —
-// and optionally writes them as JSON so CI can diff a BENCH_scalar.json
-// between revisions. The schema is documented in docs/benchmarks.md.
+// Crypto perf trajectory: the one always-built suite (no third-party
+// dependency) that times the primitives the scheme is built from — field
+// and tower multiplication, Fr inversion, pairing and 2-pair multi-pairing,
+// G1/G2 muls (naive ladder vs GLV / the 4-dim psi split, and the generator
+// combs), GT exponentiation (naive ladder vs cyclotomic engine, and the
+// final exponentiation's u-power), 64-term G1/G2 MSMs, hash-to-G1, SHA-256,
+// AES-GCM, ECIES, and IBBE encrypt/decrypt at |S| = 16 and 256 — and
+// optionally writes them as JSON so CI can diff a BENCH_scalar.json between
+// revisions. The schema is documented in docs/benchmarks.md.
 //
 // The `_t{N}` metrics re-run a parallelized operation with the global thread
 // pool at N total threads — the scaling curve for the work-stealing pool.
@@ -19,6 +21,8 @@
 #include "bigint/mont_backend.h"
 #include "common.h"
 #include "crypto/drbg.h"
+#include "crypto/gcm.h"
+#include "crypto/sha256.h"
 #include "ec/curves.h"
 #include "ec/glv.h"
 #include "ec/msm.h"
@@ -26,6 +30,7 @@
 #include "ibbe/ibbe.h"
 #include "pairing/gt_exp.h"
 #include "pairing/pairing.h"
+#include "pki/ecies.h"
 #include "system/admin.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -66,6 +71,8 @@ int main(int argc, char** argv) {
   const int iters = scale == ibbe::bench::Scale::smoke  ? 5
                     : scale == ibbe::bench::Scale::full ? 200
                                                         : 50;
+  const int fast_iters = iters * 20;                   // the <100 us rows
+  const int slow_iters = iters >= 10 ? iters / 10 : 1;  // the >20 ms rows
 
   Drbg rng(2718);
   auto random_fr = [&rng] {
@@ -79,11 +86,15 @@ int main(int argc, char** argv) {
   const auto ku = k.to_u256();
 
   std::vector<G2> msm_bases;
+  std::vector<G1> msm_bases_g1;
   std::vector<Fr> msm_scalars;
   for (int i = 0; i < 64; ++i) {
     msm_bases.push_back(G2::generator().mul(random_fr()));
+    msm_bases_g1.push_back(G1::generator().mul(random_fr()));
     msm_scalars.push_back(random_fr());
   }
+  const std::vector<std::pair<G1, G2>> product_pairs = {{p1, p2},
+                                                         {p1.dbl(), p2}};
 
   auto keys = ibbe::core::setup(16, rng);
   std::vector<ibbe::core::Identity> users;
@@ -96,22 +107,21 @@ int main(int argc, char** argv) {
       ibbe::pairing::pairing(G1::generator().mul(random_fr()), p2);
   const Fr gt_k = random_fr();
 
-  // Four |S|=16 partitions sharing the client user0 (distinct otherwise).
-  std::vector<std::vector<ibbe::core::Identity>> part_sets;
-  std::vector<ibbe::core::EncryptResult> part_encs;
-  for (int p = 0; p < 4; ++p) {
-    std::vector<ibbe::core::Identity> set;
-    for (int i = 0; i < 16; ++i) {
-      set.push_back("part" + std::to_string(p) + "-user" + std::to_string(i));
-    }
-    set[0] = users[0];
-    part_encs.push_back(ibbe::core::encrypt_with_msk(keys.msk, keys.pk, set, rng));
-    part_sets.push_back(std::move(set));
-  }
-  std::vector<ibbe::core::PartitionRef> parts;
-  for (std::size_t p = 0; p < 4; ++p) {
-    parts.push_back({part_sets[p], &part_encs[p].ct});
-  }
+  // |S| = 256: the size where decrypt's O(|S|^2) expansion shows.
+  auto keys_256 = ibbe::core::setup(256, rng);
+  std::vector<ibbe::core::Identity> users_256;
+  for (int i = 0; i < 256; ++i) users_256.push_back("u" + std::to_string(i));
+  auto enc_256 =
+      ibbe::core::encrypt_with_msk(keys_256.msk, keys_256.pk, users_256, rng);
+  auto usk_256 = ibbe::core::extract_user_key(keys_256.msk, users_256[0]);
+
+  // Symmetric and PKI operands: 1 KiB payloads, a 32-byte group key.
+  const ibbe::util::Bytes kib(1024, 0xab);
+  const ibbe::crypto::Aes256Gcm gcm(ibbe::util::Bytes(32, 1));
+  const ibbe::util::Bytes nonce(12, 2);
+  const auto ecies_key = ibbe::pki::EciesKeyPair::generate(rng);
+  const ibbe::util::Bytes gk(32, 7);
+  std::uint64_t hash_ctr = 0;
 
   std::printf("montgomery backend: %s\n", ibbe::bigint::backend::name());
   // Baseline metrics are serial regardless of the host's core count; the
@@ -138,6 +148,8 @@ int main(int argc, char** argv) {
   metrics.push_back({"fp_mul_ns", chain_ns(fp_x, fp_y, fp_iters)});
   metrics.push_back({"fp2_mul_ns", chain_ns(fp2_x, fp2_y, fp2_iters)});
   metrics.push_back({"fp12_mul_ns", chain_ns(fp12_x, fp12_y, fp12_iters)});
+  metrics.push_back({"fr_inverse_us", time_us(
+      [&] { (void)k.inverse(); }, fast_iters)});
   metrics.push_back({"pairing_us", time_us(
       [] {
         volatile bool sink =
@@ -145,45 +157,67 @@ int main(int argc, char** argv) {
         (void)sink;
       },
       iters)});
+  metrics.push_back({"pairing_product2_us", time_us(
+      [&] { (void)ibbe::pairing::pairing_product(product_pairs); }, iters)});
   metrics.push_back({"g1_mul_naive_us",
                      time_us([&] { (void)p1.scalar_mul(ku); }, iters)});
   metrics.push_back({"g1_mul_glv_us", time_us([&] { (void)p1.mul(k); }, iters)});
   metrics.push_back({"g2_mul_naive_us",
                      time_us([&] { (void)p2.scalar_mul(ku); }, iters)});
   metrics.push_back({"g2_mul_4dim_us", time_us([&] { (void)p2.mul(k); }, iters)});
+  metrics.push_back({"g1_mul_gen_us", time_us(
+      [&] { (void)G1::generator().mul(k); }, fast_iters)});
+  metrics.push_back({"g2_mul_gen_us", time_us(
+      [&] { (void)G2::generator().mul(k); }, fast_iters)});
   metrics.push_back({"gt_pow_naive_us", time_us(
       [&] { (void)gt_elem.value().pow_cyclotomic(gt_k.to_u256()); }, iters)});
   metrics.push_back({"gt_pow_us", time_us(
       [&] { (void)gt_elem.exp(gt_k); }, iters)});
+  metrics.push_back({"gt_pow_u_us", time_us(
+      [&] { (void)ibbe::pairing::gt_pow_u(gt_elem.value()); }, iters)});
   metrics.push_back({"msm_g2_64_us", time_us(
       [&] {
         (void)ibbe::ec::msm(std::span<const G2>(msm_bases),
                             std::span<const Fr>(msm_scalars));
       },
       iters)});
+  metrics.push_back({"msm_g1_64_us", time_us(
+      [&] {
+        (void)ibbe::ec::msm(std::span<const G1>(msm_bases_g1),
+                            std::span<const Fr>(msm_scalars));
+      },
+      iters)});
+  metrics.push_back({"hash_to_g1_us", time_us(
+      [&] { (void)ibbe::ec::hash_to_g1("user" + std::to_string(hash_ctr++)); },
+      fast_iters)});
+  metrics.push_back({"sha256_1k_us", time_us(
+      [&] { (void)ibbe::crypto::Sha256::hash(kib); }, fast_iters)});
+  metrics.push_back({"gcm_seal_1k_us", time_us(
+      [&] { (void)gcm.seal(nonce, kib); }, fast_iters)});
+  metrics.push_back({"ecies_encrypt_us", time_us(
+      [&] { (void)ibbe::pki::ecies_encrypt(ecies_key.public_key(), gk, rng); },
+      iters)});
   metrics.push_back({"decrypt_16_us", time_us(
       [&] { (void)ibbe::core::decrypt(keys.pk, usk, users, enc.ct); },
       iters)});
   metrics.push_back({"decrypt_16_prepared_us", time_us(
       [&] { (void)ibbe::core::decrypt(*prepared_part, enc.ct); }, iters)});
-  metrics.push_back({"decrypt_batched_4x16_us", time_us(
-      [&] { (void)ibbe::core::decrypt_batched(keys.pk, usk, parts); },
+  metrics.push_back({"encrypt_msk_256_us", time_us(
+      [&] {
+        (void)ibbe::core::encrypt_with_msk(keys_256.msk, keys_256.pk,
+                                           users_256, rng);
+      },
       iters)});
+  metrics.push_back({"decrypt_256_us", time_us(
+      [&] {
+        (void)ibbe::core::decrypt(keys_256.pk, usk_256, users_256, enc_256.ct);
+      },
+      slow_iters)});
 
   // ---- thread-pool scaling sweeps ----------------------------------------
   // Same operations, global pool widened to N threads. Results stay bitwise
   // identical at every N (tests/parallel_equivalence_test.cpp); only the
   // wall time may move.
-  static const char* kBatchedNames[] = {
-      "decrypt_batched_4x16_t1_us", "decrypt_batched_4x16_t2_us",
-      "decrypt_batched_4x16_t4_us", "decrypt_batched_4x16_t8_us"};
-  const std::size_t batched_threads[] = {1, 2, 4, 8};
-  for (std::size_t s = 0; s < 4; ++s) {
-    ibbe::util::ThreadPool::set_global_threads(batched_threads[s]);
-    metrics.push_back({kBatchedNames[s], time_us(
-        [&] { (void)ibbe::core::decrypt_batched(keys.pk, usk, parts); },
-        iters)});
-  }
   static const char* kMsmNames[] = {"msm_g2_64_t1_us", "msm_g2_64_t4_us"};
   const std::size_t msm_threads[] = {1, 4};
   for (std::size_t s = 0; s < 2; ++s) {
@@ -201,7 +235,6 @@ int main(int argc, char** argv) {
   static const char* kAdminNames[] = {"admin_create_256_t1_us",
                                       "admin_create_256_t4_us"};
   const std::size_t admin_threads[] = {1, 4};
-  const int admin_iters = iters >= 10 ? iters / 10 : 1;
   for (std::size_t s = 0; s < 2; ++s) {
     ibbe::util::ThreadPool::set_global_threads(admin_threads[s]);
     ibbe::sgx::EnclavePlatform platform("bench-scalar");
@@ -217,10 +250,10 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 256; ++i) group.push_back("m" + std::to_string(i));
     int next_gid = 0;
     ibbe::util::Stopwatch sw;
-    for (int i = 0; i < admin_iters; ++i) {
+    for (int i = 0; i < slow_iters; ++i) {
       admin.create_group("g" + std::to_string(next_gid++), group);
     }
-    metrics.push_back({kAdminNames[s], sw.micros() / admin_iters});
+    metrics.push_back({kAdminNames[s], sw.micros() / slow_iters});
   }
   ibbe::util::ThreadPool::set_global_threads(1);
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Harness-level CI: docs checks (module READMEs present, markdown links
 # resolve), configure, build, run the test suite, then run every bench
-# binary at --scale smoke (and a short micro-crypto sweep) so that a perf
-# regression or bit-rotted bench fails the pipeline, not just a broken unit
-# test. Also emits BENCH_scalar.json (pairing / G1 / G2 / GT exponentiation
-# / MSM-64 / decrypt-16 / batched decrypt; schema in docs/benchmarks.md) so
-# future revisions have a perf trajectory to diff against.
+# binary at --scale smoke so that a perf regression or bit-rotted bench
+# fails the pipeline, not just a broken unit test. Also emits
+# BENCH_scalar.json (field / pairing / G1 / G2 / GT exponentiation / MSM /
+# hashing / AEAD / ECIES / encrypt and decrypt at |S| = 16 and 256; schema
+# in docs/benchmarks.md) so future revisions have a perf trajectory to diff
+# against.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -167,16 +168,6 @@ if [ -f BENCH_baseline.json ]; then
   python3 scripts/bench_diff.py BENCH_baseline.json "$BUILD_DIR/BENCH_scalar.json"
 else
   echo "ci.sh: no BENCH_baseline.json committed; skipping perf diff" >&2
-fi
-
-# Micro benches of the crypto substrate (built only when google-benchmark is
-# available); keep the run short — this is a regression tripwire, not a
-# measurement.
-if [ -x "$BUILD_DIR/bench_micro_crypto" ]; then
-  echo "==> $BUILD_DIR/bench_micro_crypto (smoke)"
-  "$BUILD_DIR/bench_micro_crypto" \
-    --benchmark_filter='FrInverse|G1ScalarMul|G1MulGlv|G2MulGls|MsmG2|GtExp|GtPowU|Pairing' \
-    --benchmark_min_time=0.05
 fi
 
 # When this machine can run the MULX/ADX Montgomery backend, the suite above

@@ -6,7 +6,6 @@
 #include "crypto/sha256.h"
 #include "ec/msm.h"
 #include "ibbe/poly.h"
-#include "util/thread_pool.h"
 
 namespace ibbe::core {
 
@@ -338,75 +337,6 @@ Gt decrypt(const PreparedPartition& part, const BroadcastCiphertext& ct) {
   std::array<pairing::PairingInput, 2> inputs = {
       {{ct.c1, &part.h_pi()}, {part.usk_value(), &c2_prep}}};
   return pairing::pairing_product_prepared(inputs).exp(part.delta_inv());
-}
-
-std::vector<Gt> decrypt_batched(std::span<const PreparedPartitionRef> parts) {
-  // Validate every ref up front so the fan-out below is pure math.
-  for (const auto& ref : parts) {
-    if (ref.part == nullptr || ref.ct == nullptr) {
-      throw std::invalid_argument("decrypt_batched: null PreparedPartitionRef");
-    }
-  }
-  // Per-partition Miller loops are independent — one slot per partition, one
-  // task per partition (each builds its own C2 line table locally), so the
-  // results are the values the serial loop would produce, in its order.
-  auto& pool = util::ThreadPool::global();
-  std::vector<field::Fp12> millers(parts.size());
-  pool.parallel_for(0, parts.size(), 1, [&](std::size_t i) {
-    const PreparedPartition& part = *parts[i].part;
-    pairing::G2Prepared c2_prep(parts[i].ct->c2);
-    std::array<pairing::PairingInput, 2> inputs = {
-        {{parts[i].ct->c1, &part.h_pi()}, {part.usk_value(), &c2_prep}}};
-    millers[i] = pairing::miller_loop_product_prepared(inputs);
-  });
-  // The batched easy-part inversion is a cross-partition reduction: serial.
-  auto exped = pairing::final_exponentiation_many(millers);
-  // Per-partition GT tails: independent again.
-  std::vector<Gt> out(parts.size());
-  pool.parallel_for(0, parts.size(), 1, [&](std::size_t i) {
-    out[i] = Gt::from_fp12_unchecked(exped[i]).exp(parts[i].part->delta_inv());
-  });
-  return out;
-}
-
-std::vector<std::optional<Gt>> decrypt_batched(
-    const PublicKey& pk, const UserSecretKey& usk,
-    std::span<const PartitionRef> parts) {
-  std::size_t max_set = 0;
-  for (const auto& p : parts) {
-    if (p.ct == nullptr) {
-      throw std::invalid_argument("decrypt_batched: null ciphertext");
-    }
-    max_set = std::max(max_set, p.receivers.size());
-  }
-  // Warm the PK's MSM table once on the calling thread: concurrent first
-  // calls would each build their own candidate table (the CAS race is benign
-  // but the duplicate builds are not free). Table size never affects MSM
-  // results, so this is output-invisible.
-  if (max_set > 0) {
-    (void)pk.powers_msm(std::min(max_set, pk.max_receivers()));
-  }
-
-  // Preparing (polynomial expansion, MSM, line table) is independent per
-  // partition: one slot per partition.
-  std::vector<std::optional<PreparedPartition>> prepared(parts.size());
-  util::ThreadPool::global().parallel_for(0, parts.size(), 1, [&](std::size_t i) {
-    prepared[i] = PreparedPartition::prepare(pk, usk, parts[i].receivers);
-  });
-
-  // The member partitions in index order; the others stay nullopt, exactly
-  // as decrypt would return.
-  std::vector<std::size_t> live;
-  std::vector<PreparedPartitionRef> refs;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (!prepared[i]) continue;
-    live.push_back(i);
-    refs.push_back({&*prepared[i], parts[i].ct});
-  }
-  auto keys = decrypt_batched(refs);
-  std::vector<std::optional<Gt>> out(parts.size());
-  for (std::size_t j = 0; j < live.size(); ++j) out[live[j]] = keys[j];
-  return out;
 }
 
 G2 compute_c3_public(const PublicKey& pk, std::span<const Identity> receivers) {

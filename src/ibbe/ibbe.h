@@ -229,46 +229,6 @@ class PreparedPartition {
 pairing::Gt decrypt(const PreparedPartition& part,
                     const BroadcastCiphertext& ct);
 
-/// One partition's decrypt inputs: the receiver set a ciphertext was
-/// produced for, plus the ciphertext. The spans/pointers must stay alive for
-/// the duration of the decrypt_batched call; nothing is copied.
-struct PartitionRef {
-  std::span<const Identity> receivers;
-  const BroadcastCiphertext* ct = nullptr;
-};
-
-/// Batched-decrypt input over cached partition state (see PreparedPartition
-/// and decrypt_batched below). Pointers must outlive the call.
-struct PreparedPartitionRef {
-  const PreparedPartition* part = nullptr;
-  const BroadcastCiphertext* ct = nullptr;
-};
-
-/// Batched decrypt for a client that belongs to many partitions (the same
-/// usk against several receiver sets / ciphertexts under one PK — e.g. one
-/// user in n groups, or the paper's partitioned group on re-key). Element i
-/// equals exactly what decrypt(pk, usk, parts[i].receivers, *parts[i].ct)
-/// would return, including std::nullopt for partitions the user is not in.
-///
-/// Prepares every partition (in parallel, after warming the PK's MSM table
-/// once) and hands the member partitions to the prepared decrypt_batched
-/// below. Each partition's broadcast key is an independent GT element, so
-/// the per-partition Miller loops and hard-part exponentiations are
-/// irreducible (a single shared-squaring multi-pairing would only yield the
-/// PRODUCT of the keys); what the batch amortizes is ONE Montgomery-batched
-/// field inversion for all easy parts (pairing::final_exponentiation_many).
-/// Throws std::invalid_argument on a null ct pointer.
-std::vector<std::optional<pairing::Gt>> decrypt_batched(
-    const PublicKey& pk, const UserSecretKey& usk,
-    std::span<const PartitionRef> parts);
-
-/// decrypt_batched over PreparedPartition state: one batched easy-part
-/// inversion across the final exponentiations; the per-partition polynomial
-/// expansion, MSM, Delta inversion, and h^p_i line tables were all paid at
-/// prepare() time. Throws std::invalid_argument on null pointers.
-std::vector<pairing::Gt> decrypt_batched(
-    std::span<const PreparedPartitionRef> parts);
-
 /// Rebuilds C3 = h^(prod (gamma+H(u))) from the public key alone (paper
 /// Formula 5 remark) — O(|S|^2). Used to validate cached C3 values in tests.
 ec::G2 compute_c3_public(const PublicKey& pk, std::span<const Identity> receivers);

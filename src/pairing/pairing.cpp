@@ -383,7 +383,7 @@ Gt pairing_product(std::span<const std::pair<G1, G2>> pairs) {
   return pairing_product_prepared(inputs);
 }
 
-Fp12 miller_loop_product_prepared(std::span<const PairingInput> pairs) {
+Gt pairing_product_prepared(std::span<const PairingInput> pairs) {
   // The live (non-infinity) operands, walked by one shared-squaring loop.
   std::vector<MillerArg> args;
   args.reserve(pairs.size());
@@ -395,12 +395,7 @@ Fp12 miller_loop_product_prepared(std::span<const PairingInput> pairs) {
     if (!pa || input.g2->is_infinity()) continue;
     args.push_back({pa->first, pa->second, &input.g2->coeffs()});
   }
-  return miller_loop_many(args);
-}
-
-Gt pairing_product_prepared(std::span<const PairingInput> pairs) {
-  return Gt::from_fp12_unchecked(
-      final_exponentiation(miller_loop_product_prepared(pairs)));
+  return Gt::from_fp12_unchecked(final_exponentiation(miller_loop_many(args)));
 }
 
 }  // namespace ibbe::pairing

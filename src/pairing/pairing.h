@@ -80,7 +80,7 @@ field::Fp12 final_exponentiation(const field::Fp12& f);
 /// pairing values, not one product). Element-wise identical to calling
 /// final_exponentiation on each, but the easy part's Fp12 inversions are
 /// batched through one Montgomery simultaneous inversion. Used by the
-/// batched decrypt and HE-IBE bulk-grant paths.
+/// HE-IBE bulk grant (HeIbeScheme::grant_many).
 std::vector<field::Fp12> final_exponentiation_many(
     std::span<const field::Fp12> fs);
 
@@ -100,10 +100,5 @@ Gt pairing_product(std::span<const std::pair<ec::G1, ec::G2>> pairs);
 /// rejected; infinity on either side skips the pair). The decrypt path
 /// computes e(C1, h^p_i) * e(USK, C2) this way.
 Gt pairing_product_prepared(std::span<const PairingInput> pairs);
-
-/// Miller-loop-only variant of pairing_product_prepared, for callers that
-/// finish many independent products together with final_exponentiation_many
-/// (decrypt_batched).
-field::Fp12 miller_loop_product_prepared(std::span<const PairingInput> pairs);
 
 }  // namespace ibbe::pairing

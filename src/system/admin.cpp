@@ -1,6 +1,7 @@
 #include "system/admin.h"
 
 #include <algorithm>
+#include <ranges>
 #include <stdexcept>
 
 namespace ibbe::system {
@@ -18,6 +19,24 @@ const std::vector<Identity>& members_of(const CachedIndex& index,
   const auto* members = index.members_of(pid);
   if (!members) throw std::logic_error("AdminApi: unknown partition id");
   return *members;
+}
+
+/// The occupancy rule of §V-A over partitions given by their member counts:
+/// "if less than half of the partitions are only two thirds full, then
+/// re-partitioning is triggered", i.e. more than half of them below 2/3 of
+/// `target`. Over all partitions it triggers a full rebuild (snapshot
+/// barrier); over one shard's, a shard-local one that keeps the repair
+/// O(shard) and lets clients fold it as a delta.
+template <std::ranges::input_range Sizes>
+bool mostly_sparse(std::size_t target, Sizes&& sizes) {
+  const std::size_t threshold = (target * 2 + 2) / 3;  // ceil(2m/3)
+  std::size_t total = 0;
+  std::size_t sparse = 0;
+  for (std::size_t n : sizes) {
+    ++total;
+    if (n < threshold) ++sparse;
+  }
+  return total >= 2 && sparse * 2 > total;
 }
 
 std::vector<ec::P256Point> trusted_keys(
@@ -848,11 +867,12 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
                                : ids.front();
         // The global §V-A heuristic first (a full rebuild subsumes any
         // shard-local one), then the same rule scoped to each dirty shard.
-        std::vector<PartitionId> all;
-        for (const auto& [pid, members] : state.index.partitions()) {
-          all.push_back(pid);
-        }
-        if (mostly_sparse(state, all)) {
+        // One walk over the index: no per-partition lookup.
+        if (mostly_sparse(state.target_partition_size,
+                          state.index.partitions() |
+                              std::views::transform([](const auto& part) {
+                                return part.second.size();
+                              }))) {
           // The rebuild's repartition entry must follow ours on the cloud,
           // and the manifest pins the newer one. A re-run after a lost CAS
           // keeps our entry and logs its own generation's rebuild again.
@@ -869,7 +889,11 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
                         state.shards[s].sid) == dirty_sids.end()) {
             continue;
           }
-          if (mostly_sparse(state, state.shards[s].pids)) {
+          if (mostly_sparse(state.target_partition_size,
+                            state.shards[s].pids |
+                                std::views::transform([&](PartitionId pid) {
+                                  return members_of(state.index, pid).size();
+                                }))) {
             repartition_shard(state, s);
           }
           rewrite_shard(gid, state, s);
@@ -892,21 +916,6 @@ void AdminApi::stage_op(GroupState& state, DeltaOp op) {
     throw std::logic_error("AdminApi: delta op inconsistent with the index");
   }
   state.pending_delta.push_back(std::move(op));
-}
-
-bool AdminApi::mostly_sparse(const GroupState& state,
-                             std::span<const PartitionId> pids) const {
-  // §V-A heuristic: "if less than half of the partitions are only two thirds
-  // full, then re-partitioning is triggered." Scoped to one shard, it
-  // compacts only the shard that churned: the repair stays O(shard), and
-  // clients fold it as a delta instead of hitting a snapshot barrier.
-  if (pids.size() < 2) return false;
-  std::size_t threshold = (state.target_partition_size * 2 + 2) / 3;  // ceil(2m/3)
-  std::size_t sparse = 0;
-  for (PartitionId pid : pids) {
-    if (members_of(state.index, pid).size() < threshold) ++sparse;
-  }
-  return sparse * 2 > pids.size();
 }
 
 void AdminApi::repartition_shard(GroupState& state, std::size_t shard) {

@@ -178,9 +178,11 @@ class AdminApi {
   [[nodiscard]] std::size_t cloud_object_count(const GroupId& gid) const;
 
   [[nodiscard]] const AdminStats& stats() const { return stats_; }
-  /// Workload observations driving adaptive sizing. Decrypt observations are
-  /// reported by the deployment (e.g. the trace replayer), since clients do
-  /// not talk to the administrator on the decrypt path.
+  /// Workload observations driving adaptive sizing. The admin records its
+  /// own adds and removes; decrypts it never sees, since clients do not talk
+  /// to the administrator on the read path. The caller must feed them with
+  /// record_decrypt(): with none recorded, every adaptive rebuild goes to
+  /// the PK bound.
   [[nodiscard]] PartitionAdvisor& advisor() { return advisor_; }
   /// The group's audit log (empty if log_operations is off).
   [[nodiscard]] const MembershipLog& log_of(const GroupId& gid) const;
@@ -322,11 +324,6 @@ class AdminApi {
   /// delta, so the published delta is exactly the change made. An op the
   /// index rejects is a bug here: std::logic_error.
   static void stage_op(GroupState& state, DeltaOp op);
-  /// The occupancy rule of §V-A over `pids`: more than half of them below
-  /// 2/3 of the target size. Over all partitions it triggers a full rebuild
-  /// (snapshot barrier); over one shard's, a shard-local one.
-  bool mostly_sparse(const GroupState& state,
-                     std::span<const PartitionId> pids) const;
   /// Shard-local rebuild: merges the shard's members into fresh partitions
   /// of the target size wrapping the CURRENT gk (no rotation), under fresh
   /// stable pids, as one staged repartition op that warm clients fold.

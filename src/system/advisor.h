@@ -24,7 +24,7 @@ class PartitionAdvisor {
  public:
   struct CostModel {
     /// Seconds to re-key one partition inside the enclave (1 G1 + 1 G2 + 1 GT
-    /// exponentiation + AEAD wrap; measure with bench_micro_crypto).
+    /// exponentiation + AEAD wrap; bench_scalar_suite times each part).
     double rekey_seconds = 3.5e-3;
     /// Client decrypt seconds per partition member (G2 exponentiation
     /// dominated at practical sizes).

@@ -271,77 +271,6 @@ TEST_F(IbbeFixture, CiphertextIsConstantSize) {
   EXPECT_EQ(small.ct.to_bytes().size(), large.ct.to_bytes().size());
 }
 
-// -------------------------------------------------------- batched decrypt
-
-TEST_F(IbbeFixture, BatchedDecryptMatchesPerPartitionDecrypt) {
-  // One client ("user0...") in four partitions with otherwise disjoint
-  // receiver sets — the multi-group / multi-partition client of the paper.
-  auto key = usk(make_users(1)[0]);
-  std::vector<std::vector<Identity>> sets;
-  std::vector<ibbe::core::EncryptResult> encs;
-  for (int p = 0; p < 4; ++p) {
-    auto set = make_users(5, "p" + std::to_string(p) + "-member");
-    set[2] = key.id;  // the common client, at different positions
-    encs.push_back(ibbe::core::encrypt_with_msk(keys.msk, keys.pk, set, rng));
-    sets.push_back(std::move(set));
-  }
-
-  std::vector<ibbe::core::PartitionRef> parts;
-  for (int p = 0; p < 4; ++p) {
-    auto idx = static_cast<std::size_t>(p);
-    parts.push_back({sets[idx], &encs[idx].ct});
-  }
-  auto batched = ibbe::core::decrypt_batched(keys.pk, key, parts);
-  ASSERT_EQ(batched.size(), 4u);
-  for (int p = 0; p < 4; ++p) {
-    auto idx = static_cast<std::size_t>(p);
-    auto single = ibbe::core::decrypt(keys.pk, key, sets[idx], encs[idx].ct);
-    ASSERT_TRUE(single.has_value());
-    ASSERT_TRUE(batched[idx].has_value()) << "partition " << p;
-    EXPECT_EQ(*batched[idx], *single) << "partition " << p;
-    EXPECT_EQ(*batched[idx], encs[idx].bk) << "partition " << p;
-  }
-}
-
-TEST_F(IbbeFixture, BatchedDecryptSkipsNonMemberPartitions) {
-  auto key = usk(make_users(1)[0]);
-  auto in_set = make_users(4);                    // contains user0
-  auto out_set = make_users(4, "stranger");       // does not
-  auto enc_in = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, in_set, rng);
-  auto enc_out = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, out_set, rng);
-
-  std::vector<ibbe::core::PartitionRef> parts = {
-      {out_set, &enc_out.ct},
-      {in_set, &enc_in.ct},
-      {out_set, &enc_out.ct},
-  };
-  auto batched = ibbe::core::decrypt_batched(keys.pk, key, parts);
-  ASSERT_EQ(batched.size(), 3u);
-  EXPECT_FALSE(batched[0].has_value());
-  ASSERT_TRUE(batched[1].has_value());
-  EXPECT_EQ(*batched[1], enc_in.bk);
-  EXPECT_FALSE(batched[2].has_value());
-}
-
-TEST_F(IbbeFixture, BatchedDecryptEmptyAndErrors) {
-  auto key = usk(make_users(1)[0]);
-  EXPECT_TRUE(ibbe::core::decrypt_batched(keys.pk, key, {}).empty());
-  std::vector<ibbe::core::PartitionRef> bad = {{make_users(2), nullptr}};
-  EXPECT_THROW(ibbe::core::decrypt_batched(keys.pk, key, bad),
-               std::invalid_argument);
-}
-
-TEST_F(IbbeFixture, BatchedDecryptSinglePartitionEqualsDecrypt) {
-  auto users = make_users(8);
-  auto key = usk(users[3]);
-  auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
-  std::vector<ibbe::core::PartitionRef> parts = {{users, &enc.ct}};
-  auto batched = ibbe::core::decrypt_batched(keys.pk, key, parts);
-  ASSERT_EQ(batched.size(), 1u);
-  ASSERT_TRUE(batched[0].has_value());
-  EXPECT_EQ(*batched[0], *ibbe::core::decrypt(keys.pk, key, users, enc.ct));
-}
-
 // ------------------------------------------------- cached partition decrypt
 
 TEST_F(IbbeFixture, PreparedPartitionDecryptEqualsDecrypt) {
@@ -371,54 +300,17 @@ TEST_F(IbbeFixture, PreparedPartitionRejectsNonMembersAndOversizedSets) {
           .has_value());
 }
 
-TEST_F(IbbeFixture, PreparedBatchedDecryptEqualsPerPartitionDecrypt) {
-  // One client in three partitions, all prepared once, batch-decrypted.
-  auto shared_user = make_users(1)[0];
-  auto key = usk(shared_user);
-  std::vector<std::vector<Identity>> sets;
-  std::vector<ibbe::core::EncryptResult> encs;
-  std::vector<ibbe::core::PreparedPartition> parts;
-  for (int p = 0; p < 3; ++p) {
-    auto set = make_users(5 + static_cast<std::size_t>(p),
-                          "p" + std::to_string(p) + "-user");
-    set[static_cast<std::size_t>(p)] = shared_user;
-    encs.push_back(ibbe::core::encrypt_with_msk(keys.msk, keys.pk, set, rng));
-    auto part = ibbe::core::PreparedPartition::prepare(keys.pk, key, set);
-    ASSERT_TRUE(part.has_value());
-    parts.push_back(std::move(*part));
-    sets.push_back(std::move(set));
-  }
-  std::vector<ibbe::core::PreparedPartitionRef> refs;
-  for (int p = 0; p < 3; ++p) {
-    refs.push_back({&parts[static_cast<std::size_t>(p)],
-                    &encs[static_cast<std::size_t>(p)].ct});
-  }
-  auto batched = ibbe::core::decrypt_batched(refs);
-  ASSERT_EQ(batched.size(), 3u);
-  for (int p = 0; p < 3; ++p) {
-    EXPECT_EQ(batched[static_cast<std::size_t>(p)],
-              encs[static_cast<std::size_t>(p)].bk);
-    EXPECT_EQ(batched[static_cast<std::size_t>(p)],
-              *ibbe::core::decrypt(keys.pk, key, sets[static_cast<std::size_t>(p)],
-                                   encs[static_cast<std::size_t>(p)].ct));
-  }
-}
-
-TEST(PreparedPartitionErrors, NullRefsRejected) {
-  std::vector<ibbe::core::PreparedPartitionRef> bad = {{nullptr, nullptr}};
-  EXPECT_THROW(ibbe::core::decrypt_batched(bad), std::invalid_argument);
-}
-
 // ------------------------------------------------------------- golden pin
 
 TEST(IbbeGolden, PairingOutputsArePinned) {
   // One SHA-256 over every pairing-derived output of a seeded fixture: the
   // one-shot decrypt of every member at |S| in {1, 16, 33}, the prepared
-  // decrypt, both decrypt_batched overloads (with a non-member slot),
-  // verify_user_key verdicts and the HE-IBE grant entries. GT values are
-  // canonical after the final exponentiation, so a change to how Miller
-  // lines are tabulated or evaluated must leave this hash alone. It must
-  // hold on both Montgomery backends (IBBE_FORCE_PORTABLE_MUL=1).
+  // decrypt, one client's decrypts across several partitions (with a
+  // non-member slot), verify_user_key verdicts and the HE-IBE grant
+  // entries. GT values are canonical after the final exponentiation, so a
+  // change to how Miller lines are tabulated or evaluated must leave this
+  // hash alone. It must hold on both Montgomery backends
+  // (IBBE_FORCE_PORTABLE_MUL=1).
   Drbg rng(0x601DE);
   auto keys = ibbe::core::setup(33, rng);
   ibbe::crypto::Sha256 h;
@@ -453,21 +345,20 @@ TEST(IbbeGolden, PairingOutputsArePinned) {
   auto stranger = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, stranger_set, rng);
   absorb(ibbe::core::decrypt(keys.pk, client, stranger_set, stranger.ct));
 
-  std::vector<ibbe::core::PartitionRef> refs = {
-      {sets[1], &cts[1]}, {stranger_set, &stranger.ct}, {sets[0], &cts[0]},
-      {sets[2], &cts[2]}};
-  for (const auto& bk : ibbe::core::decrypt_batched(keys.pk, client, refs)) {
-    absorb(bk);
-  }
+  // The client across four partitions (one it is not in) through the
+  // one-shot decrypt, then its member partitions prepared once and decrypted
+  // in reverse order.
+  absorb(ibbe::core::decrypt(keys.pk, client, sets[1], cts[1]));
+  absorb(ibbe::core::decrypt(keys.pk, client, stranger_set, stranger.ct));
+  absorb(ibbe::core::decrypt(keys.pk, client, sets[0], cts[0]));
+  absorb(ibbe::core::decrypt(keys.pk, client, sets[2], cts[2]));
   std::vector<ibbe::core::PreparedPartition> parts;
   for (const auto& set : sets) {
     parts.push_back(*ibbe::core::PreparedPartition::prepare(keys.pk, client, set));
   }
-  std::vector<ibbe::core::PreparedPartitionRef> prepared_refs;
   for (std::size_t i = parts.size(); i-- > 0;) {
-    prepared_refs.push_back({&parts[i], &cts[i]});
+    absorb(ibbe::core::decrypt(parts[i], cts[i]));
   }
-  for (const auto& bk : ibbe::core::decrypt_batched(prepared_refs)) absorb(bk);
 
   // Rejected keys: a valid value under another identity, and a tampered value.
   absorb_verdict(ibbe::core::verify_user_key(keys.pk, {"forged", client.value}));

@@ -1,13 +1,12 @@
 // Parallel-equivalence suite (the test tentpole of the parallel engine PR),
 // in the differential style of strategy_equivalence_test: every parallelized
-// path — decrypt_batched (both overloads), Pippenger per-window MSM, the
-// enclave's create / remove / batch-remove fan-outs (which back AdminApi
-// create, re-partition and batch-revoke), and HeIbeScheme::grant_many — is
-// run at t = 1 / 2 / 4 / 7 pool threads and its outputs compared BITWISE
-// against the t = 1 serial path. The determinism contract under test: all
-// randomness is drawn serially on the calling thread in the serial order,
-// workers write only pre-sized slots, so the pool changes WHEN work happens
-// but never WHAT is computed.
+// path — Pippenger per-window MSM, the enclave's create / batch-remove
+// fan-outs (which back AdminApi create, re-partition and revoke), and
+// HeIbeScheme::grant_many — is run at t = 1 / 2 / 4 / 7 pool threads and
+// its outputs compared BITWISE against the t = 1 serial path. The
+// determinism contract under test: all randomness is drawn serially on the
+// calling thread in the serial order, workers write only pre-sized slots,
+// so the pool changes WHEN work happens but never WHAT is computed.
 //
 // The suite is wired into the default, portable-field, ASan and TSan trees
 // by scripts/ci.sh; the first test doubles as the TSan first-use hammer for
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -131,147 +129,6 @@ TEST(ParallelEquivalenceTest, PippengerMsmBitwiseAcrossThreadCounts) {
   }
 }
 
-// ------------------------------------------------------------- decrypt layer
-
-struct DecryptFixture {
-  core::SystemKeys keys;
-  core::UserSecretKey usk;
-  std::vector<std::vector<Identity>> receiver_sets;
-  std::vector<BroadcastCiphertext> cts;
-
-  /// `shapes[i]` is the receiver-set size of partition i; the subject user
-  /// is a member of partition i iff member[i].
-  DecryptFixture(std::uint64_t seed, const std::vector<std::size_t>& shapes,
-                 const std::vector<bool>& member) {
-    crypto::Drbg rng(seed);
-    keys = core::setup(16, rng);
-    usk = core::extract_user_key(keys.msk, "subject");
-    for (std::size_t p = 0; p < shapes.size(); ++p) {
-      auto ids = make_ids(shapes[p], "p" + std::to_string(p) + "-u");
-      if (member[p] && !ids.empty()) ids[0] = "subject";
-      // A shape beyond the PK bound cannot be encrypted; decrypt hits the
-      // oversized -> nullopt path from the receiver list alone, so encrypt a
-      // truncated set and keep the oversized list for the decrypt refs.
-      auto enc_ids = ids;
-      if (enc_ids.size() > keys.pk.max_receivers()) {
-        enc_ids.resize(keys.pk.max_receivers());
-      }
-      auto enc = core::encrypt_with_msk(keys.msk, keys.pk, enc_ids, rng);
-      receiver_sets.push_back(std::move(ids));
-      cts.push_back(enc.ct);
-    }
-  }
-
-  [[nodiscard]] std::vector<core::PartitionRef> refs() const {
-    std::vector<core::PartitionRef> parts;
-    for (std::size_t i = 0; i < cts.size(); ++i) {
-      parts.push_back({receiver_sets[i], &cts[i]});
-    }
-    return parts;
-  }
-};
-
-std::vector<std::optional<util::Bytes>> serialize(
-    const std::vector<std::optional<pairing::Gt>>& v) {
-  std::vector<std::optional<util::Bytes>> out;
-  out.reserve(v.size());
-  for (const auto& g : v) {
-    out.push_back(g ? std::optional<util::Bytes>(g->to_bytes()) : std::nullopt);
-  }
-  return out;
-}
-
-TEST(ParallelEquivalenceTest, DecryptBatchedBitwiseAcrossThreadCounts) {
-  GlobalThreadsGuard guard;
-  // 4 member partitions of 16 plus nullopt shapes: a non-member partition
-  // and an oversized one (17 > m = 16).
-  const std::vector<std::size_t> shapes = {16, 16, 16, 16, 8, 17};
-  const std::vector<bool> member = {true, true, true, true, false, true};
-  DecryptFixture fx(0xDEC0DE, shapes, member);
-  auto parts = fx.refs();
-
-  ThreadPool::set_global_threads(1);
-  const auto serial = serialize(core::decrypt_batched(fx.keys.pk, fx.usk, parts));
-  ASSERT_EQ(serial.size(), shapes.size());
-  EXPECT_FALSE(serial[4].has_value());  // non-member
-  EXPECT_FALSE(serial[5].has_value());  // oversized
-  // Semantic anchor: the batch agrees with the one-at-a-time decrypt.
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    auto one = core::decrypt(fx.keys.pk, fx.usk, fx.receiver_sets[i], fx.cts[i]);
-    ASSERT_EQ(one.has_value(), serial[i].has_value()) << i;
-    if (one) EXPECT_EQ(one->to_bytes(), *serial[i]) << i;
-  }
-
-  for (std::size_t t : kThreadSweep) {
-    ThreadPool::set_global_threads(t);
-    EXPECT_EQ(serialize(core::decrypt_batched(fx.keys.pk, fx.usk, parts)),
-              serial)
-        << "t=" << t;
-  }
-}
-
-TEST(ParallelEquivalenceTest, DecryptBatchedEdgeShapes) {
-  GlobalThreadsGuard guard;
-  const std::vector<std::size_t> shapes = {4};
-  const std::vector<bool> member = {true};
-  DecryptFixture fx(0xED6E, shapes, member);
-  for (std::size_t t : kThreadSweep) {
-    ThreadPool::set_global_threads(t);
-    // n = 0 partitions.
-    EXPECT_TRUE(
-        core::decrypt_batched(fx.keys.pk, fx.usk, std::span<const core::PartitionRef>())
-            .empty());
-    // n = 1 partition.
-    auto parts = fx.refs();
-    auto one = core::decrypt_batched(fx.keys.pk, fx.usk, parts);
-    ASSERT_EQ(one.size(), 1u);
-    EXPECT_TRUE(one[0].has_value());
-    // Null ciphertext throws regardless of thread count.
-    core::PartitionRef bad{fx.receiver_sets[0], nullptr};
-    EXPECT_THROW(core::decrypt_batched(fx.keys.pk, fx.usk,
-                                       std::span<const core::PartitionRef>(&bad, 1)),
-                 std::invalid_argument);
-  }
-}
-
-TEST(ParallelEquivalenceTest, PreparedDecryptBatchedBitwiseAcrossThreadCounts) {
-  GlobalThreadsGuard guard;
-  const std::vector<std::size_t> shapes = {16, 16, 16, 16};
-  const std::vector<bool> member = {true, true, true, true};
-  DecryptFixture fx(0xBA7C4, shapes, member);
-
-  std::vector<core::PreparedPartition> prepared;
-  for (std::size_t i = 0; i < fx.cts.size(); ++i) {
-    auto p = core::PreparedPartition::prepare(fx.keys.pk, fx.usk,
-                                              fx.receiver_sets[i]);
-    ASSERT_TRUE(p.has_value());
-    prepared.push_back(std::move(*p));
-  }
-  std::vector<core::PreparedPartitionRef> refs;
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    refs.push_back({&prepared[i], &fx.cts[i]});
-  }
-
-  ThreadPool::set_global_threads(1);
-  std::vector<util::Bytes> serial;
-  for (const auto& g : core::decrypt_batched(refs)) {
-    serial.push_back(g.to_bytes());
-  }
-
-  for (std::size_t t : kThreadSweep) {
-    ThreadPool::set_global_threads(t);
-    auto got = core::decrypt_batched(refs);
-    ASSERT_EQ(got.size(), serial.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].to_bytes(), serial[i]) << "t=" << t << " i=" << i;
-    }
-    // Empty input stays empty.
-    EXPECT_TRUE(
-        core::decrypt_batched(std::span<const core::PreparedPartitionRef>())
-            .empty());
-  }
-}
-
 // ------------------------------------------------------------- enclave layer
 
 /// Two same-seed enclaves of the same image on one platform produce
@@ -380,11 +237,30 @@ TEST(ParallelEquivalenceTest, WorkerExceptionLeavesCryptoPathsIntact) {
   GlobalThreadsGuard guard;
   ThreadPool::set_global_threads(4);
 
-  const std::vector<std::size_t> shapes = {8, 8};
-  const std::vector<bool> member = {true, true};
-  DecryptFixture fx(0xFA11, shapes, member);
-  auto parts = fx.refs();
-  const auto before = serialize(core::decrypt_batched(fx.keys.pk, fx.usk, parts));
+  // Two parallel crypto sites probe the pool: a Pippenger MSM (n > 32) and
+  // a same-seed enclave's create fan-out.
+  std::vector<ec::G1> bases(40);
+  std::vector<field::Fr> scalars(40);
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    bases[i] = testutil::random_g1();
+    scalars[i] = testutil::random_fr();
+  }
+  sgx::EnclavePlatform platform("fault-platform");
+  std::vector<std::vector<Identity>> partitions;
+  for (std::size_t p = 0; p < 4; ++p) {
+    partitions.push_back(make_ids(4, "f" + std::to_string(p) + "-u"));
+  }
+  auto probe = [&] {
+    util::Bytes out =
+        ec::g1_to_bytes(ec::msm(std::span<const ec::G1>(bases), scalars));
+    enclave::IbbeEnclave en(platform, 8, 0xFA11);
+    for (const auto& pc : en.ecall_create_group(partitions).partitions) {
+      auto bytes = pc.to_bytes();
+      out.insert(out.end(), bytes.begin(), bytes.end());
+    }
+    return out;
+  };
+  const auto before = probe();
 
   // A worker task throws; the global pool must propagate it and survive.
   EXPECT_THROW(ThreadPool::global().parallel_for(
@@ -395,8 +271,7 @@ TEST(ParallelEquivalenceTest, WorkerExceptionLeavesCryptoPathsIntact) {
                std::runtime_error);
 
   // Subsequent parallel crypto on the same (reused) pool is unperturbed.
-  EXPECT_EQ(serialize(core::decrypt_batched(fx.keys.pk, fx.usk, parts)),
-            before);
+  EXPECT_EQ(probe(), before);
 }
 
 }  // namespace
