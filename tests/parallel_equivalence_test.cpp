@@ -11,7 +11,8 @@
 // The suite is wired into the default, portable-field, ASan and TSan trees
 // by scripts/ci.sh; the first test doubles as the TSan first-use hammer for
 // the lazily-initialized shared state (GLV/GLS contexts, comb/generator
-// tables, GT exponentiation contexts, Montgomery backend dispatch).
+// tables, GT exponentiation contexts, Montgomery backend dispatch), and the
+// second does the same for a PublicKey's lazily-built MSM and line tables.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -84,6 +85,55 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfLazySingletons) {
     field::Fr k = s + field::Fr::from_u64(i);
     EXPECT_EQ(g1[i], ec::g1_to_bytes(ec::G1::generator().mul(k)));
     EXPECT_EQ(g2[i], ec::g2_to_bytes(ec::G2::generator().mul(k)));
+  }
+}
+
+// The PublicKey's lazily-built tables (the G2 powers MSM, grown on demand,
+// and the prepared h / h^gamma line tables) are filled by lock-free CAS on a
+// shared const key. Hammer their first use from many workers on a freshly
+// deserialized, cold key: each worker prepares a partition of a different
+// size (so the MSM table grows while others read it), decrypts, and checks
+// its key. Every result must equal the serial decrypt on a second cold copy.
+TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfPublicKeyTables) {
+  GlobalThreadsGuard guard;
+  crypto::Drbg rng(0xC01D);
+  auto keys = core::setup(16, rng);
+  const auto usk = core::extract_user_key(keys.msk, "subject");
+  const std::vector<std::size_t> shapes = {2, 16, 5, 9, 4, 12, 3, 7};
+  std::vector<std::vector<Identity>> receivers;
+  std::vector<BroadcastCiphertext> cts;
+  for (std::size_t p = 0; p < shapes.size(); ++p) {
+    auto ids = make_ids(shapes[p], "p" + std::to_string(p) + "-u");
+    ids[0] = "subject";
+    cts.push_back(core::encrypt_with_msk(keys.msk, keys.pk, ids, rng).ct);
+    receivers.push_back(std::move(ids));
+  }
+  const auto pk_bytes = keys.pk.to_bytes();
+
+  ThreadPool::set_global_threads(1);
+  const auto serial_pk = core::PublicKey::from_bytes(pk_bytes);
+  std::vector<util::Bytes> serial;
+  for (std::size_t p = 0; p < shapes.size(); ++p) {
+    auto bk = core::decrypt(serial_pk, usk, receivers[p], cts[p]);
+    ASSERT_TRUE(bk.has_value()) << p;
+    serial.push_back(bk->to_bytes());
+  }
+
+  ThreadPool::set_global_threads(7);
+  const auto shared_pk = core::PublicKey::from_bytes(pk_bytes);
+  std::vector<util::Bytes> prepared(shapes.size()), one_shot(shapes.size());
+  std::vector<char> verified(shapes.size(), 0);
+  ThreadPool::global().parallel_for(0, shapes.size(), 1, [&](std::size_t p) {
+    auto part = core::PreparedPartition::prepare(shared_pk, usk, receivers[p]);
+    if (part) prepared[p] = core::decrypt(*part, cts[p]).to_bytes();
+    auto bk = core::decrypt(shared_pk, usk, receivers[p], cts[p]);
+    if (bk) one_shot[p] = bk->to_bytes();
+    verified[p] = core::verify_user_key(shared_pk, usk) ? 1 : 0;
+  });
+  for (std::size_t p = 0; p < shapes.size(); ++p) {
+    EXPECT_EQ(prepared[p], serial[p]) << p;
+    EXPECT_EQ(one_shot[p], serial[p]) << p;
+    EXPECT_TRUE(verified[p]) << p;
   }
 }
 
