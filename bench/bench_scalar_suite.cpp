@@ -9,11 +9,15 @@
 // revisions. The schema is documented in docs/benchmarks.md.
 //
 // The `_t{N}` metrics re-run a parallelized operation with the global thread
-// pool at N total threads — the scaling curve for the work-stealing pool.
-// On a single-core host the curve is flat (or slightly worse at higher N,
-// pure scheduling overhead); see docs/benchmarks.md for interpretation.
+// pool at N total threads — the scaling curve for the pool's shared chunk
+// cursor. They report the median per-call time over at least 15 calls at
+// every scale, so one call slowed by another tenant's load does not move
+// them. On a single-core host the curve is flat (or slightly worse at
+// higher N, pure scheduling overhead); see docs/benchmarks.md for
+// interpretation.
 //
 // Usage: bench_scalar_suite [--json PATH] [--scale smoke|default|full]
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,6 +36,7 @@
 #include "pairing/pairing.h"
 #include "pki/ecies.h"
 #include "system/admin.h"
+#include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -49,6 +54,21 @@ double time_us(F&& f, int iters) {
   ibbe::util::Stopwatch sw;
   for (int i = 0; i < iters; ++i) f();
   return sw.micros() / iters;
+}
+
+/// Median per-call time over `calls` runs (at least 15) after one warm-up
+/// call: the `_t{N}` rows, whose few slow calls a mean would smear over the
+/// thread-count comparison.
+template <typename F>
+double median_us(F&& f, int calls) {
+  f();
+  ibbe::util::Summary us;
+  for (int i = 0; i < std::max(15, calls); ++i) {
+    ibbe::util::Stopwatch sw;
+    f();
+    us.add(sw.micros());
+  }
+  return us.percentile(0.5);
 }
 
 /// Nanoseconds per op for sub-microsecond field operations: a DEPENDENT
@@ -222,7 +242,7 @@ int main(int argc, char** argv) {
   const std::size_t msm_threads[] = {1, 4};
   for (std::size_t s = 0; s < 2; ++s) {
     ibbe::util::ThreadPool::set_global_threads(msm_threads[s]);
-    metrics.push_back({kMsmNames[s], time_us(
+    metrics.push_back({kMsmNames[s], median_us(
         [&] {
           (void)ibbe::ec::msm(std::span<const G2>(msm_bases),
                               std::span<const Fr>(msm_scalars));
@@ -249,11 +269,9 @@ int main(int argc, char** argv) {
     std::vector<ibbe::core::Identity> group;
     for (int i = 0; i < 256; ++i) group.push_back("m" + std::to_string(i));
     int next_gid = 0;
-    ibbe::util::Stopwatch sw;
-    for (int i = 0; i < slow_iters; ++i) {
-      admin.create_group("g" + std::to_string(next_gid++), group);
-    }
-    metrics.push_back({kAdminNames[s], sw.micros() / slow_iters});
+    metrics.push_back({kAdminNames[s], median_us(
+        [&] { admin.create_group("g" + std::to_string(next_gid++), group); },
+        slow_iters)});
   }
   ibbe::util::ThreadPool::set_global_threads(1);
 

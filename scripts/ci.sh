@@ -209,11 +209,20 @@ sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
 # ThreadSanitizer stage: the Byzantine store wraps every fault decision in a
 # mutex and clients race long-polls, gossip publishes, and CAS retries
 # against it — exactly the shapes TSan exists to check. The thread-pool
-# suites ride along: they hammer the work-stealing scheduler and the lazy
-# first-use of the shared crypto singletons (GLV/GLS lattices, comb tables,
-# the Montgomery-backend dispatch) from many workers at once.
+# suites ride along: they hammer the pool's job list and shared chunk
+# cursors and the lazy first-use of the shared crypto singletons (GLV/GLS
+# lattices, comb tables, the Montgomery-backend dispatch) from many workers
+# at once.
 sanitizer_stage "${BUILD_DIR}-tsan" thread \
   cloud_test fault_injection_test byzantine_test system_test \
   thread_pool_test parallel_equivalence_test net_test
+
+# One TSan pass sees one interleaving per test; twenty repeats of the pool
+# suite let the job list, the chunk cursor and the caller's wait race in
+# many orders. Skipped with the stage when the toolchain lacks TSan.
+if [ -x "${BUILD_DIR}-tsan/thread_pool_test" ]; then
+  echo "==> ${BUILD_DIR}-tsan/thread_pool_test --gtest_repeat=20 (thread)"
+  "${BUILD_DIR}-tsan/thread_pool_test" --gtest_brief=1 --gtest_repeat=20
+fi
 
 echo "ci.sh: all stages passed"

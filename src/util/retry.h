@@ -7,12 +7,11 @@
 // the fault-injection harness depends on), and two budgets: a maximum
 // attempt count and an optional wall-clock deadline.
 //
-// The policy is pure data plus a pure delay() function; retry_on<E>() is the
-// generic loop, and retry_faults() is the loop specialised to the
-// util/errors.h taxonomy: it retries exactly the FaultErrors whose kind is
-// retryable (transient), while crash and integrity faults always propagate —
-// so no retry loop anywhere can swallow a simulated process death or
-// evidence of a Byzantine store.
+// The policy is pure data plus a pure delay() function; retry_faults() is the
+// one retry loop, keyed to the util/errors.h taxonomy: it retries exactly the
+// FaultErrors whose kind is retryable (transient), while crash and integrity
+// faults always propagate — so no retry loop anywhere can swallow a
+// simulated process death or evidence of a Byzantine store.
 #pragma once
 
 #include <chrono>
@@ -55,32 +54,11 @@ struct RetryPolicy {
 /// SplitMix64 step: the deterministic-jitter (and fault-plan) PRNG.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
 
-/// Runs `f`, retrying on exceptions of type `Exc` per `policy`. Any other
-/// exception (and `Exc` once the attempt/deadline budget is exhausted)
-/// propagates. `retries` (optional) is incremented once per retry taken.
-template <typename Exc, typename F>
-auto retry_on(const RetryPolicy& policy, F&& f, std::uint64_t* retries = nullptr)
-    -> decltype(f()) {
-  const auto start = std::chrono::steady_clock::now();
-  for (int attempt = 1;; ++attempt) {
-    try {
-      return f();
-    } catch (const Exc&) {
-      if (attempt >= policy.max_attempts) throw;
-      if (policy.deadline.count() > 0 &&
-          std::chrono::steady_clock::now() - start >= policy.deadline) {
-        throw;
-      }
-      if (retries != nullptr) ++*retries;
-      auto pause = policy.delay(attempt);
-      if (pause.count() > 0) std::this_thread::sleep_for(pause);
-    }
-  }
-}
-
 /// Runs `f`, retrying per `policy` exactly the FaultErrors whose kind()
 /// reports retryable() (i.e. transient faults). Crash and integrity faults —
-/// and any non-FaultError exception — propagate immediately, budget or not.
+/// and any non-FaultError exception — propagate immediately, budget or not;
+/// a transient fault propagates once the attempt/deadline budget is spent.
+/// `retries` (optional) is incremented once per retry taken.
 template <typename F>
 auto retry_faults(const RetryPolicy& policy, F&& f,
                   std::uint64_t* retries = nullptr) -> decltype(f()) {

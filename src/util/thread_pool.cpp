@@ -1,10 +1,10 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
-#include <deque>
-#include <stdexcept>
-#include <string>
+#include <exception>
+#include <memory>
 
 namespace ibbe::util {
 
@@ -22,25 +22,19 @@ struct DepthGuard {
 
 }  // namespace
 
-struct ThreadPool::Worker {
-  std::mutex mutex;
-  std::deque<Chunk> deque;
-};
-
-/// Completion state of one parallel_for call, on the caller's stack. Chunks
-/// hold a pointer to it only while remaining > 0; the caller cannot return
-/// (and so the Batch cannot die) before remaining reaches 0.
-struct ThreadPool::Batch {
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = 0;
-  std::exception_ptr error;  // first task exception, rethrown by the caller
+/// One parallel_for call, on the caller's stack. Workers touch it only under
+/// mutex_ while it is on the job list, or while counted in `holders`; the
+/// caller returns (so the Job dies) only after taking it off the list and
+/// seeing `holders` reach 0.
+struct ThreadPool::Job {
+  const std::function<void(std::size_t, std::size_t)>& body;
+  std::size_t begin, end, chunk_size, n_chunks;
+  std::atomic<std::size_t> cursor{0};  // next unclaimed chunk
+  std::size_t holders = 0;             // workers inside drain(); mutex_
+  std::exception_ptr error{};          // first task exception; mutex_
 };
 
 std::size_t ThreadPool::configured_threads() {
-#ifdef IBBE_SINGLE_THREAD
-  return 1;
-#else
   if (const char* env = std::getenv("IBBE_THREADS");
       env != nullptr && *env != '\0') {
     char* end = nullptr;
@@ -51,110 +45,59 @@ std::size_t ThreadPool::configured_threads() {
   }
   std::size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-#endif
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = configured_threads();
-#ifdef IBBE_SINGLE_THREAD
-  threads = 1;  // compile-time serial mode: never spawn workers
-#endif
-  const std::size_t workers = threads - 1;
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  workers_.reserve(threads - 1);
+  for (std::size_t i = 1; i < threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    // The lock orders the flag flip against a worker's "queues empty, go to
-    // sleep" check — without it a worker could re-check pending_, miss the
-    // flag, and sleep through the final notify.
-    std::lock_guard lock(wake_mutex_);
-    stop_.store(true, std::memory_order_release);
+    std::lock_guard lock(mutex_);
+    stop_ = true;
   }
   wake_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-  // Workers drain their deques before exiting (stop only breaks the loop
-  // when no task is claimable), so queued submit() work has completed here.
+  for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::push_chunks(std::vector<Chunk> chunks) {
-  const std::size_t w = workers_.size();
-  const std::size_t start =
-      next_victim_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    Worker& victim = *workers_[(start + c) % w];
-    std::lock_guard lock(victim.mutex);
-    victim.deque.push_back(std::move(chunks[c]));
-  }
-  {
-    // Publishing pending_ under the wake mutex orders it against a worker's
-    // predicate check, so the notify below cannot slip into the window
-    // between that check and the worker's sleep (lost wakeup).
-    std::lock_guard lock(wake_mutex_);
-    pending_.fetch_add(chunks.size(), std::memory_order_release);
-  }
-  if (chunks.size() == 1) {
-    wake_cv_.notify_one();
-  } else {
-    wake_cv_.notify_all();
-  }
-}
-
-bool ThreadPool::try_pop(std::size_t self, Chunk& out) {
-  const std::size_t w = workers_.size();
-  // Own deque first, newest chunk (LIFO keeps a worker on the range it was
-  // handed); victims oldest-first (FIFO steals the chunk its owner would
-  // reach last, minimizing contention).
-  if (self < w) {
-    Worker& own = *workers_[self];
-    std::lock_guard lock(own.mutex);
-    if (!own.deque.empty()) {
-      out = std::move(own.deque.back());
-      own.deque.pop_back();
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
+void ThreadPool::drain(Job& job, std::size_t c) {
+  DepthGuard depth;
+  for (; c < job.n_chunks;
+       c = job.cursor.fetch_add(1, std::memory_order_relaxed)) {
+    const std::size_t lo = job.begin + c * job.chunk_size;
+    const std::size_t hi = std::min(job.end, lo + job.chunk_size);
+    try {
+      job.body(lo, hi);
+    } catch (...) {
+      std::lock_guard lock(mutex_);
+      if (!job.error) job.error = std::current_exception();
     }
   }
-  for (std::size_t k = 0; k < w; ++k) {
-    const std::size_t v = (self < w ? self + 1 + k : k) % w;
-    if (v == self) continue;
-    Worker& victim = *workers_[v];
-    std::lock_guard lock(victim.mutex);
-    if (!victim.deque.empty()) {
-      out = std::move(victim.deque.front());
-      victim.deque.pop_front();
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  return false;
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
-  Chunk chunk;
+void ThreadPool::worker_loop() {
+  std::unique_lock lock(mutex_);
   while (true) {
-    if (try_pop(self, chunk)) {
-      DepthGuard depth;
-      chunk();       // exceptions are captured inside the chunk wrapper
-      chunk = {};    // release captured state promptly
+    wake_cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
+    if (jobs_.empty()) return;  // stopping, and nothing is in flight
+    Job& job = *jobs_.front();
+    // The first claim happens under the lock, so a worker holds a job only
+    // with a chunk in hand: the caller never waits on a worker that woke
+    // after the last chunk was claimed.
+    const std::size_t c = job.cursor.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job.n_chunks) {
+      jobs_.pop_front();  // exhausted: nothing left for anyone to claim
       continue;
     }
-    std::unique_lock lock(wake_mutex_);
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
-    wake_cv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
+    ++job.holders;
+    lock.unlock();
+    drain(job, c);
+    lock.lock();
+    if (--job.holders == 0) done_cv_.notify_all();
   }
 }
 
@@ -171,66 +114,22 @@ void ThreadPool::run_chunks(
     return;
   }
 
-  // ~4 chunks per thread gives the stealing room to rebalance skewed task
-  // costs without shrinking chunks below the grain.
-  const std::size_t max_chunks =
-      std::min((n + g - 1) / g, 4 * (workers_.size() + 1));
+  // At most 4 chunks per thread lets skewed task costs spread over the
+  // threads without shrinking chunks below the grain.
+  const std::size_t max_chunks = std::min((n + g - 1) / g, 4 * threads());
   const std::size_t chunk_size = (n + max_chunks - 1) / max_chunks;
-  const std::size_t n_chunks = (n + chunk_size - 1) / chunk_size;
-
-  Batch batch;
-  batch.remaining = n_chunks;
-  std::vector<Chunk> chunks;
-  chunks.reserve(n_chunks);
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    chunks.push_back([&batch, &body, lo, hi] {
-      try {
-        body(lo, hi);
-      } catch (...) {
-        std::lock_guard lock(batch.mutex);
-        if (!batch.error) batch.error = std::current_exception();
-      }
-      std::lock_guard lock(batch.mutex);
-      if (--batch.remaining == 0) batch.done_cv.notify_all();
-    });
+  Job job{body, begin, end, chunk_size, (n + chunk_size - 1) / chunk_size};
+  {
+    std::lock_guard lock(mutex_);
+    jobs_.push_back(&job);
   }
-  push_chunks(std::move(chunks));
+  wake_cv_.notify_all();
 
-  // Participate: the caller drains chunks (its own batch's, or a concurrent
-  // caller's — work conservation either way) until the queues are empty,
-  // then sleeps until the last in-flight chunk of THIS batch completes.
-  Chunk chunk;
-  while (true) {
-    {
-      std::lock_guard lock(batch.mutex);
-      if (batch.remaining == 0) break;
-    }
-    if (try_pop(workers_.size(), chunk)) {
-      DepthGuard depth;
-      chunk();
-      chunk = {};
-      continue;
-    }
-    std::unique_lock lock(batch.mutex);
-    batch.done_cv.wait(lock, [&batch] { return batch.remaining == 0; });
-    break;
-  }
-  if (batch.error) std::rethrow_exception(batch.error);
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> fn) {
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> fut = task->get_future();
-  if (workers_.empty()) {
-    (*task)();  // inline mode: run on the caller, exceptions go to the future
-    return fut;
-  }
-  std::vector<Chunk> one;
-  one.push_back([task] { (*task)(); });
-  push_chunks(std::move(one));
-  return fut;
+  drain(job, job.cursor.fetch_add(1, std::memory_order_relaxed));
+  std::unique_lock lock(mutex_);
+  std::erase(jobs_, &job);
+  done_cv_.wait(lock, [&job] { return job.holders == 0; });
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 namespace {

@@ -1,4 +1,4 @@
-// Work-stealing thread pool for the partition-parallel hot paths.
+// Thread pool for the partition-parallel hot paths.
 //
 // Design constraints, in order:
 //
@@ -10,40 +10,41 @@
 //      parallel outputs are bitwise-identical to the serial path at every
 //      thread count (pinned by tests/parallel_equivalence_test.cpp).
 //   2. **Serial recoverability.** `IBBE_THREADS=1` (or a pool built with
-//      `threads <= 1`, or the `-DIBBE_SINGLE_THREAD=ON` compile mode) spawns
-//      no workers at all: `parallel_for` degenerates to an inline loop on the
-//      calling thread. CI runs the whole suite this way on every commit.
+//      `threads <= 1`) spawns no workers at all: `parallel_for` degenerates
+//      to an inline loop on the calling thread. CI runs the whole suite this
+//      way on every commit.
 //   3. **Simplicity over peak scheduler throughput.** Tasks here are
-//      microseconds-to-milliseconds of pairing/EC arithmetic, so a simple
-//      lock-based stealing queue (per-worker deque + mutex; LIFO pop of own
-//      work, FIFO steal from victims) is indistinguishable from a Chase-Lev
-//      deque at our grain sizes and is trivially ThreadSanitizer-clean.
+//      microseconds-to-milliseconds of pairing/EC arithmetic, far above the
+//      cost of one mutex guarding a short list of in-flight jobs plus one
+//      atomic chunk cursor per job. That is all the scheduling the pool
+//      does, and it is easy to keep ThreadSanitizer-clean.
 //
 // Scheduling: `parallel_for` splits the index range into chunks (at least
-// `grain` indexes each, at most ~4 chunks per thread so skewed task costs
-// can rebalance by stealing), round-robins them over the worker deques, and
-// then the CALLING thread participates — it drains queued chunks alongside
-// the workers and only sleeps when every chunk is claimed. A pool with W
-// workers therefore gives W+1-way parallelism; `ThreadPool(t)` sizes itself
-// as t total threads including the caller.
+// `grain` indexes each, at most 4 chunks per thread so skewed task costs
+// still spread out) and appends one job to the pool's FIFO job list. Idle
+// workers join the oldest job; every participant — workers and the CALLING
+// thread alike — claims the next chunk with one `fetch_add` on the job's
+// cursor until none is left. A worker joins a job only with its first chunk
+// claimed, so the caller, which works only on its own job, then waits just
+// for the chunks still running elsewhere. A pool with W workers therefore
+// gives W+1-way parallelism; `ThreadPool(t)` sizes itself as t total threads
+// including the caller. Concurrent callers may share one pool.
 //
 // Exceptions thrown by tasks are captured (first one wins), the other
-// chunks of that batch still execute (slots stay independently valid; the
+// chunks of that job still execute (slots stay independently valid; the
 // throwing chunk abandons its remaining indexes, as a serial loop would),
-// and the exception is rethrown on the calling thread once the batch
+// and the exception is rethrown on the calling thread once the job
 // completes. The pool survives and is reusable afterwards.
 //
 // Nesting: a `parallel_for` issued from inside a pool task executes inline
-// on that worker (no deadlock, no oversubscription); the outer fan-out
+// on that thread (no deadlock, no oversubscription); the outer fan-out
 // already owns the parallelism.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -58,8 +59,8 @@ class ThreadPool {
   /// environment variable if set, else std::thread::hardware_concurrency).
   explicit ThreadPool(std::size_t threads = 0);
 
-  /// Completes all queued `submit` work, then joins the workers. A
-  /// `parallel_for` must not be in flight on another thread.
+  /// Joins the workers. A `parallel_for` must not be in flight on another
+  /// thread.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -81,21 +82,6 @@ class ThreadPool {
     });
   }
 
-  /// parallel_for returning a vector: out[i] = fn(i). T must be default-
-  /// constructible (slots are pre-sized before the fan-out).
-  template <typename T, typename Fn>
-  [[nodiscard]] std::vector<T> parallel_map(std::size_t n, std::size_t grain,
-                                            Fn&& fn) {
-    std::vector<T> out(n);
-    parallel_for(0, n, grain, [&out, &fn](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
-
-  /// Fire-and-track single task (used by the shutdown tests and available
-  /// for background work); runs inline when the pool has no workers. The
-  /// destructor completes all submitted tasks before joining.
-  std::future<void> submit(std::function<void()> fn);
-
   /// The process-wide pool the library's parallel sites use. Built on first
   /// use with the automatic thread count (IBBE_THREADS env, else
   /// hardware_concurrency).
@@ -110,31 +96,25 @@ class ThreadPool {
   [[nodiscard]] static std::size_t configured_threads();
 
  private:
-  struct Worker;
-  struct Batch;
-  using Chunk = std::function<void()>;
+  struct Job;
 
   void run_chunks(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body);
-  void worker_loop(std::size_t self);
-  /// Pops a chunk: worker `self` prefers the back of its own deque (LIFO),
-  /// then steals from the front of the others (FIFO); external threads
-  /// (self == npos) scan fronts only. Returns false when every deque is
-  /// empty at scan time.
-  bool try_pop(std::size_t self, Chunk& out);
-  void push_chunks(std::vector<Chunk> chunks);
+  /// Runs chunk `c` of `job` (if it exists), then claims and runs further
+  /// chunks until the job's cursor is exhausted.
+  void drain(Job& job, std::size_t c);
+  void worker_loop();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> workers_;
 
-  // Guards sleep/wake of idle workers; pending_ counts queued (not yet
-  // claimed) chunks so workers can check for work without taking every
-  // deque mutex.
-  std::mutex wake_mutex_;
+  // mutex_ guards jobs_, stop_ and each job's holders/error. Workers sleep
+  // on wake_cv_ while jobs_ is empty; callers sleep on done_cv_ until no
+  // worker holds their job.
+  std::mutex mutex_;
   std::condition_variable wake_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> next_victim_{0};  // round-robin push cursor
+  std::condition_variable done_cv_;
+  std::deque<Job*> jobs_;  // in-flight jobs, oldest first
+  bool stop_ = false;
 };
 
 }  // namespace ibbe::util

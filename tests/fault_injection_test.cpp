@@ -33,6 +33,7 @@ using ibbe::cloud::CloudStore;
 using ibbe::cloud::CrashError;
 using ibbe::cloud::FaultInjectingStore;
 using ibbe::cloud::FaultPlan;
+using ibbe::cloud::IntegrityError;
 using ibbe::cloud::TransientError;
 using ibbe::core::Identity;
 using ibbe::system::AdminApi;
@@ -86,11 +87,11 @@ TEST(RetryPolicy, WithoutDelaysZeroesTheBackoff) {
   }
 }
 
-TEST(RetryOn, RetriesTransientsThenSucceeds) {
+TEST(RetryFaults, RetriesTransientsThenSucceeds) {
   auto policy = RetryPolicy{}.without_delays();
   int calls = 0;
   std::uint64_t retries = 0;
-  int result = ibbe::util::retry_on<TransientError>(
+  int result = ibbe::util::retry_faults(
       policy,
       [&] {
         if (++calls < 3) throw TransientError("flaky");
@@ -102,30 +103,48 @@ TEST(RetryOn, RetriesTransientsThenSucceeds) {
   EXPECT_EQ(retries, 2u);
 }
 
-TEST(RetryOn, ExhaustsTheAttemptBudget) {
+TEST(RetryFaults, ExhaustsTheAttemptBudget) {
   auto policy = RetryPolicy{}.without_delays();
   int calls = 0;
-  EXPECT_THROW(ibbe::util::retry_on<TransientError>(policy,
-                                                    [&]() -> int {
-                                                      ++calls;
-                                                      throw TransientError("x");
-                                                    }),
+  EXPECT_THROW(ibbe::util::retry_faults(policy,
+                                        [&]() -> int {
+                                          ++calls;
+                                          throw TransientError("x");
+                                        }),
                TransientError);
   EXPECT_EQ(calls, policy.max_attempts);
 }
 
-TEST(RetryOn, NeverSwallowsACrash) {
+TEST(RetryFaults, NeverSwallowsACrash) {
   auto policy = RetryPolicy{}.without_delays();
   int calls = 0;
-  // CrashError is deliberately not a TransientError: a simulated process
-  // death must reach the harness on the first throw.
-  EXPECT_THROW(ibbe::util::retry_on<TransientError>(policy,
-                                                    [&]() -> int {
-                                                      ++calls;
-                                                      throw CrashError("died");
-                                                    }),
+  // CrashError is a FaultError of the non-retryable crash kind: a simulated
+  // process death must reach the harness on the first throw.
+  EXPECT_THROW(ibbe::util::retry_faults(policy,
+                                        [&]() -> int {
+                                          ++calls;
+                                          throw CrashError("died");
+                                        }),
                CrashError);
   EXPECT_EQ(calls, 1);
+}
+
+TEST(RetryFaults, NeverRetriesAnIntegrityFault) {
+  auto policy = RetryPolicy{}.without_delays();
+  int calls = 0;
+  std::uint64_t retries = 0;
+  // Evidence of tampering is never absorbed: retrying cannot help, and a
+  // later clean read must not paper over the forged one.
+  EXPECT_THROW(ibbe::util::retry_faults(
+                   policy,
+                   [&]() -> int {
+                     ++calls;
+                     throw IntegrityError("forged signature");
+                   },
+                   &retries),
+               IntegrityError);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(retries, 0u);
 }
 
 // ---------------------------------------------------- FaultInjectingStore
