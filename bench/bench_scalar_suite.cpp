@@ -3,17 +3,19 @@
 // and tower multiplication, Fr inversion, pairing and 2-pair multi-pairing,
 // G1/G2 muls (naive ladder vs GLV / the 4-dim psi split, and the generator
 // combs), GT exponentiation (naive ladder vs cyclotomic engine, and the
-// final exponentiation's u-power), 64-term G1/G2 MSMs, hash-to-G1, SHA-256,
-// AES-GCM, ECIES, and IBBE encrypt/decrypt at |S| = 16 and 256 — and
+// final exponentiation's u-power, and the fixed-base comb for v with its
+// build), 64-term G1/G2 MSMs, hash-to-G1, SHA-256, AES-GCM, ECIES, IBBE
+// encrypt/decrypt at |S| = 16 and 256, the enclave's per-partition re-key
+// and the 1000-entry cipher-bundle encode — and
 // optionally writes them as JSON so CI can diff a BENCH_scalar.json between
 // revisions. The schema is documented in docs/benchmarks.md.
 //
-// The `_t{N}` metrics re-run a parallelized operation with the global thread
-// pool at N total threads — the scaling curve for the pool's shared chunk
-// cursor. They report the median per-call time over at least 15 calls at
-// every scale, so one call slowed by another tenant's load does not move
-// them. On a single-core host the curve is flat (or slightly worse at
-// higher N, pure scheduling overhead); see docs/benchmarks.md for
+// Every `_us` / `_ms` row is the median per-call time over at least 15
+// calls at every scale, so one call slowed by another tenant's load does not
+// move it. The `_t{N}` metrics re-run a parallelized operation with the
+// global thread pool at N total threads — the scaling curve for the pool's
+// shared chunk cursor. On a single-core host the curve is flat (or slightly
+// worse at higher N, pure scheduling overhead); see docs/benchmarks.md for
 // interpretation.
 //
 // Usage: bench_scalar_suite [--json PATH] [--scale smoke|default|full]
@@ -36,6 +38,7 @@
 #include "pairing/pairing.h"
 #include "pki/ecies.h"
 #include "system/admin.h"
+#include "system/metadata.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -47,18 +50,9 @@ using ibbe::ec::G1;
 using ibbe::ec::G2;
 using ibbe::field::Fr;
 
-/// Median-free mean over `iters` runs after one warm-up call.
-template <typename F>
-double time_us(F&& f, int iters) {
-  f();  // warm-up (also builds lazy tables so they are not billed below)
-  ibbe::util::Stopwatch sw;
-  for (int i = 0; i < iters; ++i) f();
-  return sw.micros() / iters;
-}
-
 /// Median per-call time over `calls` runs (at least 15) after one warm-up
-/// call: the `_t{N}` rows, whose few slow calls a mean would smear over the
-/// thread-count comparison.
+/// call (which also builds lazy tables, so they are not billed): a few calls
+/// slowed by another tenant's load do not move it, as they would a mean.
 template <typename F>
 double median_us(F&& f, int calls) {
   f();
@@ -93,6 +87,7 @@ int main(int argc, char** argv) {
                                                         : 50;
   const int fast_iters = iters * 20;                   // the <100 us rows
   const int slow_iters = iters >= 10 ? iters / 10 : 1;  // the >20 ms rows
+  const int build_iters = 15;  // the table-build and bundle-encode rows
 
   Drbg rng(2718);
   auto random_fr = [&rng] {
@@ -126,6 +121,7 @@ int main(int argc, char** argv) {
   const auto gt_elem =
       ibbe::pairing::pairing(G1::generator().mul(random_fr()), p2);
   const Fr gt_k = random_fr();
+  const ibbe::pairing::GtComb4 gt_comb(gt_elem.value());
 
   // |S| = 256: the size where decrypt's O(|S|^2) expansion shows.
   auto keys_256 = ibbe::core::setup(256, rng);
@@ -142,6 +138,17 @@ int main(int argc, char** argv) {
   const auto ecies_key = ibbe::pki::EciesKeyPair::generate(rng);
   const ibbe::util::Bytes gk(32, 7);
   std::uint64_t hash_ctr = 0;
+
+  // A 1000-entry cipher bundle (the shape of a revocation at 10^6 members,
+  // |p| = 1000) of genuine re-key outputs: Jacobian points with Z != 1.
+  ibbe::system::CipherBundle bundle_1k;
+  for (std::uint64_t pid = 0; pid < 1000; ++pid) {
+    ibbe::enclave::PartitionCiphertext pc;
+    pc.ct = ibbe::core::rekey(keys.pk, enc.ct, rng).ct;
+    pc.wrapped_gk = rng.bytes(48);
+    pc.nonce = rng.bytes(12);
+    bundle_1k.entries.emplace_back(pid, std::move(pc));
+  }
 
   std::printf("montgomery backend: %s\n", ibbe::bigint::backend::name());
   // Baseline metrics are serial regardless of the host's core count; the
@@ -168,67 +175,76 @@ int main(int argc, char** argv) {
   metrics.push_back({"fp_mul_ns", chain_ns(fp_x, fp_y, fp_iters)});
   metrics.push_back({"fp2_mul_ns", chain_ns(fp2_x, fp2_y, fp2_iters)});
   metrics.push_back({"fp12_mul_ns", chain_ns(fp12_x, fp12_y, fp12_iters)});
-  metrics.push_back({"fr_inverse_us", time_us(
+  metrics.push_back({"fr_inverse_us", median_us(
       [&] { (void)k.inverse(); }, fast_iters)});
-  metrics.push_back({"pairing_us", time_us(
+  metrics.push_back({"pairing_us", median_us(
       [] {
         volatile bool sink =
             ibbe::pairing::pairing(G1::generator(), G2::generator()).is_one();
         (void)sink;
       },
       iters)});
-  metrics.push_back({"pairing_product2_us", time_us(
+  metrics.push_back({"pairing_product2_us", median_us(
       [&] { (void)ibbe::pairing::pairing_product(product_pairs); }, iters)});
   metrics.push_back({"g1_mul_naive_us",
-                     time_us([&] { (void)p1.scalar_mul(ku); }, iters)});
-  metrics.push_back({"g1_mul_glv_us", time_us([&] { (void)p1.mul(k); }, iters)});
+                     median_us([&] { (void)p1.scalar_mul(ku); }, iters)});
+  metrics.push_back({"g1_mul_glv_us", median_us([&] { (void)p1.mul(k); }, iters)});
   metrics.push_back({"g2_mul_naive_us",
-                     time_us([&] { (void)p2.scalar_mul(ku); }, iters)});
-  metrics.push_back({"g2_mul_4dim_us", time_us([&] { (void)p2.mul(k); }, iters)});
-  metrics.push_back({"g1_mul_gen_us", time_us(
+                     median_us([&] { (void)p2.scalar_mul(ku); }, iters)});
+  metrics.push_back({"g2_mul_4dim_us", median_us([&] { (void)p2.mul(k); }, iters)});
+  metrics.push_back({"g1_mul_gen_us", median_us(
       [&] { (void)G1::generator().mul(k); }, fast_iters)});
-  metrics.push_back({"g2_mul_gen_us", time_us(
+  metrics.push_back({"g2_mul_gen_us", median_us(
       [&] { (void)G2::generator().mul(k); }, fast_iters)});
-  metrics.push_back({"gt_pow_naive_us", time_us(
+  metrics.push_back({"gt_pow_naive_us", median_us(
       [&] { (void)gt_elem.value().pow_cyclotomic(gt_k.to_u256()); }, iters)});
-  metrics.push_back({"gt_pow_us", time_us(
+  metrics.push_back({"gt_pow_us", median_us(
       [&] { (void)gt_elem.exp(gt_k); }, iters)});
-  metrics.push_back({"gt_pow_u_us", time_us(
+  metrics.push_back({"gt_pow_fixed_us", median_us(
+      [&] { (void)gt_comb.pow(gt_k.to_u256()); }, iters)});
+  metrics.push_back({"gt_fixed_table_build_ms", median_us(
+      [&] { ibbe::pairing::GtComb4 comb(gt_elem.value()); },
+      build_iters) / 1000.0});
+  metrics.push_back({"gt_pow_u_us", median_us(
       [&] { (void)ibbe::pairing::gt_pow_u(gt_elem.value()); }, iters)});
-  metrics.push_back({"msm_g2_64_us", time_us(
+  metrics.push_back({"msm_g2_64_us", median_us(
       [&] {
         (void)ibbe::ec::msm(std::span<const G2>(msm_bases),
                             std::span<const Fr>(msm_scalars));
       },
       iters)});
-  metrics.push_back({"msm_g1_64_us", time_us(
+  metrics.push_back({"msm_g1_64_us", median_us(
       [&] {
         (void)ibbe::ec::msm(std::span<const G1>(msm_bases_g1),
                             std::span<const Fr>(msm_scalars));
       },
       iters)});
-  metrics.push_back({"hash_to_g1_us", time_us(
+  metrics.push_back({"hash_to_g1_us", median_us(
       [&] { (void)ibbe::ec::hash_to_g1("user" + std::to_string(hash_ctr++)); },
       fast_iters)});
-  metrics.push_back({"sha256_1k_us", time_us(
+  metrics.push_back({"sha256_1k_us", median_us(
       [&] { (void)ibbe::crypto::Sha256::hash(kib); }, fast_iters)});
-  metrics.push_back({"gcm_seal_1k_us", time_us(
+  metrics.push_back({"gcm_seal_1k_us", median_us(
       [&] { (void)gcm.seal(nonce, kib); }, fast_iters)});
-  metrics.push_back({"ecies_encrypt_us", time_us(
+  metrics.push_back({"ecies_encrypt_us", median_us(
       [&] { (void)ibbe::pki::ecies_encrypt(ecies_key.public_key(), gk, rng); },
       iters)});
-  metrics.push_back({"decrypt_16_us", time_us(
+  metrics.push_back({"decrypt_16_us", median_us(
       [&] { (void)ibbe::core::decrypt(keys.pk, usk, users, enc.ct); },
       iters)});
-  metrics.push_back({"decrypt_16_prepared_us", time_us(
+  metrics.push_back({"decrypt_16_prepared_us", median_us(
       [&] { (void)ibbe::core::decrypt(*prepared_part, enc.ct); }, iters)});
-  metrics.push_back({"encrypt_msk_256_us", time_us(
+  metrics.push_back({"encrypt_msk_256_us", median_us(
       [&] {
         (void)ibbe::core::encrypt_with_msk(keys_256.msk, keys_256.pk,
                                            users_256, rng);
       },
       iters)});
-  metrics.push_back({"decrypt_256_us", time_us(
+  metrics.push_back({"rekey_us", median_us(
+      [&] { (void)ibbe::core::rekey(keys.pk, enc.ct, k); }, iters)});
+  metrics.push_back({"bundle_encode_1k_ms", median_us(
+      [&] { (void)bundle_1k.to_bytes(); }, build_iters) / 1000.0});
+  metrics.push_back({"decrypt_256_us", median_us(
       [&] {
         (void)ibbe::core::decrypt(keys_256.pk, usk_256, users_256, enc_256.ct);
       },

@@ -198,31 +198,41 @@ fi
 # Sanitizer stage: ASan+UBSan over the suites that exercise the
 # fault-injection / crash-recovery machinery (heap-heavy, exception-heavy),
 # plus the deserialization fuzz suite (the metadata reader parses untrusted
-# cloud bytes) and the pairing/IBBE suites (Miller-loop operands point into
-# line tables that move with PreparedPartition and the PK's caches).
+# cloud bytes), the pairing/IBBE suites (Miller-loop operands point into
+# line tables that move with PreparedPartition and the PK's caches) and the
+# strategy-equivalence suite (the fixed-base combs index their tables by
+# recoded scalar digits, so an off-by-one in a recoding is an out-of-bounds
+# read).
 sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
   util_test cloud_test fault_injection_test byzantine_test system_test \
   extensions_test shard_delta_test thread_pool_test \
   parallel_equivalence_test net_test fuzz_deserialize_test \
-  pairing_test ibbe_test
+  pairing_test ibbe_test strategy_equivalence_test
 
 # ThreadSanitizer stage: the Byzantine store wraps every fault decision in a
 # mutex and clients race long-polls, gossip publishes, and CAS retries
 # against it — exactly the shapes TSan exists to check. The thread-pool
 # suites ride along: they hammer the pool's job list and shared chunk
 # cursors and the lazy first-use of the shared crypto singletons (GLV/GLS
-# lattices, comb tables, the Montgomery-backend dispatch) from many workers
-# at once.
+# lattices, comb tables, the Montgomery-backend dispatch) and of a shared
+# PublicKey's tables from many workers at once.
 sanitizer_stage "${BUILD_DIR}-tsan" thread \
   cloud_test fault_injection_test byzantine_test system_test \
   thread_pool_test parallel_equivalence_test net_test
 
 # One TSan pass sees one interleaving per test; twenty repeats of the pool
 # suite let the job list, the chunk cursor and the caller's wait race in
-# many orders. Skipped with the stage when the toolchain lacks TSan.
+# many orders, and ten repeats of the PublicKey-table test let seven workers
+# race the first build of every lazy PK table (the G2 powers MSM, the
+# pairing line tables, the fixed-base tables for v and w) in many orders.
+# Skipped with the stage when the toolchain lacks TSan.
 if [ -x "${BUILD_DIR}-tsan/thread_pool_test" ]; then
   echo "==> ${BUILD_DIR}-tsan/thread_pool_test --gtest_repeat=20 (thread)"
   "${BUILD_DIR}-tsan/thread_pool_test" --gtest_brief=1 --gtest_repeat=20
+  echo "==> ${BUILD_DIR}-tsan/parallel_equivalence_test" \
+       "--gtest_filter='*PublicKeyTables*' --gtest_repeat=10 (thread)"
+  "${BUILD_DIR}-tsan/parallel_equivalence_test" --gtest_brief=1 \
+    --gtest_filter='*PublicKeyTables*' --gtest_repeat=10
 fi
 
 echo "ci.sh: all stages passed"

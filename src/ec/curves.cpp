@@ -1,5 +1,8 @@
 #include "ec/curves.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "crypto/sha256.h"
 
 namespace ibbe::ec {
@@ -78,19 +81,40 @@ const P256Fp& P256Params::gen_y() {
 
 namespace {
 
-// Shared flag||x compression for curves with an Fp-like coordinate field.
-template <typename Point, typename Field>
-util::Bytes compress_fp_point(const Point& p) {
-  util::ByteWriter w;
-  auto affine = p.to_affine();
-  if (!affine) {
-    w.u8(0x00);
-    w.raw(std::array<std::uint8_t, 32>{});
-    return w.take();
+// Big-endian x coordinate: one 32-byte limb for Fp-like fields, c0 || c1
+// for Fp2.
+template <typename Field>
+void put_x(const Field& x, std::uint8_t* out) {
+  auto be = x.to_be_bytes();
+  std::copy(be.begin(), be.end(), out);
+}
+void put_x(const Fp2& x, std::uint8_t* out) {
+  put_x(x.c0(), out);
+  put_x(x.c1(), out + 32);
+}
+
+// The one compressed encoder: flag || x, or all zeros for infinity.
+template <typename Field>
+void encode_affine(const AffinePt<Field>& p, std::span<std::uint8_t> out,
+                   std::size_t size) {
+  if (out.size() != size) {
+    throw std::invalid_argument("point encoding: wrong output size");
   }
-  w.u8(affine->second.is_odd() ? 0x03 : 0x02);
-  w.raw(affine->first.to_be_bytes());
-  return w.take();
+  std::fill(out.begin(), out.end(), 0);
+  if (p.inf) return;
+  out[0] = p.y.is_odd() ? 0x03 : 0x02;
+  put_x(p.x, out.data() + 1);
+}
+
+// Jacobian encoders: one to_affine (a field inversion), then the shared
+// encoder.
+template <typename Point>
+util::Bytes compress(const Point& p, std::size_t size) {
+  AffinePt<typename Point::Field> a;
+  if (auto xy = p.to_affine()) a = {xy->first, xy->second, false};
+  util::Bytes out(size);
+  encode_affine(a, out, size);
+  return out;
 }
 
 // Parses an untrusted 32-byte field coordinate; rejects unreduced values
@@ -125,7 +149,11 @@ Point decompress_fp_point(std::span<const std::uint8_t> data, const char* what) 
 
 }  // namespace
 
-util::Bytes g1_to_bytes(const G1& p) { return compress_fp_point<G1, Fp>(p); }
+util::Bytes g1_to_bytes(const G1& p) { return compress(p, g1_serialized_size); }
+
+void g1_affine_to_bytes(const AffinePt<Fp>& p, std::span<std::uint8_t> out) {
+  encode_affine(p, out, g1_serialized_size);
+}
 
 G1 g1_from_bytes(std::span<const std::uint8_t> data) {
   // BN254 G1 has prime order r (cofactor 1): on-curve implies in-subgroup.
@@ -133,7 +161,7 @@ G1 g1_from_bytes(std::span<const std::uint8_t> data) {
 }
 
 util::Bytes p256_to_bytes(const P256Point& p) {
-  return compress_fp_point<P256Point, P256Fp>(p);
+  return compress(p, p256_serialized_size);
 }
 
 P256Point p256_from_bytes(std::span<const std::uint8_t> data) {
@@ -141,18 +169,10 @@ P256Point p256_from_bytes(std::span<const std::uint8_t> data) {
   return decompress_fp_point<P256Point, P256Params>(data, "P256");
 }
 
-util::Bytes g2_to_bytes(const G2& p) {
-  util::ByteWriter w;
-  auto affine = p.to_affine();
-  if (!affine) {
-    w.u8(0x00);
-    w.raw(std::array<std::uint8_t, 64>{});
-    return w.take();
-  }
-  w.u8(affine->second.is_odd() ? 0x03 : 0x02);
-  w.raw(affine->first.c0().to_be_bytes());
-  w.raw(affine->first.c1().to_be_bytes());
-  return w.take();
+util::Bytes g2_to_bytes(const G2& p) { return compress(p, g2_serialized_size); }
+
+void g2_affine_to_bytes(const AffinePt<Fp2>& p, std::span<std::uint8_t> out) {
+  encode_affine(p, out, g2_serialized_size);
 }
 
 G2 g2_from_bytes(std::span<const std::uint8_t> data, bool subgroup_check) {

@@ -83,6 +83,15 @@ util::Bytes g2_to_bytes(const G2& p);
 /// order, so untrusted inputs should keep it on).
 G2 g2_from_bytes(std::span<const std::uint8_t> data, bool subgroup_check = true);
 
+/// The same encodings for points already in affine form (e.g. one
+/// batch_to_affine over many points), written into `out`, which must be
+/// exactly g1_serialized_size / g2_serialized_size bytes. The Jacobian
+/// overloads above are to_affine plus this encoder.
+void g1_affine_to_bytes(const AffinePt<field::Fp>& p,
+                        std::span<std::uint8_t> out);
+void g2_affine_to_bytes(const AffinePt<field::Fp2>& p,
+                        std::span<std::uint8_t> out);
+
 util::Bytes p256_to_bytes(const P256Point& p);
 P256Point p256_from_bytes(std::span<const std::uint8_t> data);
 

@@ -209,6 +209,11 @@ class FixedBaseTable {
     return acc;
   }
 
+  /// Heap bytes held by the table.
+  [[nodiscard]] std::size_t table_bytes() const {
+    return tbl_.size() * sizeof(AffinePt<Field>);
+  }
+
  private:
   unsigned w_;
   unsigned wins_;

@@ -17,10 +17,15 @@ using pairing::Gt;
 
 util::Bytes PartitionCiphertext::to_bytes() const {
   util::ByteWriter w;
-  w.raw(ct.to_bytes());
+  write(w, ct.to_bytes());
+  return w.take();
+}
+
+void PartitionCiphertext::write(util::ByteWriter& w,
+                                std::span<const std::uint8_t> ct_bytes) const {
+  w.raw(ct_bytes);
   w.blob(wrapped_gk);
   w.blob(nonce);
-  return w.take();
 }
 
 PartitionCiphertext PartitionCiphertext::from_bytes(
@@ -101,6 +106,13 @@ IbbeEnclave::IbbeEnclave(sgx::EnclavePlatform& platform,
   epc_alloc(keys_.pk.h_powers.size() * ec::g2_serialized_size + 4096);
 }
 
+const core::PublicKey& IbbeEnclave::pk_with_tables() {
+  std::call_once(tables_billed_, [this] {
+    epc_alloc(keys_.pk.fixed_base_tables().bytes());
+  });
+  return keys_.pk;
+}
+
 util::Bytes IbbeEnclave::identity_public_key() const {
   return identity_key_.public_key_bytes();
 }
@@ -149,12 +161,13 @@ IbbeEnclave::GroupCreation IbbeEnclave::ecall_create_group(
   std::vector<PartitionDraw> draws(partitions.size());
   for (auto& d : draws) d = draw_partition_randomness(enclave_rng());
 
+  const core::PublicKey& pk = pk_with_tables();
   GroupCreation out;
   out.partitions.resize(partitions.size());
   util::ThreadPool::global().parallel_for(
       0, partitions.size(), 1, [&](std::size_t i) {
-        auto enc = core::encrypt_with_msk(keys_.msk, keys_.pk, partitions[i],
-                                          draws[i].k);
+        auto enc =
+            core::encrypt_with_msk(keys_.msk, pk, partitions[i], draws[i].k);
         PartitionCiphertext& pc = out.partitions[i];
         pc.ct = enc.ct;
         pc.nonce = std::move(draws[i].nonce);
@@ -178,7 +191,8 @@ PartitionCiphertext IbbeEnclave::ecall_create_partition(
   auto gk = unseal(sealed_gk);
   if (!gk) throw std::invalid_argument("ecall_create_partition: bad sealed gk");
   auto draw = draw_partition_randomness(enclave_rng());
-  auto enc = core::encrypt_with_msk(keys_.msk, keys_.pk, members, draw.k);
+  auto enc = core::encrypt_with_msk(keys_.msk, pk_with_tables(), members,
+                                    draw.k);
   PartitionCiphertext pc;
   pc.ct = enc.ct;
   pc.nonce = std::move(draw.nonce);
@@ -196,6 +210,7 @@ IbbeEnclave::RemovalResult IbbeEnclave::ecall_remove_users(
   std::vector<PartitionDraw> draws(total);
   for (auto& d : draws) d = draw_partition_randomness(enclave_rng());
 
+  const core::PublicKey& pk = pk_with_tables();
   RemovalResult out;
   out.partitions.resize(total);
   // Slots [0, hosts.size()): lines 4-5, the removal on each hosting
@@ -204,11 +219,9 @@ IbbeEnclave::RemovalResult IbbeEnclave::ecall_remove_users(
   // is pure arithmetic into pre-sized slots.
   util::ThreadPool::global().parallel_for(0, total, 1, [&](std::size_t i) {
     auto enc = (i < hosts.size())
-                   ? core::remove_users_with_msk(keys_.msk, keys_.pk,
-                                                 hosts[i].ct, hosts[i].removed,
-                                                 draws[i].k)
-                   : core::rekey(keys_.pk,
-                                 other_partitions[i - hosts.size()],
+                   ? core::remove_users_with_msk(keys_.msk, pk, hosts[i].ct,
+                                                 hosts[i].removed, draws[i].k)
+                   : core::rekey(pk, other_partitions[i - hosts.size()],
                                  draws[i].k);
     PartitionCiphertext& pc = out.partitions[i];
     pc.ct = enc.ct;

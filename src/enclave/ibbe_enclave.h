@@ -9,6 +9,7 @@
 // enforced here by the type of the API.
 #pragma once
 
+#include <mutex>
 #include <vector>
 
 #include "ibbe/ibbe.h"
@@ -26,6 +27,16 @@ struct PartitionCiphertext {
 
   [[nodiscard]] util::Bytes to_bytes() const;
   static PartitionCiphertext from_bytes(std::span<const std::uint8_t> data);
+
+  /// Appends to_bytes() to `w`, given the ciphertext already encoded
+  /// (`ct_bytes`, as ct.to_bytes() would write it). The one place the entry
+  /// layout lives; the bundle encode supplies batch-normalized points.
+  void write(util::ByteWriter& w, std::span<const std::uint8_t> ct_bytes) const;
+  /// to_bytes().size(), without encoding.
+  [[nodiscard]] std::size_t serialized_size() const {
+    return core::BroadcastCiphertext::serialized_size + 8 + wrapped_gk.size() +
+           nonce.size();
+  }
 };
 
 /// Enclave-signed freshness attestation (ROTE-style rollback defense). The
@@ -180,10 +191,15 @@ class IbbeEnclave : public sgx::EnclaveBase {
                                     const util::Bytes& nonce) const;
   /// Platform counter name for a group, scoped by this build's measurement.
   [[nodiscard]] std::string freshness_counter_name(const std::string& group) const;
+  /// keys_.pk with its fixed-base tables for v and w built. Every encrypting
+  /// ECALL calls this on the ECALL thread before it fans out, so the pool
+  /// workers share one copy; the first call bills the tables to the EPC.
+  const core::PublicKey& pk_with_tables();
 
   // ---- enclave-private state (never crosses the boundary) ----
   core::SystemKeys keys_;
   pki::EcdsaKeyPair identity_key_;
+  std::once_flag tables_billed_;
 };
 
 /// Size of the group key generated inside the enclave.

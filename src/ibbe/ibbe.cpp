@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "crypto/sha256.h"
-#include "ec/msm.h"
 #include "ibbe/poly.h"
 
 namespace ibbe::core {
@@ -75,12 +74,15 @@ G2 evaluate_in_exponent(const PublicKey& pk, std::span<const Fr> coef) {
   return pk.powers_msm(coef.size())->msm(coef);
 }
 
-/// Completes (bk, C1, C2) for the randomizer k over an existing C3.
+/// Completes (bk, C1, C2) for the randomizer k over an existing C3: v and w
+/// through the key's fixed-base tables, C3 (different per partition) through
+/// the variable-base GLS split.
 EncryptResult assemble_from_c3(const PublicKey& pk, const G2& c3,
                                const Fr& k) {
+  const FixedBaseTables& tables = pk.fixed_base_tables();
   EncryptResult out;
-  out.bk = pk.v.exp(k);
-  out.ct.c1 = pk.w.mul(k.neg());
+  out.bk = Gt::from_fp12_unchecked(tables.v.pow(k.to_u256()));
+  out.ct.c1 = tables.w.mul(k.neg().to_u256());
   out.ct.c2 = c3.mul(k);
   out.ct.c3 = c3;
   return out;
@@ -100,11 +102,11 @@ namespace {
 /// Double-checked lazy init so concurrent first calls on a shared const
 /// PublicKey race benignly (one winner, losers adopt its table) instead of
 /// tearing a shared_ptr.
-const pairing::G2Prepared& prepare_cached(
-    std::shared_ptr<const pairing::G2Prepared>& slot, const G2& q) {
+template <typename Table, typename... Args>
+const Table& cached(std::shared_ptr<const Table>& slot, const Args&... args) {
   auto cur = std::atomic_load_explicit(&slot, std::memory_order_acquire);
   if (!cur) {
-    auto fresh = std::make_shared<const pairing::G2Prepared>(q);
+    auto fresh = std::make_shared<const Table>(args...);
     if (!std::atomic_compare_exchange_strong(&slot, &cur, fresh)) {
       return *cur;  // another thread won; cur now holds its table
     }
@@ -116,11 +118,15 @@ const pairing::G2Prepared& prepare_cached(
 }  // namespace
 
 const pairing::G2Prepared& PublicKey::prepared_h() const {
-  return prepare_cached(prep_h_, h());
+  return cached(prep_h_, h());
 }
 
 const pairing::G2Prepared& PublicKey::prepared_h_gamma() const {
-  return prepare_cached(prep_h_gamma_, h_powers.at(1));
+  return cached(prep_h_gamma_, h_powers.at(1));
+}
+
+const FixedBaseTables& PublicKey::fixed_base_tables() const {
+  return cached(fixed_, v, w);
 }
 
 std::shared_ptr<const ec::G2PowersMsm> PublicKey::powers_msm(

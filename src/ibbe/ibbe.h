@@ -29,13 +29,11 @@
 
 #include "crypto/drbg.h"
 #include "ec/curves.h"
+#include "ec/msm.h"
 #include "field/fields.h"
+#include "pairing/gt_exp.h"
 #include "pairing/pairing.h"
 #include "util/bytes.h"
-
-namespace ibbe::ec {
-class G2PowersMsm;  // ec/msm.h
-}
 
 namespace ibbe::core {
 
@@ -55,6 +53,21 @@ field::Fr random_nonzero_fr(crypto::Drbg& rng);
 struct MasterSecretKey {
   ec::G1 g;
   field::Fr gamma;
+};
+
+/// PublicKey::fixed_base_tables(): the GT comb for v (pairing/gt_exp.h) and
+/// the windowed G1 comb for w (ec/msm.h).
+struct FixedBaseTables {
+  FixedBaseTables(const pairing::Gt& v_base, const ec::G1& w_base)
+      : v(v_base.value()), w(w_base) {}
+
+  pairing::GtComb4 v;
+  ec::FixedBaseTable<ec::G1> w;
+
+  /// Heap bytes held by both tables (the enclave bills them to its EPC).
+  [[nodiscard]] std::size_t bytes() const {
+    return v.table_bytes() + w.table_bytes();
+  }
 };
 
 struct PublicKey {
@@ -82,6 +95,13 @@ struct PublicKey {
   [[nodiscard]] std::shared_ptr<const ec::G2PowersMsm> powers_msm(
       std::size_t need) const;
 
+  /// Fixed-base tables for v and w, the two PK elements every encrypt,
+  /// removal and re-key raises to its randomizer (bk = v^k, C1 = w^(-k)).
+  /// Built once on first use with the same double-checked init as
+  /// prepared_h; a caller about to fan encrypts out to the pool touches this
+  /// first, so the workers share one copy instead of racing to build several.
+  [[nodiscard]] const FixedBaseTables& fixed_base_tables() const;
+
   [[nodiscard]] util::Bytes to_bytes() const;
   static PublicKey from_bytes(std::span<const std::uint8_t> data);
 
@@ -89,6 +109,7 @@ struct PublicKey {
   mutable std::shared_ptr<const pairing::G2Prepared> prep_h_;
   mutable std::shared_ptr<const pairing::G2Prepared> prep_h_gamma_;
   mutable std::shared_ptr<const ec::G2PowersMsm> prep_msm_;
+  mutable std::shared_ptr<const FixedBaseTables> fixed_;
 };
 
 struct UserSecretKey {

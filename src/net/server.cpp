@@ -127,6 +127,7 @@ void NetServer::accept_loop() {
     {
       std::lock_guard lock(mutex_);
       reap_finished_locked();
+      ++stats_.connections_accepted;
       if (connection_count_ >= max_connections_locked()) {
         // Pre-admission cap: max_sessions bounds only ADMITTED sessions, so
         // a flood of connections that never (or slowly) speak would

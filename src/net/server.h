@@ -84,6 +84,7 @@ struct NetServerStats {
   std::uint64_t sessions_resumed = 0;
   std::uint64_t resume_misses = 0;    // proof invalid or state evicted
   std::uint64_t busy_handshakes = 0;  // shed with a signed busy ServerHello
+  std::uint64_t connections_accepted = 0;  // every accept(), shed included
   std::uint64_t shed_connections = 0;  // closed at accept: connection cap
   std::uint64_t busy_requests = 0;    // Status::busy for a request slot
   std::uint64_t busy_polls = 0;       // Status::busy for a poll slot

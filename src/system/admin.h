@@ -77,7 +77,7 @@ struct AdminConfig {
 
   /// Backoff discipline for transient cloud errors (every put/get/list this
   /// class issues). cloud::CrashError is never retried.
-  util::RetryPolicy retry;
+  util::RetryPolicy retry{};
 
   // ---- multi-administrator extension ----
   /// Distinguishes this administrator's partition/object ids and gk epochs
@@ -85,7 +85,7 @@ struct AdminConfig {
   std::uint32_t admin_nonce = 0;
   /// Verification keys (compressed P-256) of the other administrators whose
   /// signed metadata this admin accepts during re-sync.
-  std::vector<util::Bytes> peer_verification_keys;
+  std::vector<util::Bytes> peer_verification_keys{};
 
   // ---- dynamic partition sizing extension ----
   /// When re-partitioning triggers, rebuild with the PartitionAdvisor's

@@ -1,6 +1,7 @@
 #include "system/metadata.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 
 #include "crypto/sha256.h"
@@ -169,12 +170,41 @@ const enclave::PartitionCiphertext* CipherBundle::find(PartitionId pid) const {
 }
 
 util::Bytes CipherBundle::to_bytes() const {
+  // Every entry's C1 (G1) and C2, C3 (G2) go affine through one batch
+  // inversion per group (Montgomery's trick) instead of three field
+  // inversions per entry; the bytes are those of the per-entry encoding.
+  const std::size_t n = entries.size();
+  std::vector<ec::G1> c1(n);
+  std::vector<ec::G2> c23(2 * n);
+  std::size_t size = 8 + 4;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& cipher = entries[i].second;
+    c1[i] = cipher.ct.c1;
+    c23[2 * i] = cipher.ct.c2;
+    c23[2 * i + 1] = cipher.ct.c3;
+    size += 8 + 4 + cipher.serialized_size();
+  }
+  const auto a1 = ec::G1::batch_to_affine(c1);
+  const auto a23 = ec::G2::batch_to_affine(c23);
+
   util::ByteWriter w;
+  w.reserve(size);
   w.u64(gk_epoch);
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [pid, cipher] : entries) {
+  w.u32(static_cast<std::uint32_t>(n));
+  // C1 || C2 || C3, as BroadcastCiphertext::to_bytes lays them out.
+  std::array<std::uint8_t, core::BroadcastCiphertext::serialized_size> ct{};
+  const auto c1_out = std::span<std::uint8_t>(ct).first(ec::g1_serialized_size);
+  const auto c2_out = std::span<std::uint8_t>(ct).subspan(
+      ec::g1_serialized_size, ec::g2_serialized_size);
+  const auto c3_out = std::span<std::uint8_t>(ct).last(ec::g2_serialized_size);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& [pid, cipher] = entries[i];
+    ec::g1_affine_to_bytes(a1[i], c1_out);
+    ec::g2_affine_to_bytes(a23[2 * i], c2_out);
+    ec::g2_affine_to_bytes(a23[2 * i + 1], c3_out);
     w.u64(pid);
-    w.blob(cipher.to_bytes());
+    w.u32(static_cast<std::uint32_t>(cipher.serialized_size()));
+    cipher.write(w, ct);
   }
   return w.take();
 }

@@ -149,8 +149,8 @@ struct DeltaOp {
   Kind kind = Kind::add_member;
   core::Identity user;  // add/remove
   PartitionId pid = 0;  // add/remove
-  std::vector<PartitionId> dropped;  // repartition
-  std::vector<std::pair<PartitionId, std::vector<core::Identity>>> created;
+  std::vector<PartitionId> dropped{};  // repartition
+  std::vector<std::pair<PartitionId, std::vector<core::Identity>>> created{};
 };
 
 /// The membership diff of one commit. `seq` equals the commit's freshness

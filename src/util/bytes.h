@@ -39,6 +39,9 @@ class ByteWriter {
   /// u32 length prefix followed by UTF-8 bytes.
   void str(std::string_view s);
 
+  /// Pre-sizes the buffer for `n` bytes in total.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   [[nodiscard]] const Bytes& bytes() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }

@@ -544,14 +544,23 @@ TEST(NetRobustness, HandshakeFailureAfterAdmissionReleasesTheSlot) {
     rst_close(fd);
   }
 
-  // The server must drain back to fully idle within a bounded time...
+  // The server must drain back to fully idle within a bounded time: every
+  // one of the 25 connections accepted (a connection still in the listen
+  // backlog could take the single slot later) and no connection thread left,
+  // admitted or still handshaking...
+  auto drained = [&server] {
+    const auto st = server.stats();
+    return st.connections_accepted >= 25 && st.live_connections == 0;
+  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.stats().live_sessions != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (!drained() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(server.stats().live_sessions, 0u);
+  const auto st = server.stats();
+  EXPECT_EQ(st.connections_accepted, 25u);
+  EXPECT_EQ(st.live_connections, 0u);
+  EXPECT_EQ(st.live_sessions, 0u);
   // ...and with max_sessions == 1, a real client only gets in if every one
   // of the aborted handshakes gave its slot back.
   RemoteStore remote(client_config(server));

@@ -89,11 +89,13 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfLazySingletons) {
 }
 
 // The PublicKey's lazily-built tables (the G2 powers MSM, grown on demand,
-// and the prepared h / h^gamma line tables) are filled by lock-free CAS on a
-// shared const key. Hammer their first use from many workers on a freshly
-// deserialized, cold key: each worker prepares a partition of a different
-// size (so the MSM table grows while others read it), decrypts, and checks
-// its key. Every result must equal the serial decrypt on a second cold copy.
+// the prepared h / h^gamma line tables, and the fixed-base tables for v and
+// w) are filled by lock-free CAS on a shared const key. Hammer their first
+// use from many workers on a freshly deserialized, cold key: each worker
+// prepares a partition of a different size (so the MSM table grows while
+// others read it), decrypts, checks its key, re-keys its ciphertext and
+// encrypts afresh. Every result must equal the serial one on a second cold
+// copy.
 TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfPublicKeyTables) {
   GlobalThreadsGuard guard;
   crypto::Drbg rng(0xC01D);
@@ -110,30 +112,53 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfPublicKeyTables) {
   }
   const auto pk_bytes = keys.pk.to_bytes();
 
+  std::vector<field::Fr> ks;
+  for (std::size_t p = 0; p < shapes.size(); ++p) {
+    ks.push_back(core::random_nonzero_fr(rng));
+  }
+  // bk, C1, C2 and C3 of one encrypt result, as bytes.
+  auto encoded = [](const core::EncryptResult& r) {
+    auto out = r.bk.to_bytes();
+    auto ct = r.ct.to_bytes();
+    out.insert(out.end(), ct.begin(), ct.end());
+    return out;
+  };
+
   ThreadPool::set_global_threads(1);
   const auto serial_pk = core::PublicKey::from_bytes(pk_bytes);
-  std::vector<util::Bytes> serial;
+  std::vector<util::Bytes> serial, serial_rekey, serial_encrypt;
   for (std::size_t p = 0; p < shapes.size(); ++p) {
     auto bk = core::decrypt(serial_pk, usk, receivers[p], cts[p]);
     ASSERT_TRUE(bk.has_value()) << p;
     serial.push_back(bk->to_bytes());
+    serial_rekey.push_back(encoded(core::rekey(serial_pk, cts[p], ks[p])));
+    serial_encrypt.push_back(encoded(
+        core::encrypt_with_msk(keys.msk, serial_pk, receivers[p], ks[p])));
   }
 
   ThreadPool::set_global_threads(7);
   const auto shared_pk = core::PublicKey::from_bytes(pk_bytes);
-  std::vector<util::Bytes> prepared(shapes.size()), one_shot(shapes.size());
-  std::vector<char> verified(shapes.size(), 0);
-  ThreadPool::global().parallel_for(0, shapes.size(), 1, [&](std::size_t p) {
+  const std::size_t n = shapes.size();
+  std::vector<util::Bytes> prepared(n), one_shot(n), rekeyed(n), encrypted(n);
+  std::vector<char> verified(n, 0);
+  ThreadPool::global().parallel_for(0, n, 1, [&](std::size_t p) {
+    // Odd workers hit the fixed-base tables first, even ones the MSM.
+    if (p % 2) rekeyed[p] = encoded(core::rekey(shared_pk, cts[p], ks[p]));
     auto part = core::PreparedPartition::prepare(shared_pk, usk, receivers[p]);
     if (part) prepared[p] = core::decrypt(*part, cts[p]).to_bytes();
     auto bk = core::decrypt(shared_pk, usk, receivers[p], cts[p]);
     if (bk) one_shot[p] = bk->to_bytes();
     verified[p] = core::verify_user_key(shared_pk, usk) ? 1 : 0;
+    if (p % 2 == 0) rekeyed[p] = encoded(core::rekey(shared_pk, cts[p], ks[p]));
+    encrypted[p] = encoded(
+        core::encrypt_with_msk(keys.msk, shared_pk, receivers[p], ks[p]));
   });
-  for (std::size_t p = 0; p < shapes.size(); ++p) {
+  for (std::size_t p = 0; p < n; ++p) {
     EXPECT_EQ(prepared[p], serial[p]) << p;
     EXPECT_EQ(one_shot[p], serial[p]) << p;
     EXPECT_TRUE(verified[p]) << p;
+    EXPECT_EQ(rekeyed[p], serial_rekey[p]) << p;
+    EXPECT_EQ(encrypted[p], serial_encrypt[p]) << p;
   }
 }
 

@@ -11,6 +11,9 @@
 // scripts/ci.sh executes it in the forced-portable build tree too, where
 // results must be identical.
 //
+// The fixed-base combs for the IBBE public key's v (GT) and w (G1) are held
+// to the same standard against their variable-base engines and ladders.
+//
 // Also here: the psi-endomorphism invariants backing the 4-dim split (the
 // degree-4 minimal polynomial, linearity, affine-table commutation,
 // prepare-after-psi), and MSM boundary regressions (n = 0 / 1 / the
@@ -324,6 +327,105 @@ TEST(MsmBoundary, G2PowersMsmPrefixAndZeroHandling) {
             naive_msm(std::span<const G2>(bases).first(2),
                       std::span<const Fr>(coefs).first(2)));
   EXPECT_TRUE(prepared.msm({}).is_infinity());
+}
+
+
+// ------------------------------------------------ fixed-base GT and G1 combs
+
+/// k = sum_i (-1)^neg_i sub * lambda^i (mod r): a scalar whose decomposition
+/// is chosen, so the GT comb's digit recoding sees those sub-scalars.
+U256 recombine(const BigUInt& sub, unsigned neg_mask) {
+  const BigUInt r = BigUInt::from_u256(Fr::modulus());
+  const BigUInt lambda = BigUInt::from_u256(ibbe::pairing::gt_lambda());
+  BigUInt acc, lambda_pow(1);
+  for (unsigned i = 0; i < 4; ++i) {
+    BigUInt term = sub * lambda_pow % r;
+    if ((neg_mask >> i) & 1) term = (r - term) % r;
+    acc = (acc + term) % r;
+    lambda_pow = lambda_pow * lambda % r;
+  }
+  return acc.to_u256();
+}
+
+/// Scalars for the fixed-base combs: the shared edge set, 2^64 +- 1, random
+/// ones, scalars whose four sub-scalars are all-ones (every 8-bit digit 255,
+/// so the signed recoding carries through every window) or 0x80-patterned
+/// (digits at the 128 sign boundary) under all 16 sign patterns, and random
+/// scalars with a sub-scalar of the widest length the lattice yields.
+std::vector<U256> fixed_base_scalars() {
+  auto ks = tu::edge_scalars();
+  const BigUInt two64 = BigUInt(1) << 64;
+  ks.push_back((two64 - BigUInt(1)).to_u256());
+  ks.push_back((two64 + BigUInt(1)).to_u256());
+  for (int i = 0; i < 10; ++i) ks.push_back(tu::random_u256());
+  for (const BigUInt& sub : {(BigUInt(1) << 56) - BigUInt(1),
+                             BigUInt(0x80808080808080ull)}) {
+    for (unsigned mask = 0; mask < 16; ++mask) {
+      const U256 k = recombine(sub, mask);
+      // The chosen sub-scalars must be what the decomposition hands the comb.
+      const auto d = ibbe::pairing::decompose_gt(k);
+      for (unsigned i = 0; i < 4; ++i) {
+        EXPECT_EQ(BigUInt::from_u256(d.k[i]), sub) << "mask " << mask;
+        EXPECT_EQ(d.neg[i], ((mask >> i) & 1) != 0) << "mask " << mask;
+      }
+      ks.push_back(k);
+    }
+  }
+  for (int found = 0; found < 8;) {
+    const U256 k = ibbe::bigint::mod(tu::random_u256(), Fr::modulus());
+    const auto d = ibbe::pairing::decompose_gt(k);
+    for (unsigned i = 0; i < 4; ++i) {
+      if (d.k[i].bit_length() >= 64) {
+        ks.push_back(k);
+        ++found;
+        break;
+      }
+    }
+  }
+  return ks;
+}
+
+/// The GT comb against the 4-dim variable-base engine (Gt::exp) and the
+/// plain square-and-multiply ladder, bit-for-bit.
+void check_gt_comb(const ibbe::field::Fp12& x) {
+  const ibbe::pairing::GtComb4 comb(x);
+  const auto gt = ibbe::pairing::Gt::from_fp12_unchecked(x);
+  for (const U256& k : fixed_base_scalars()) {
+    const ibbe::field::Fp12 got = comb.pow(k);
+    EXPECT_TRUE(got == x.pow_cyclotomic(k)) << "ladder, k=" << k.to_hex();
+    EXPECT_TRUE(got == gt.exp(Fr::from_u256_reduce(k)).value())
+        << "Gt::exp, k=" << k.to_hex();
+  }
+}
+
+TEST(GtComb4, MatchesVariableBaseOnRandomElement) { check_gt_comb(tu::random_gt()); }
+
+TEST(GtComb4, MatchesVariableBaseOnPairingOfGenerators) {
+  check_gt_comb(
+      ibbe::pairing::pairing(G1::generator(), G2::generator()).value());
+}
+
+TEST(GtComb4, IdentityBase) {
+  const ibbe::pairing::GtComb4 comb(ibbe::field::Fp12::one());
+  for (const U256& k : tu::edge_scalars()) EXPECT_TRUE(comb.pow(k).is_one());
+}
+
+TEST(FixedBaseTableG1, MatchesGlvAndLadder) {
+  for (const G1& p : {tu::random_g1(), G1::generator().dbl()}) {
+    const ibbe::ec::FixedBaseTable<G1> table(p);
+    for (const U256& k : fixed_base_scalars()) {
+      const auto got = table.mul(k).to_affine();
+      const auto ladder = p.scalar_mul(k).to_affine();
+      const auto glv = p.mul(Fr::from_u256_reduce(k)).to_affine();
+      ASSERT_EQ(got.has_value(), ladder.has_value()) << k.to_hex();
+      ASSERT_EQ(got.has_value(), glv.has_value()) << k.to_hex();
+      if (!got) continue;
+      EXPECT_TRUE(got->first == ladder->first && got->second == ladder->second)
+          << "ladder, k=" << k.to_hex();
+      EXPECT_TRUE(got->first == glv->first && got->second == glv->second)
+          << "GLV, k=" << k.to_hex();
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include "system/admin.h"
 #include "system/client.h"
 #include "system/ibbe_scheme.h"
+#include "system/metadata.h"
+#include "test_util.h"
 #include "util/hex.h"
 
 namespace {
@@ -229,6 +231,65 @@ TEST_F(SystemFixture, PartitionSizeMustFitEnclaveBound) {
 }
 
 // ------------------------------------------------------------ scheme adapter
+
+// The bundle encode normalizes every entry's points with one batch
+// inversion per group; its bytes must be exactly the per-entry encoding's,
+// for points whose Jacobian Z is not 1, and must read back entry by entry.
+TEST(CipherBundleEncode, BatchNormalizedBytesEqualPerEntryEncoding) {
+  using ibbe::system::CipherBundle;
+  ibbe::crypto::Drbg rng(77);
+  const auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
+  const ibbe::system::MetadataReader reader({key.public_key()});
+  const ibbe::ec::G1 g1 = ibbe::testutil::random_g1();
+  const ibbe::ec::G2 g2 = ibbe::testutil::random_g2();
+  for (std::size_t n : {1u, 2u, 1000u}) {
+    CipherBundle bundle;
+    bundle.gk_epoch = 40 + n;
+    ibbe::ec::G1 c1 = g1;
+    ibbe::ec::G2 c2 = g2;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Chained additions: every point comes out with a non-trivial Z.
+      c1 += g1.dbl();
+      c2 += g2.dbl();
+      ibbe::enclave::PartitionCiphertext pc;
+      pc.ct = {c1, c2, c2 + c2};
+      pc.wrapped_gk = rng.bytes(48);
+      pc.nonce = rng.bytes(12);
+      ASSERT_FALSE(c1.jac_z().is_one());
+      ASSERT_FALSE(c2.jac_z().is_one());
+      bundle.entries.emplace_back(1000 + 3 * i, std::move(pc));
+    }
+    ibbe::util::ByteWriter per_entry;
+    per_entry.u64(bundle.gk_epoch);
+    per_entry.u32(static_cast<std::uint32_t>(n));
+    for (const auto& [pid, cipher] : bundle.entries) {
+      per_entry.u64(pid);
+      per_entry.blob(cipher.to_bytes());
+    }
+    const Bytes encoded = bundle.to_bytes();
+    ASSERT_EQ(encoded, per_entry.bytes()) << n;
+
+    const auto back = CipherBundle::from_bytes(encoded);
+    ASSERT_EQ(back.entries.size(), n);
+    EXPECT_EQ(back.gk_epoch, bundle.gk_epoch);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(back.entries[i].first, bundle.entries[i].first);
+      EXPECT_EQ(back.entries[i].second.to_bytes(),
+                bundle.entries[i].second.to_bytes());
+    }
+
+    ibbe::system::GroupManifest m;
+    m.gk_epoch = bundle.gk_epoch;
+    const auto stored =
+        std::optional<Bytes>(ibbe::system::sign_record(key, bundle));
+    for (std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
+      const auto& [pid, cipher] = bundle.entries[i];
+      const auto entry = reader.bundle_entry(stored, m, pid);
+      ASSERT_TRUE(entry.ok()) << n << "/" << i;
+      EXPECT_EQ(entry.record.to_bytes(), cipher.to_bytes());
+    }
+  }
+}
 
 TEST(IbbeSgxScheme, BehavesLikeAGroupScheme) {
   ibbe::system::IbbeSgxScheme scheme(/*partition_size=*/4, /*seed=*/3);
