@@ -46,11 +46,7 @@ using ibbe::system::AdminApi;
 using ibbe::system::AdminConfig;
 using ibbe::system::GroupId;
 
-std::vector<ibbe::core::Identity> make_users(std::size_t n) {
-  std::vector<ibbe::core::Identity> users;
-  for (std::size_t i = 0; i < n; ++i) users.push_back("u" + std::to_string(i));
-  return users;
-}
+using ibbe::bench::make_users;
 
 /// Mean microseconds per membership mutation on a 24-member, |p|=4 group with
 /// all fault rates set around `rate`.

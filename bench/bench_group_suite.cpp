@@ -62,11 +62,7 @@ using ibbe::system::IndexShard;
 using ibbe::system::PartitionId;
 using ibbe::system::SignedEnvelope;
 
-std::vector<Identity> make_users(std::size_t n) {
-  std::vector<Identity> users;
-  for (std::size_t i = 0; i < n; ++i) users.push_back("u" + std::to_string(i));
-  return users;
-}
+using ibbe::bench::make_users;
 
 /// Peak resident set (VmHWM) of this process, in MiB; 0 if unreadable.
 double peak_rss_mb() {
@@ -286,7 +282,7 @@ ChurnResult million_member_churn(std::size_t members, int churn_ops) {
       std::vector<Identity> list;
       list.reserve(m);
       for (std::size_t i = 0; i < m && uid < members; ++i) {
-        list.push_back("u" + std::to_string(uid++));
+        list.push_back(ibbe::bench::numbered("u", uid++));
       }
       view.add_partition(p, std::move(list));
     }

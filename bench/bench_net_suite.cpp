@@ -97,7 +97,7 @@ double grant_revoke_ops(int iters) {
                                /*seed=*/3);
   const ibbe::system::GroupId gid = "g";
   std::vector<ibbe::core::Identity> users;
-  for (int i = 0; i < 24; ++i) users.push_back("u" + std::to_string(i));
+  for (int i = 0; i < 24; ++i) users.push_back(ibbe::bench::numbered("u", i));
   admin.create_group(gid, users);
   admin.remove_user(gid, "u0");  // warm-up pair
   admin.add_user(gid, "u0");

@@ -283,10 +283,10 @@ int main(int argc, char** argv) {
                                  ibbe::pki::EcdsaKeyPair::generate(admin_rng),
                                  config, /*seed=*/17);
     std::vector<ibbe::core::Identity> group;
-    for (int i = 0; i < 256; ++i) group.push_back("m" + std::to_string(i));
+    for (int i = 0; i < 256; ++i) group.push_back(ibbe::bench::numbered("m", i));
     int next_gid = 0;
     metrics.push_back({kAdminNames[s], median_us(
-        [&] { admin.create_group("g" + std::to_string(next_gid++), group); },
+        [&] { admin.create_group(ibbe::bench::numbered("g", next_gid++), group); },
         slow_iters)});
   }
   ibbe::util::ThreadPool::set_global_threads(1);

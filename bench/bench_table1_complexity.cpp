@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       auto k = core::setup(m, rng);
       util::Stopwatch watch;
       for (int i = 0; i < 16; ++i) {
-        (void)core::extract_user_key(k.msk, "u" + std::to_string(i));
+        (void)core::extract_user_key(k.msk, bench::numbered("u", i));
       }
       times.push_back(watch.seconds() / 16);
     }

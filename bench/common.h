@@ -26,6 +26,22 @@ inline std::string_view flag_value(int argc, char** argv,
   return {};
 }
 
+/// `prefix` followed by the decimal `n` ("u17"). Built by appending: GCC 12
+/// reports a false -Wrestrict on `"u" + std::to_string(n)`.
+inline std::string numbered(std::string_view prefix, unsigned long long n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+/// Member identities u0 .. u<n-1>.
+inline std::vector<std::string> make_users(std::size_t n) {
+  std::vector<std::string> users;
+  users.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) users.push_back(numbered("u", i));
+  return users;
+}
+
 enum class Scale { smoke, standard, full };
 
 inline Scale parse_scale(int argc, char** argv) {

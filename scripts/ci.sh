@@ -97,7 +97,9 @@ if [ "$docs_failed" -ne 0 ]; then
 fi
 echo "ci.sh: documentation checks passed"
 
-cmake -B "$BUILD_DIR" -S .
+# The default and forced-portable trees build with -Werror: the build is
+# warning-free, and a new warning fails CI instead of piling up unseen.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j"$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 
@@ -179,7 +181,8 @@ if [ -r /proc/cpuinfo ] && grep -qw adx /proc/cpuinfo; then
   PORTABLE_DIR="${BUILD_DIR}-portable"
   require_ignored "$PORTABLE_DIR"
   echo "==> portable-fallback build ($PORTABLE_DIR)"
-  cmake -B "$PORTABLE_DIR" -S . -DIBBE_FORCE_PORTABLE_MUL=ON
+  cmake -B "$PORTABLE_DIR" -S . -DIBBE_FORCE_PORTABLE_MUL=ON \
+    -DCMAKE_CXX_FLAGS=-Werror
   cmake --build "$PORTABLE_DIR" -j"$JOBS"
   IBBE_FORCE_PORTABLE_MUL=1 ctest --test-dir "$PORTABLE_DIR" \
     --output-on-failure -j"$JOBS"
@@ -191,6 +194,12 @@ if [ -r /proc/cpuinfo ] && grep -qw adx /proc/cpuinfo; then
   echo "==> $PORTABLE_DIR/strategy_equivalence_test (portable backend)"
   IBBE_FORCE_PORTABLE_MUL=1 "$PORTABLE_DIR/strategy_equivalence_test" \
     --gtest_brief=1
+  # The curve-constant literals (Montgomery-form beta and Frobenius gammas,
+  # the GLV/psi lattices) must hold their defining properties under the
+  # portable backend too.
+  echo "==> $PORTABLE_DIR/curve_constants_test (portable backend)"
+  IBBE_FORCE_PORTABLE_MUL=1 "$PORTABLE_DIR/curve_constants_test" \
+    --gtest_brief=1
 else
   echo "ci.sh: no ADX on this CPU; default build already covers the portable path"
 fi
@@ -199,23 +208,24 @@ fi
 # fault-injection / crash-recovery machinery (heap-heavy, exception-heavy),
 # plus the deserialization fuzz suite (the metadata reader parses untrusted
 # cloud bytes), the pairing/IBBE suites (Miller-loop operands point into
-# line tables that move with PreparedPartition and the PK's caches) and the
+# line tables that move with PreparedPartition and the PK's caches), the
 # strategy-equivalence suite (the fixed-base combs index their tables by
 # recoded scalar digits, so an off-by-one in a recoding is an out-of-bounds
-# read).
+# read) and the curve-constants suite (its BigUInt oracle recomputes every
+# lattice and Montgomery constant the library carries as a literal).
 sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
   util_test cloud_test fault_injection_test byzantine_test system_test \
   extensions_test shard_delta_test thread_pool_test \
   parallel_equivalence_test net_test fuzz_deserialize_test \
-  pairing_test ibbe_test strategy_equivalence_test
+  pairing_test ibbe_test strategy_equivalence_test curve_constants_test
 
 # ThreadSanitizer stage: the Byzantine store wraps every fault decision in a
 # mutex and clients race long-polls, gossip publishes, and CAS retries
 # against it — exactly the shapes TSan exists to check. The thread-pool
 # suites ride along: they hammer the pool's job list and shared chunk
-# cursors and the lazy first-use of the shared crypto singletons (GLV/GLS
-# lattices, comb tables, the Montgomery-backend dispatch) and of a shared
-# PublicKey's tables from many workers at once.
+# cursors and the lazy first-use of the shared crypto singletons (the
+# generator comb tables, the Montgomery contexts and backend dispatch) and of
+# a shared PublicKey's tables from many workers at once.
 sanitizer_stage "${BUILD_DIR}-tsan" thread \
   cloud_test fault_injection_test byzantine_test system_test \
   thread_pool_test parallel_equivalence_test net_test

@@ -1,17 +1,12 @@
-// Shared toolkit for the endomorphism scalar decompositions (ec/glv.cpp for
-// G1/G2, pairing/gt_exp.cpp for Gt):
-//
-//  * minimal signed 512-bit arithmetic on 8x64 limb arrays — the per-scalar
-//    Babai rounding works on mul_wide products, so the hot path never
-//    allocates;
-//  * sign-magnitude BigUInt helpers (SBig) for the derivation (init) paths:
-//    lattice-basis construction, cofactors, and the self-checks.
+// Minimal signed 512-bit arithmetic on 8x64 limb arrays for the
+// endomorphism scalar decompositions (ec/glv.cpp for G1, bigint/lattice4.cpp
+// for G2 and Gt): the per-scalar Babai rounding works on mul_wide products,
+// so it never allocates.
 #pragma once
 
 #include <array>
 #include <cstdint>
 
-#include "bigint/biguint.h"
 #include "bigint/u256.h"
 
 namespace ibbe::bigint {
@@ -112,36 +107,6 @@ inline bool s512_to_u256(const S512& v, U256& out) {
   }
   for (unsigned i = 0; i < 4; ++i) out.limb[i] = v.mag[i];
   return true;
-}
-
-/// Sign-magnitude arbitrary-precision integer for init-time derivations
-/// (zero canonicalizes to non-negative through the helpers below).
-struct SBig {
-  BigUInt v;
-  bool neg = false;
-
-  [[nodiscard]] bool is_zero() const { return v.is_zero(); }
-};
-
-inline SBig sbig_add(const SBig& a, const SBig& b) {
-  if (a.neg == b.neg) return {a.v + b.v, a.neg};
-  if (a.v >= b.v) return {a.v - b.v, a.neg};
-  return {b.v - a.v, b.neg};
-}
-
-inline SBig sbig_sub(const SBig& a, const SBig& b) {
-  return sbig_add(a, {b.v, !b.neg});
-}
-
-inline SBig sbig_mul(const SBig& a, const SBig& b) {
-  return {a.v * b.v, a.neg != b.neg};
-}
-
-/// Signed value mod n in [0, n).
-inline BigUInt sbig_mod(const SBig& a, const BigUInt& n) {
-  BigUInt m = a.v % n;
-  if (a.neg && !m.is_zero()) m = n - m;
-  return m;
 }
 
 }  // namespace ibbe::bigint

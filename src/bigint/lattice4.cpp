@@ -6,99 +6,6 @@
 
 namespace ibbe::bigint {
 
-Lattice4::Lattice4(const BigUInt& n, const BigUInt& lambda, const Basis& basis,
-                   unsigned max_sub_bits)
-    : basis_(basis), max_sub_bits_(max_sub_bits) {
-  lambda_ = (lambda % n).to_u256();
-
-  // Every row must be a lattice vector: sum_i b_ji lambda^i = 0 (mod n).
-  const BigUInt lam = BigUInt::from_u256(lambda_);
-  std::array<BigUInt, 4> lam_pow{BigUInt(1), lam, lam * lam % n,
-                                 lam * lam % n * lam % n};
-  for (const auto& row : basis_) {
-    SBig acc;
-    for (int i = 0; i < 4; ++i) {
-      acc = sbig_add(acc, sbig_mul({BigUInt(row[static_cast<std::size_t>(i)].mag),
-                                    row[static_cast<std::size_t>(i)].neg},
-                                   {lam_pow[static_cast<std::size_t>(i)],
-                                    false}));
-    }
-    if (!sbig_mod(acc, n).is_zero()) {
-      throw std::logic_error("lattice4: basis row is not in the lattice");
-    }
-  }
-
-  // Cofactors C_j0 (for the first column) and the determinant, by direct
-  // 3x3 minor expansion over signed BigUInt.
-  auto minor3 = [&](int drop_row) {
-    std::array<std::array<SBig, 3>, 3> m;
-    int rr = 0;
-    for (int r_i = 0; r_i < 4; ++r_i) {
-      if (r_i == drop_row) continue;
-      for (int c_i = 1; c_i < 4; ++c_i) {
-        m[static_cast<std::size_t>(rr)][static_cast<std::size_t>(c_i - 1)] =
-            {BigUInt(basis_[static_cast<std::size_t>(r_i)]
-                           [static_cast<std::size_t>(c_i)].mag),
-             basis_[static_cast<std::size_t>(r_i)]
-                   [static_cast<std::size_t>(c_i)].neg};
-      }
-      ++rr;
-    }
-    SBig det = sbig_sub(sbig_mul(m[0][0], sbig_sub(sbig_mul(m[1][1], m[2][2]),
-                                                   sbig_mul(m[1][2], m[2][1]))),
-                        sbig_mul(m[0][1], sbig_sub(sbig_mul(m[1][0], m[2][2]),
-                                                   sbig_mul(m[1][2], m[2][0]))));
-    return sbig_add(det,
-                    sbig_mul(m[0][2], sbig_sub(sbig_mul(m[1][0], m[2][1]),
-                                               sbig_mul(m[1][1], m[2][0]))));
-  };
-
-  std::array<SBig, 4> cof;
-  SBig det;
-  for (int j = 0; j < 4; ++j) {
-    cof[static_cast<std::size_t>(j)] = minor3(j);
-    if (j % 2 == 1) {  // (-1)^(j+0)
-      cof[static_cast<std::size_t>(j)].neg =
-          !cof[static_cast<std::size_t>(j)].neg;
-    }
-    // det = sum_j b_j0 C_j0
-    det = sbig_add(det, sbig_mul({BigUInt(basis_[static_cast<std::size_t>(j)]
-                                                [0].mag),
-                                  basis_[static_cast<std::size_t>(j)][0].neg},
-                                 cof[static_cast<std::size_t>(j)]));
-  }
-  if (det.v != n) {
-    throw std::logic_error("lattice4: basis determinant is not +-n");
-  }
-  for (std::size_t j = 0; j < 4; ++j) {
-    // ghat[j] = round(2^256 |C_j0| / n); c_j = k C_j0 / det, so its sign is
-    // the cofactor sign when det = +n and the negated one when det = -n.
-    auto [quo, rem] = BigUInt::divmod(cof[j].v << 256, n);
-    if (rem + rem >= n) quo = quo + BigUInt(1);
-    ghat_[j] = quo.to_u256();
-    csign_[j] = det.neg ? !cof[j].neg : cof[j].neg;
-  }
-
-  // Integer end-to-end self-check: a few scalars must decompose back to
-  // themselves mod n, with short sub-scalars.
-  for (const U256& k :
-       {U256::one(), U256::from_u64(0xdeadbeefcafef00dULL),
-        bigint::mod(U256{{~0ull, ~0ull, ~0ull, ~0ull}}, n.to_u256())}) {
-    Decomp4 d = decompose(k);
-    SBig lhs;
-    for (std::size_t i = 0; i < 4; ++i) {
-      if (d.k[i].bit_length() > max_sub_bits_) {
-        throw std::logic_error("lattice4: decomposition is not short");
-      }
-      lhs = sbig_add(lhs, sbig_mul({BigUInt::from_u256(d.k[i]), d.neg[i]},
-                                   {lam_pow[i], false}));
-    }
-    if (sbig_mod(lhs, n) != BigUInt::from_u256(k)) {
-      throw std::logic_error("lattice4: decomposition self-check failed");
-    }
-  }
-}
-
 Decomp4 Lattice4::decompose(const U256& k) const {
   // Babai round-off: c_j from the precomputed reciprocals (the 2^-256
   // Barrett slack is far below the half-integer rounding margin for
@@ -106,16 +13,16 @@ Decomp4 Lattice4::decompose(const U256& k) const {
   // 512-bit limbs.
   std::array<U256, 4> c;
   for (std::size_t j = 0; j < 4; ++j) {
-    c[j] = round_shift_512(mul_wide(k, ghat_[j]), 256);
+    c[j] = round_shift_512(mul_wide(k, ghat[j]), 256);
   }
   Decomp4 d;
   for (std::size_t i = 0; i < 4; ++i) {
     S512 eps = i == 0 ? s512_from_u256(k) : S512{};
     for (std::size_t j = 0; j < 4; ++j) {
-      const Entry& b = basis_[j][i];
+      const Entry& b = basis[j][i];
       S512 term{mul_wide(c[j], U256::from_u64(b.mag)),
-                // sign of -c_j * b_ji with sign(c_j) = csign_[j]
-                !(csign_[j] != b.neg)};
+                // sign of -c_j * b_ji with sign(c_j) = csign[j]
+                !(csign[j] != b.neg)};
       eps = signed_add(eps, term);
     }
     if (!s512_to_u256(eps, d.k[i])) {

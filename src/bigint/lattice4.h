@@ -1,29 +1,24 @@
-// Four-dimensional lattice scalar decomposition (shared Babai machinery).
+// Four-dimensional lattice scalar decomposition (shared Babai round-off).
 //
 // Both degree-4 endomorphism engines in this project — the Gt Frobenius
 // exponentiation (pairing/gt_exp.*) and the 4-dim GLS split for G2
-// (ec/glv.*) — decompose a scalar k against the SAME kind of object: an
-// LLL-reduced basis of the lattice
+// (ec/glv.*) — decompose a scalar k against the SAME object: a reduced basis
+// of the lattice
 //
 //   L = { (a0, a1, a2, a3) : a0 + a1 l + a2 l^2 + a3 l^3 = 0 (mod n) },
 //
 // where l is the endomorphism eigenvalue (6u^2 for both of them — psi on G2
-// and the p-power Frobenius on Gt share it) and n the group order r. This
-// header owns that machinery once: basis verification, cofactor /
-// determinant computation, the Barrett-style rounding reciprocals, and the
-// per-scalar Babai round-off over the signed 512-bit toolkit of int512.h
-// (no allocation on the hot path).
-//
-// The eigenvalue-specific facts — that psi or Frobenius really act as [l] —
-// remain with the callers; everything a pure-integer check can catch is
-// verified in the constructor, which throws std::logic_error on any
-// transcription or convention error instead of corrupting results.
+// and the p-power Frobenius on Gt share it) and n the group order r. A
+// Lattice4 holds that basis together with its Babai rounding reciprocals and
+// signs, all literals (the one instance is ec::bn_psi_lattice(); the
+// constants test in tests/ pins every field by its defining property), and
+// runs the per-scalar round-off over the signed 512-bit toolkit of int512.h
+// (no allocation).
 #pragma once
 
 #include <array>
 #include <cstdint>
 
-#include "bigint/biguint.h"
 #include "bigint/u256.h"
 
 namespace ibbe::bigint {
@@ -34,8 +29,7 @@ struct Decomp4 {
   std::array<bool, 4> neg;
 };
 
-class Lattice4 {
- public:
+struct Lattice4 {
   /// One signed basis entry; magnitudes fit a single limb (the BN bases are
   /// linear in the 63-bit curve parameter u).
   struct Entry {
@@ -44,33 +38,23 @@ class Lattice4 {
   };
   using Basis = std::array<std::array<Entry, 4>, 4>;
 
-  /// Derives the Babai rounding reciprocals from (n, lambda, basis) and
-  /// verifies at construction: every row lies in the lattice, |det| = n
-  /// (an index-n sublattice, i.e. the quotient is exactly Z/n), and a few
-  /// sample scalars decompose back to themselves mod n with every
-  /// sub-scalar at most `max_sub_bits` bits.
-  Lattice4(const BigUInt& n, const BigUInt& lambda, const Basis& basis,
-           unsigned max_sub_bits);
+  /// The eigenvalue l (< n).
+  U256 lambda;
+  /// Rows b_j of the basis; |det| = n.
+  Basis basis;
+  /// ghat[j] = round(2^256 |C_j0| / n) with C_j0 the (j,0) cofactor of the
+  /// basis matrix. The Babai coefficient is c_j = k C_j0 / det; csign[j]
+  /// carries its sign for k >= 0 (cofactor sign flipped when det = -n).
+  std::array<U256, 4> ghat;
+  std::array<bool, 4> csign;
+  /// Bound on decomposed sub-scalar lengths.
+  unsigned max_sub_bits;
 
   /// Babai round-off of (k, 0, 0, 0) against the basis; requires k < n.
   /// Every |k[i]| is bounded by half the l1-norm of the basis columns
-  /// (~2^65 for the BN psi basis; self-checked <= max_sub_bits).
+  /// (~2^65 for the BN psi basis, below max_sub_bits). Throws
+  /// std::logic_error if a sub-scalar leaves 256 bits.
   [[nodiscard]] Decomp4 decompose(const U256& k) const;
-
-  /// The eigenvalue l the basis was built for (reduced, < n).
-  [[nodiscard]] const U256& lambda() const { return lambda_; }
-  /// The constructor-verified bound on decomposed sub-scalar lengths.
-  [[nodiscard]] unsigned max_sub_bits() const { return max_sub_bits_; }
-
- private:
-  U256 lambda_;
-  Basis basis_;
-  // ghat_[j] = round(2^256 |C_j0| / n) with C_j0 the (j,0) cofactor of the
-  // basis matrix. The Babai coefficient is c_j = k C_j0 / det; csign_[j]
-  // carries its sign for k >= 0 (cofactor sign flipped when det = -n).
-  std::array<U256, 4> ghat_;
-  std::array<bool, 4> csign_;
-  unsigned max_sub_bits_;
 };
 
 }  // namespace ibbe::bigint

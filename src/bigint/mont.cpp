@@ -16,10 +16,13 @@ MontgomeryCtx::MontgomeryCtx(const U256& modulus) : n_(modulus) {
   for (int i = 0; i < 6; ++i) x *= 2 - n0 * x;
   n0inv_ = ~x + 1;  // negate mod 2^64
 
-  // R = 2^256 mod n and R2 = 2^512 mod n via BigUInt (setup-time only).
-  BigUInt n_big = BigUInt::from_u256(n_);
-  r_ = ((BigUInt(1) << 256) % n_big).to_u256();
-  r2_ = ((BigUInt(1) << 512) % n_big).to_u256();
+  // R = 2^256 mod n: 0 - n wraps to 2^256 - n, which reduces to R. Then
+  // R^2 = 2^512 mod n by 256 modular doublings of R.
+  U256 two256_minus_n;
+  sub_with_borrow(U256::zero(), n_, two256_minus_n);
+  r_ = mod(two256_minus_n, n_);
+  r2_ = r_;
+  for (int i = 0; i < 256; ++i) r2_ = add(r2_, r2_);
   sub_with_borrow(n_, U256::from_u64(2), n_minus_2_);
   n_sq_ = mul_wide(n_, n_);
 
@@ -58,20 +61,16 @@ U256 MontgomeryCtx::neg(const U256& a) const {
   return out;
 }
 
-namespace {
-
-/// 4-bit fixed-window ladder shared by both exponent types: ~bits/4 table
-/// multiplications instead of the ~bits/2 of plain square-and-multiply. This
-/// feeds every Fermat inversion in the field layer, so all Fp/Fr/P-256
-/// inversions (and therefore every affine conversion) get the speedup.
-template <typename Exp>
-U256 pow_fixed_window(const MontgomeryCtx& ctx, const U256& base,
-                      const Exp& exp) {
+U256 MontgomeryCtx::pow(const U256& base, const U256& exp) const {
+  // 4-bit fixed window: ~bits/4 table multiplications instead of the ~bits/2
+  // of plain square-and-multiply. This feeds every Fermat inversion in the
+  // field layer, so all Fp/Fr/P-256 inversions (and therefore every affine
+  // conversion) get the speedup.
   unsigned bits = exp.bit_length();
-  if (bits == 0) return ctx.one();
+  if (bits == 0) return one();
   U256 table[16];
-  table[0] = ctx.one();
-  for (int i = 1; i < 16; ++i) table[i] = ctx.mul(table[i - 1], base);
+  table[0] = one();
+  for (int i = 1; i < 16; ++i) table[i] = mul(table[i - 1], base);
 
   auto window = [&](unsigned lo) {
     unsigned w = 0;
@@ -87,21 +86,11 @@ U256 pow_fixed_window(const MontgomeryCtx& ctx, const U256& base,
   U256 result = table[window(i)];
   while (i != 0) {
     i -= 4;
-    result = ctx.sqr(ctx.sqr(ctx.sqr(ctx.sqr(result))));
+    result = sqr(sqr(sqr(sqr(result))));
     unsigned w = window(i);
-    if (w != 0) result = ctx.mul(result, table[w]);
+    if (w != 0) result = mul(result, table[w]);
   }
   return result;
-}
-
-}  // namespace
-
-U256 MontgomeryCtx::pow(const U256& base, const U256& exp) const {
-  return pow_fixed_window(*this, base, exp);
-}
-
-U256 MontgomeryCtx::pow(const U256& base, const BigUInt& exp) const {
-  return pow_fixed_window(*this, base, exp);
 }
 
 U256 MontgomeryCtx::inv(const U256& a) const {

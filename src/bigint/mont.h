@@ -18,7 +18,6 @@
 // bit-identical either way.
 #pragma once
 
-#include "bigint/biguint.h"
 #include "bigint/mont_backend.h"
 #include "bigint/u256.h"
 #include "bigint/u512.h"
@@ -96,7 +95,6 @@ class MontgomeryCtx {
   /// base^exp with base in Montgomery form; result in Montgomery form.
   /// 4-bit fixed-window ladder (this backs every Fermat inversion).
   [[nodiscard]] U256 pow(const U256& base, const U256& exp) const;
-  [[nodiscard]] U256 pow(const U256& base, const BigUInt& exp) const;
 
   /// Inverse of a non-zero residue (Fermat: a^(N-2)); modulus must be prime.
   [[nodiscard]] U256 inv(const U256& a) const;

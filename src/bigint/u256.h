@@ -2,8 +2,7 @@
 //
 // This is the word size of every prime field in the project (BN254 base and
 // scalar fields, P-256 base and order), so the hot-path arithmetic lives on a
-// flat 4x64 representation with no allocation. Anything wider or variable
-// width (setup-time constants, final-exponentiation exponents) uses BigUInt.
+// flat 4x64 representation with no allocation.
 #pragma once
 
 #include <array>
@@ -53,6 +52,16 @@ inline bool operator<(const U256& a, const U256& b) { return cmp(a, b) < 0; }
 std::uint64_t add_with_carry(const U256& a, const U256& b, U256& out);
 /// out = a - b, returns the borrow bit.
 std::uint64_t sub_with_borrow(const U256& a, const U256& b, U256& out);
+
+/// a >> s for 0 < s < 64.
+inline U256 shr(const U256& a, unsigned s) {
+  U256 out;
+  for (unsigned i = 0; i < 4; ++i) {
+    out.limb[i] = a.limb[i] >> s;
+    if (i + 1 < 4) out.limb[i] |= a.limb[i + 1] << (64 - s);
+  }
+  return out;
+}
 
 /// Full 256x256 -> 512-bit product (little-endian 8 limbs).
 std::array<std::uint64_t, 8> mul_wide(const U256& a, const U256& b);

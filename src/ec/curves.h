@@ -2,6 +2,7 @@
 // serialization, and hash-to-curve for G1.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -12,6 +13,11 @@
 #include "util/bytes.h"
 
 namespace ibbe::ec {
+
+/// The BN254 curve parameter u = 4965661367192848881 (63 bits, positive):
+/// the endomorphism lattices, the Miller loop length 6u + 2 and the final
+/// exponentiation's hard part are all built from it.
+inline constexpr std::uint64_t kBnU = 0x44e992b44a6909f1ULL;
 
 struct G1Params {
   using Field = field::Fp;

@@ -18,10 +18,12 @@
 // pairing/gt_exp.cpp). The joint 4-term wNAF ladder needs ~64 shared
 // doublings where a plain ladder needs ~254.
 //
-// All constants (beta, lambda, the GLV lattice basis, 6u^2, the psi lattice)
-// are derived and cross-checked at first use against scalar_mul, so a
-// transcription error turns into a startup exception instead of silent
-// wrong results.
+// All constants (beta, lambda, the GLV lattice basis and its rounding
+// reciprocals, 6u^2, the psi lattice) are literals or compile-time
+// expressions in u, so the maps cost no set-up. tests/curve_constants_test.cpp
+// pins each one by its defining property (phi = [lambda] on G1, the basis
+// rows lie in the lattice with determinant r, the reciprocals round
+// correctly, psi = [6u^2] on G2) with arbitrary-precision arithmetic.
 #pragma once
 
 #include "bigint/lattice4.h"
@@ -30,18 +32,27 @@
 
 namespace ibbe::ec {
 
-/// phi(X, Y, Z) = (beta X, Y, Z); multiplication by glv_lambda() on G1.
+/// The G1 GLV constants. phi(x, y) = (beta x, y) acts on G1 as [lambda];
+/// v1 = (a1, -b1) and v2 = (a2, b2) span {(a, b) : a + b lambda = 0 mod r}
+/// with determinant a1 b2 + a2 b1 = r (the fields hold magnitudes; the one
+/// negative entry is built into the decomposition); g1 = round(b2 2^254 / r)
+/// and g2 = round(b1 2^254 / r) are the Babai rounding reciprocals.
+struct GlvConstants {
+  field::Fp beta;  // primitive cube root of unity in Fp
+  bigint::U256 lambda;  // primitive cube root of unity mod r
+  bigint::U256 a1, b1, a2, b2;
+  bigint::U256 g1, g2;
+};
+const GlvConstants& glv_constants();
+
+/// phi(X, Y, Z) = (beta X, Y, Z); multiplication by lambda on G1.
 G1 apply_phi(const G1& p);
 
-/// psi = twist o Frobenius o untwist; multiplication by gls_mu() on G2.
+/// psi = twist o Frobenius o untwist; multiplication by
+/// bn_psi_lattice().lambda = 6u^2 on G2.
 G2 apply_psi(const G2& p);
 /// psi on an affine table entry (stays affine: the map is coordinate-wise).
 AffinePt<field::Fp2> apply_psi(const AffinePt<field::Fp2>& p);
-
-/// The G1 eigenvalue lambda (cube root of unity mod r) and the G2 eigenvalue
-/// mu = 6u^2 = p mod r. Exposed for tests.
-const bigint::U256& glv_lambda();
-const bigint::U256& gls_mu();
 
 /// Two-dimensional scalar decomposition: k = (-1)^neg0 k0 + (-1)^neg1 k1 * eig
 /// (mod r), with k0, k1 < ~2^131.
@@ -64,9 +75,9 @@ G1 g1_mul_endo(const G1& p, const bigint::U256& k);
 /// The shared psi/Frobenius lattice: LLL-reduced basis of
 /// {(a0..a3) : sum a_i (6u^2)^i = 0 mod r}, entries all +-u, +-(u+1), +-2u
 /// or +-(2u+1). psi on G2 and the p-power Frobenius on Gt share the
-/// eigenvalue 6u^2 = p mod r, so this single instance serves both engines
-/// (pairing/gt_exp.cpp borrows it). Sub-scalars are bounded by
-/// max_sub_bits() = 72 bits (construction-verified; mathematically ~65).
+/// eigenvalue lambda = 6u^2 = p mod r, so this single instance serves both
+/// engines (pairing/gt_exp.cpp borrows it). Sub-scalars are bounded by
+/// max_sub_bits = 72 bits (mathematically ~65).
 const bigint::Lattice4& bn_psi_lattice();
 
 /// Four-dimensional GLS split of k (any U256; reduced mod r internally):

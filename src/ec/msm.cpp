@@ -124,7 +124,7 @@ G2 G2PowersMsm::msm(std::span<const Fr> coefs) const {
 
 G2Comb4::G2Comb4(const G2& base, unsigned window)
     : w_(window),
-      wins_((bn_psi_lattice().max_sub_bits() + window - 1) / window),
+      wins_((bn_psi_lattice().max_sub_bits + window - 1) / window),
       per_((std::size_t{1} << window) - 1) {
   std::vector<G2> jac;
   jac.reserve(std::size_t{wins_} * per_);

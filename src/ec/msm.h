@@ -255,7 +255,7 @@ class G2PowersMsm {
 /// Four-dimensional psi-split fixed-base comb for a G2 point in the order-r
 /// subgroup. FixedBaseTable must cover all 256 scalar bits; here the scalar
 /// is first decomposed into four sub-scalars of at most 72 bits
-/// (bn_psi_lattice().max_sub_bits()), so the comb spans 72 bits and can
+/// (bn_psi_lattice().max_sub_bits), so the comb spans 72 bits and can
 /// afford a window twice as wide: with the default w = 8, a multiplication
 /// is at most 4 * 9 = 36 mixed additions (vs ~64) and still zero
 /// doublings. The price is table size — 4 psi-tables x 9 windows x 255

@@ -2,6 +2,8 @@
 // curve template, the GLV/GLS fast paths, and the MSM engine.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +42,28 @@ inline std::vector<int> wnaf_digits(const bigint::U256& k, unsigned w) {
   }
   while (!digits.empty() && digits.back() == 0) digits.pop_back();
   return digits;
+}
+
+/// Signed NAF of a compile-time constant: the digits wnaf_digits(n, 2)
+/// yields, least significant first, for the loops over fixed curve
+/// parameters (the NAF of u for GT, of 6u + 2 for the Miller loop).
+struct ConstNaf {
+  std::array<std::int8_t, 128> digit{};
+  std::size_t size = 0;
+};
+
+constexpr ConstNaf const_naf(unsigned __int128 n) {
+  ConstNaf out;
+  while (n != 0) {
+    std::int8_t d = 0;
+    if (n & 1) {
+      d = (n & 3) == 3 ? -1 : 1;
+      n = d < 0 ? n + 1 : n - 1;
+    }
+    out.digit[out.size++] = d;
+    n >>= 1;
+  }
+  return out;
 }
 
 }  // namespace ibbe::ec

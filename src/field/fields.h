@@ -17,7 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bigint/biguint.h"
 #include "bigint/mont.h"
 #include "bigint/u256.h"
 
@@ -128,18 +127,13 @@ class Fp256 {
   [[nodiscard]] Fp256 pow(const U256& e) const {
     return from_mont(ctx().pow(v_, e));
   }
-  [[nodiscard]] Fp256 pow(const bigint::BigUInt& e) const {
-    return from_mont(ctx().pow(v_, e));
-  }
 
   /// Square root for p = 3 (mod 4) primes (all four of ours):
   /// a^((p+1)/4); std::nullopt if `a` is not a quadratic residue.
   [[nodiscard]] std::optional<Fp256> sqrt() const {
-    static const U256 e = [] {
-      bigint::BigUInt p = bigint::BigUInt::from_u256(modulus());
-      return ((p + bigint::BigUInt(1)) >> 2).to_u256();
-    }();
-    Fp256 candidate = pow(e);
+    U256 p_plus_1;  // no carry: none of the four primes is 2^256 - 1
+    bigint::add_with_carry(modulus(), U256::one(), p_plus_1);
+    Fp256 candidate = pow(bigint::shr(p_plus_1, 2));
     if (candidate.square() == *this) return candidate;
     return std::nullopt;
   }
@@ -152,12 +146,14 @@ class Fp256 {
   /// accumulates residues in 512-bit unreduced form and re-wraps the REDC
   /// output; `v` must be a canonical residue (< modulus, Montgomery form).
   [[nodiscard]] const U256& mont_repr() const { return v_; }
-  static Fp256 from_mont_unchecked(const U256& v) { return from_mont(v); }
+  static constexpr Fp256 from_mont_unchecked(const U256& v) {
+    return from_mont(v);
+  }
 
   friend bool operator==(const Fp256&, const Fp256&) = default;
 
  private:
-  static Fp256 from_mont(const U256& v) {
+  static constexpr Fp256 from_mont(const U256& v) {
     Fp256 out;
     out.v_ = v;
     return out;

@@ -30,7 +30,7 @@ Fp12 Fp12::inverse() const {
 }
 
 Fp12 Fp12::frobenius() const {
-  const auto& g = TowerConsts::get().gamma;
+  const auto& g = kFrobeniusGamma;
   // w^p = g1 * w, so the w-part picks up a scalar g1 after the Fp6 Frobenius.
   return {c0_.frobenius(), c1_.frobenius().mul_by_fp2(g[0])};
 }
@@ -43,15 +43,6 @@ Fp12 Fp12::mul_by_line(const Fp2& a, const Fp2& b, const Fp2& c) const {
   Fp6 t1 = c1_.mul_by_01(b, c);
   Fp6 mixed = (c0_ + c1_).mul_by_01(a + b, c);
   return {t0 + t1.mul_by_v(), mixed - t0 - t1};
-}
-
-Fp12 Fp12::pow(const bigint::BigUInt& e) const {
-  Fp12 result = one();
-  for (unsigned i = e.bit_length(); i-- > 0;) {
-    result = result.square();
-    if (e.bit(i)) result *= *this;
-  }
-  return result;
 }
 
 Fp12 Fp12::pow(const bigint::U256& e) const {

@@ -8,7 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "bigint/biguint.h"
+#include "bigint/u256.h"
 #include "field/fp6.h"
 #include "util/bytes.h"
 
@@ -54,7 +54,6 @@ class Fp12 {
   /// denominators, so all three coefficients live in Fp2.
   [[nodiscard]] Fp12 mul_by_line(const Fp2& a, const Fp2& b, const Fp2& c) const;
 
-  [[nodiscard]] Fp12 pow(const bigint::BigUInt& e) const;
   [[nodiscard]] Fp12 pow(const bigint::U256& e) const;
 
   /// Granger–Scott squaring; valid only for elements of the cyclotomic

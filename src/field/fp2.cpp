@@ -30,7 +30,7 @@ Fp2 Fp2::mul_by_xi() const {
   return {nine_a - c1_, nine_b + c0_};
 }
 
-Fp2 Fp2::pow(const bigint::BigUInt& e) const {
+Fp2 Fp2::pow(const bigint::U256& e) const {
   Fp2 result = one();
   for (unsigned i = e.bit_length(); i-- > 0;) {
     result = result.square();
@@ -42,10 +42,11 @@ Fp2 Fp2::pow(const bigint::BigUInt& e) const {
 std::optional<Fp2> Fp2::sqrt() const {
   // Algorithm for q = p^2 with p = 3 (mod 4), cf. RFC 9380 appendix I.2.
   if (is_zero()) return zero();
-  using bigint::BigUInt;
-  static const BigUInt p = BigUInt::from_u256(Fp::modulus());
-  static const BigUInt c1 = (p - BigUInt(3)) >> 2;  // (p-3)/4
-  static const BigUInt c2 = (p - BigUInt(1)) >> 1;  // (p-1)/2
+  bigint::U256 p_minus_3, p_minus_1;
+  bigint::sub_with_borrow(Fp::modulus(), bigint::U256::from_u64(3), p_minus_3);
+  bigint::sub_with_borrow(Fp::modulus(), bigint::U256::one(), p_minus_1);
+  const bigint::U256 c1 = bigint::shr(p_minus_3, 2);  // (p-3)/4
+  const bigint::U256 c2 = bigint::shr(p_minus_1, 1);  // (p-1)/2
 
   Fp2 a1 = pow(c1);
   Fp2 alpha = a1.square() * *this;

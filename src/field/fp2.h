@@ -6,7 +6,7 @@
 
 #include <optional>
 
-#include "bigint/biguint.h"
+#include "bigint/u256.h"
 #include "field/fields.h"
 
 namespace ibbe::field {
@@ -15,7 +15,7 @@ class Fp2 {
  public:
   /// Zero.
   Fp2() = default;
-  Fp2(Fp c0, Fp c1) : c0_(c0), c1_(c1) {}
+  constexpr Fp2(Fp c0, Fp c1) : c0_(c0), c1_(c1) {}
 
   static Fp2 zero() { return {}; }
   static Fp2 one() { return {Fp::one(), Fp::zero()}; }
@@ -50,7 +50,7 @@ class Fp2 {
   [[nodiscard]] Fp2 mul_by_xi() const;
   [[nodiscard]] Fp2 mul_by_fp(const Fp& s) const { return {c0_ * s, c1_ * s}; }
 
-  [[nodiscard]] Fp2 pow(const bigint::BigUInt& e) const;
+  [[nodiscard]] Fp2 pow(const bigint::U256& e) const;
 
   /// Square root (p = 3 mod 4 algorithm); std::nullopt for non-residues.
   /// Used by G2 point decompression.

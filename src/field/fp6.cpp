@@ -56,7 +56,7 @@ Fp6 Fp6::inverse() const {
 }
 
 Fp6 Fp6::frobenius() const {
-  const auto& g = TowerConsts::get().gamma;
+  const auto& g = kFrobeniusGamma;
   // v^p = xi^((p-1)/3) v = g2 * v ; (v^2)^p = g4 * v^2.
   return {c0_.conjugate(), c1_.conjugate() * g[1], c2_.conjugate() * g[3]};
 }

@@ -29,10 +29,12 @@
 //    snapshotting the compressed ladder at nonzero digits and recovering all
 //    snapshots with one batched decompression (field/fp12.h).
 //
-// All derived constants (the lattice basis, its determinant, the rounding
-// reciprocals, the NAF of u, the Karabina formulas) are self-checked at
-// first use against the naive pow / cyclotomic_square oracles, so a
-// transcription error throws at startup instead of corrupting ciphertexts.
+// The constants are literals or compile-time expressions: the lattice and its
+// rounding reciprocals are ec::bn_psi_lattice() (pinned by
+// tests/curve_constants_test.cpp, which also checks that Frobenius acts as
+// [6u^2] on GT), and the NAF of u is computed by the compiler. The engines
+// themselves are checked against the naive Fp12::pow and pow_cyclotomic
+// oracles in tests/gt_exp_test.cpp and tests/strategy_equivalence_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -84,12 +86,10 @@ class GtComb4 {
 /// its three u-ladders through this.
 field::Fp12 gt_pow_u(const field::Fp12& x);
 
-/// The GT Frobenius eigenvalue lambda = p mod r = 6u^2. Exposed for tests.
-const bigint::U256& gt_lambda();
-
 /// Four-dimensional decomposition k = sum_i (-1)^neg[i] k[i] lambda^i
-/// (mod r) with k[i] < ~2^66, against the psi/Frobenius lattice shared with
-/// the G2 engine (ec::bn_psi_lattice). Exposed for tests; requires k < r.
+/// (mod r) with k[i] < ~2^66 and lambda = p mod r = 6u^2, against the
+/// psi/Frobenius lattice shared with the G2 engine (ec::bn_psi_lattice()).
+/// Exposed for tests; requires k < r.
 using Gt4Decomp = bigint::Decomp4;
 Gt4Decomp decompose_gt(const bigint::U256& k);
 

@@ -2,80 +2,26 @@
 
 #include <stdexcept>
 
+#include "ec/wnaf.h"
 #include "field/tower_consts.h"
 #include "pairing/gt_exp.h"
 
 namespace ibbe::pairing {
 
-using bigint::BigUInt;
 using bigint::U256;
 using ec::G1;
 using ec::G2;
 using field::Fp;
 using field::Fp12;
 using field::Fp2;
-using field::TowerConsts;
 
 namespace {
 
-/// The BN parameter u = 4965661367192848881 for BN254 / alt_bn128 (63 bits,
-/// positive — the hard-part chain below assumes u > 0).
-constexpr std::uint64_t kBnU = 0x44e992b44a6909f1ULL;
-
-const BigUInt& bn_u() {
-  static const BigUInt u = BigUInt::from_u256(U256::from_u64(kBnU));
-  return u;
-}
-
-/// Optimal-ate Miller loop length 6u + 2 (65 bits).
-const BigUInt& ate_loop_count() {
-  static const BigUInt s = BigUInt(6) * bn_u() + BigUInt(2);
-  return s;
-}
-
-/// Signed NAF digits of 6u + 2, least significant first. Derived once at
-/// first use; the Miller loop and G2 preparation walk this table instead of
-/// scanning BigUInt bits per iteration, and the signed form trades additions
-/// for (free) twist-point negations.
-const std::vector<std::int8_t>& ate_naf_digits() {
-  static const std::vector<std::int8_t> digits = [] {
-    std::vector<std::int8_t> d;
-    auto n = static_cast<unsigned __int128>(6) * kBnU + 2;
-    while (n != 0) {
-      if (n & 1) {
-        if ((n & 3) == 3) {
-          d.push_back(-1);
-          n += 1;
-        } else {
-          d.push_back(1);
-          n -= 1;
-        }
-      } else {
-        d.push_back(0);
-      }
-      n >>= 1;
-    }
-    return d;
-  }();
-  return digits;
-}
-
-/// Hard-part exponent (p^4 - p^2 + 1)/r for the naive oracle. The exact
-/// divisibility doubles as a consistency check on the curve constants.
-const BigUInt& hard_exponent() {
-  static const BigUInt d = [] {
-    BigUInt p = BigUInt::from_u256(Fp::modulus());
-    BigUInt r = BigUInt::from_u256(field::Fr::modulus());
-    BigUInt p2 = p * p;
-    BigUInt p4 = p2 * p2;
-    auto [q, rem] = BigUInt::divmod(p4 - p2 + BigUInt(1), r);
-    if (!rem.is_zero()) {
-      throw std::logic_error("BN254 constants inconsistent: r does not divide p^4-p^2+1");
-    }
-    return q;
-  }();
-  return d;
-}
+/// Signed NAF digits of the optimal-ate loop length 6u + 2 (65 bits), least
+/// significant first. The Miller loop and G2 preparation walk this table,
+/// and the signed form trades additions for (free) twist-point negations.
+constexpr ec::ConstNaf kAteNaf =
+    ec::const_naf(static_cast<unsigned __int128>(6) * ec::kBnU + 2);
 
 /// Affine point on the twist (inputs and Frobenius images of Q).
 struct TwistPoint {
@@ -85,7 +31,7 @@ struct TwistPoint {
 
 /// pi(x, y) = (conj(x) g2, conj(y) g3) with g_k = xi^(k(p-1)/6).
 TwistPoint twist_frobenius(const TwistPoint& q) {
-  const auto& g = TowerConsts::get().gamma;
+  const auto& g = field::kFrobeniusGamma;
   return {q.x.conjugate() * g[1], q.y.conjugate() * g[2]};
 }
 
@@ -178,7 +124,7 @@ struct MillerArg {
 Fp12 miller_loop_many(std::span<const MillerArg> args) {
   Fp12 f = Fp12::one();
   if (args.empty()) return f;
-  const auto& digits = ate_naf_digits();
+  const auto& digits = kAteNaf.digit;
   std::size_t cursor = 0;
   auto eat_lines = [&] {
     for (const auto& arg : args) {
@@ -187,7 +133,7 @@ Fp12 miller_loop_many(std::span<const MillerArg> args) {
     }
     ++cursor;
   };
-  for (std::size_t i = digits.size() - 1; i-- > 0;) {
+  for (std::size_t i = kAteNaf.size - 1; i-- > 0;) {
     f = f.square();
     eat_lines();
     if (digits[i] != 0) eat_lines();
@@ -196,15 +142,6 @@ Fp12 miller_loop_many(std::span<const MillerArg> args) {
   eat_lines();
   eat_lines();
   return f;
-}
-
-Fp12 pow_cyclotomic_big(const Fp12& base, const BigUInt& e) {
-  Fp12 result = Fp12::one();
-  for (unsigned i = e.bit_length(); i-- > 0;) {
-    result = result.cyclotomic_square();
-    if (e.bit(i)) result *= base;
-  }
-  return result;
 }
 
 /// f^u over the cyclotomic subgroup (u is 63 bits and positive): signed NAF
@@ -226,7 +163,8 @@ Fp12 easy_part(const Fp12& f) { return easy_part_with_inv(f, f.inverse()); }
 /// pairings on ordinary elliptic curves", for u > 0): three 63-bit
 /// cyclotomic exponentiations by u, Frobenius maps, and conjugations (free
 /// inversions in the cyclotomic subgroup) replace the naive ~1000-bit
-/// exponentiation. Equivalence with the naive path is covered by tests.
+/// exponentiation. Equivalence with the naive exponentiation is covered by
+/// the oracle in tests/support/pairing_oracle.h.
 Fp12 hard_part(const Fp12& t) {
   Fp12 fp = t.frobenius();
   Fp12 fp2 = fp.frobenius();
@@ -261,13 +199,13 @@ G2Prepared::G2Prepared(const ec::G2& q) {
   const TwistPoint q0{qa->first, qa->second};
   const TwistPoint q0_neg{q0.x, q0.y.neg()};
 
-  const auto& digits = ate_naf_digits();
+  const auto& digits = kAteNaf.digit;
   std::size_t adds = 0;
-  for (std::size_t i = digits.size() - 1; i-- > 0;) adds += digits[i] != 0;
-  coeffs_.reserve((digits.size() - 1) + adds + 2);
+  for (std::size_t i = kAteNaf.size - 1; i-- > 0;) adds += digits[i] != 0;
+  coeffs_.reserve((kAteNaf.size - 1) + adds + 2);
 
   ProjPoint t{q0.x, q0.y, Fp2::one()};
-  for (std::size_t i = digits.size() - 1; i-- > 0;) {
+  for (std::size_t i = kAteNaf.size - 1; i-- > 0;) {
     coeffs_.push_back(dbl_step(t));
     if (digits[i] == 1) {
       coeffs_.push_back(add_step(t, q0));
@@ -292,55 +230,6 @@ Fp12 miller_loop(const G1& p, const G2Prepared& q) {
   return miller_loop_many({&arg, 1});
 }
 
-Fp12 miller_loop_affine(const G1& p, const G2& q) {
-  auto pa = p.to_affine();
-  auto qa = q.to_affine();
-  if (!pa || !qa) return Fp12::one();
-  const Fp xp = pa->first;
-  const Fp yp = pa->second;
-  const TwistPoint q0{qa->first, qa->second};
-
-  // Affine tangent/chord steps, one Fp2 inversion each.
-  TwistPoint t = q0;
-  auto affine_dbl = [&](Fp12& f) {
-    Fp2 xx = t.x.square();
-    Fp2 lambda = (xx.dbl() + xx) * t.y.dbl().inverse();
-    Fp2 c = lambda * t.x - t.y;
-    f = f.mul_by_line(Fp2::from_fp(yp), lambda.mul_by_fp(xp).neg(), c);
-    Fp2 x3 = lambda.square() - t.x.dbl();
-    t.y = lambda * (t.x - x3) - t.y;
-    t.x = x3;
-  };
-  auto affine_add = [&](Fp12& f, const TwistPoint& q_add) {
-    if (t.x == q_add.x) {
-      if (t.y != q_add.y) {
-        throw std::logic_error("pairing: degenerate addition step (input not in G2?)");
-      }
-      affine_dbl(f);
-      return;
-    }
-    Fp2 lambda = (q_add.y - t.y) * (q_add.x - t.x).inverse();
-    Fp2 c = lambda * t.x - t.y;
-    f = f.mul_by_line(Fp2::from_fp(yp), lambda.mul_by_fp(xp).neg(), c);
-    Fp2 x3 = lambda.square() - t.x - q_add.x;
-    t.y = lambda * (t.x - x3) - t.y;
-    t.x = x3;
-  };
-
-  Fp12 f = Fp12::one();
-  const BigUInt& s = ate_loop_count();
-  for (unsigned i = s.bit_length() - 1; i-- > 0;) {
-    f = f.square();
-    affine_dbl(f);
-    if (s.bit(i)) affine_add(f, q0);
-  }
-  TwistPoint q1 = twist_frobenius(q0);
-  TwistPoint q2 = twist_frobenius(q1);
-  affine_add(f, q1);
-  affine_add(f, {q2.x, q2.y.neg()});
-  return f;
-}
-
 Fp12 final_exponentiation(const Fp12& f) { return hard_part(easy_part(f)); }
 
 std::vector<Fp12> final_exponentiation_many(std::span<const Fp12> fs) {
@@ -356,10 +245,6 @@ std::vector<Fp12> final_exponentiation_many(std::span<const Fp12> fs) {
     out.push_back(hard_part(easy_part_with_inv(fs[i], inv[i])));
   }
   return out;
-}
-
-Fp12 final_exponentiation_naive(const Fp12& f) {
-  return pow_cyclotomic_big(easy_part(f), hard_exponent());
 }
 
 Gt pairing(const G1& p, const G2& q) {

@@ -8,9 +8,8 @@
 // (Costello–Lange–Naehrig-style doubling/addition line formulas), so it
 // performs ZERO field inversions: every line is scaled by its Fp2 denominator
 // instead, which the final exponentiation kills (any Fp2 factor has order
-// dividing p^2 - 1, a divisor of (p^12 - 1)/r). The loop walks a precomputed
-// static NAF table of 6u + 2 rather than scanning BigUInt bits. Lines embed
-// sparsely into Fp12 as
+// dividing p^2 - 1, a divisor of (p^12 - 1)/r). The loop walks the signed
+// NAF of 6u + 2, a compile-time table. Lines embed sparsely into Fp12 as
 //   l(P) = a y_P + b x_P w + c w^3,   a, b, c in Fp2 depending only on Q.
 //
 // Because the (a, b, c) triples depend only on Q, they can be computed once
@@ -21,8 +20,9 @@
 //
 // The final exponentiation factors as (p^6-1)(p^2+1) . (p^4-p^2+1)/r; the
 // hard part uses the BN u-decomposition (three 63-bit cyclotomic
-// exponentiations by u plus Frobenius maps, Scott et al. 2009) and is
-// cross-checked in tests against the naive big-integer exponentiation.
+// exponentiations by u plus Frobenius maps, Scott et al. 2009). The
+// reference oracles — the affine Miller loop and the naive big-integer
+// final exponentiation — live in tests/support/pairing_oracle.h.
 #pragma once
 
 #include <span>
@@ -69,10 +69,6 @@ struct PairingInput {
 field::Fp12 miller_loop(const ec::G1& p, const ec::G2& q);
 field::Fp12 miller_loop(const ec::G1& p, const G2Prepared& q);
 
-/// Reference Miller loop in affine coordinates (one Fp2 inversion per step);
-/// kept as the cross-check oracle for the projective implementation.
-field::Fp12 miller_loop_affine(const ec::G1& p, const ec::G2& q);
-
 /// (p^12 - 1)/r exponentiation: easy part + u-decomposed cyclotomic hard part.
 field::Fp12 final_exponentiation(const field::Fp12& f);
 
@@ -83,10 +79,6 @@ field::Fp12 final_exponentiation(const field::Fp12& f);
 /// HE-IBE bulk grant (HeIbeScheme::grant_many).
 std::vector<field::Fp12> final_exponentiation_many(
     std::span<const field::Fp12> fs);
-
-/// Reference implementation of the hard part by naive big-integer
-/// exponentiation of (p^4 - p^2 + 1)/r; exposed for the cross-check tests.
-field::Fp12 final_exponentiation_naive(const field::Fp12& f);
 
 /// The full pairing.
 Gt pairing(const ec::G1& p, const ec::G2& q);

@@ -134,7 +134,8 @@ MembershipTrace revocation_trace(std::size_t total_ops, double revocation_rate,
       trace.ops.push_back({OpKind::remove, live[idx]});
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     } else {
-      auto user = "u" + std::to_string(next_uid++);
+      std::string user = "u";
+      user += std::to_string(next_uid++);
       live.push_back(user);
       trace.ops.push_back({OpKind::add, std::move(user)});
     }

@@ -2,11 +2,11 @@
 
 #include <random>
 
-#include "bigint/biguint.h"
 #include "bigint/mont.h"
 #include "bigint/mont_backend.h"
 #include "bigint/u256.h"
 #include "bigint/u512.h"
+#include "support/biguint.h"
 
 namespace {
 
@@ -449,14 +449,6 @@ TEST(MontgomeryBackend, DifferentialFuzzAccelVsPortable) {
 TEST(Montgomery, RejectsEvenModulus) {
   EXPECT_THROW(MontgomeryCtx(U256::from_u64(100)), std::invalid_argument);
   EXPECT_THROW(MontgomeryCtx(U256::from_u64(1)), std::invalid_argument);
-}
-
-TEST(Montgomery, PowWithBigUIntExponent) {
-  MontgomeryCtx ctx(U256::from_hex(bn_r_hex));
-  // a^(r-1) == 1 (Fermat), exercised through the BigUInt-exponent overload.
-  U256 a = U256::from_u64(123456789);
-  BigUInt e = BigUInt::from_hex(bn_r_hex) - BigUInt(1);
-  EXPECT_EQ(ctx.pow(ctx.to_mont(a), e), ctx.one());
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "system/client.h"
 #include "system/ibbe_scheme.h"
 #include "system/oplog.h"
+#include "test_util.h"
 #include "util/retry.h"
 
 namespace {
@@ -53,14 +54,7 @@ using ibbe::system::MembershipLog;
 using ibbe::util::Bytes;
 using ibbe::util::RetryPolicy;
 using FetchStatus = ClientApi::FetchStatus;
-
-std::vector<Identity> make_users(std::size_t n, std::size_t offset = 0) {
-  std::vector<Identity> users;
-  for (std::size_t i = 0; i < n; ++i) {
-    users.push_back("u" + std::to_string(offset + i));
-  }
-  return users;
-}
+using ibbe::testutil::make_users;
 
 Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
 

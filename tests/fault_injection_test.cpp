@@ -25,6 +25,7 @@
 #include "system/admin.h"
 #include "system/client.h"
 #include "system/oplog.h"
+#include "test_util.h"
 #include "util/retry.h"
 
 namespace {
@@ -44,14 +45,8 @@ using ibbe::system::LogOp;
 using ibbe::system::MembershipLog;
 using ibbe::util::Bytes;
 using ibbe::util::RetryPolicy;
-
-std::vector<Identity> make_users(std::size_t n, std::size_t offset = 0) {
-  std::vector<Identity> users;
-  for (std::size_t i = 0; i < n; ++i) {
-    users.push_back("u" + std::to_string(offset + i));
-  }
-  return users;
-}
+using ibbe::testutil::make_users;
+using ibbe::testutil::numbered;
 
 Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
@@ -174,7 +169,7 @@ TEST(FaultStore, ScheduleIsDeterministicPerSeed) {
     std::string outcome;
     for (int i = 0; i < 32; ++i) {
       try {
-        faulty.put("k" + std::to_string(i), bytes_of("v"));
+        faulty.put(numbered("k", i), bytes_of("v"));
         outcome += '.';
       } catch (const TransientError&) {
         outcome += 'X';
@@ -210,7 +205,7 @@ TEST(FaultStore, FullMixedOpTraceReplaysByteForByteFromTheSeed) {
     std::string trace;
     auto note = [&](const std::string& s) { trace += s + ";"; };
     for (int i = 0; i < 64; ++i) {
-      const std::string path = "k" + std::to_string(i % 4);
+      const std::string path = numbered("k", i % 4);
       try {
         switch (i % 6) {
           case 0:
@@ -934,7 +929,8 @@ TEST(RebuildConcurrency, RebuildThatLosesTheManifestCasResyncsAndRetries) {
 
   // Members share the committed key; the revoked user does not get it.
   std::optional<Bytes> shared;
-  for (const Identity& id : {"u2", "u5", "from-a", "u4"}) {
+  for (const Identity& id :
+       std::vector<Identity>{"u2", "u5", "from-a", "u4"}) {
     ClientApi client(inner, enclave.public_key(),
                      enclave.ecall_extract_user_key(id),
                      std::vector<ibbe::ec::P256Point>{

@@ -2,12 +2,12 @@
 
 #include <random>
 
-#include "bigint/biguint.h"
 #include "field/fields.h"
 #include "field/fp12.h"
 #include "field/fp2.h"
 #include "field/fp6.h"
-#include "field/tower_consts.h"
+#include "support/biguint.h"
+#include "support/pairing_oracle.h"
 
 namespace {
 
@@ -18,6 +18,7 @@ using ibbe::field::Fp12;
 using ibbe::field::Fp2;
 using ibbe::field::Fp6;
 using ibbe::field::Fr;
+using ibbe::testutil::pow_big;
 
 std::mt19937_64& rng() {
   static std::mt19937_64 gen(42);
@@ -64,7 +65,9 @@ TEST(Fp, MultiplicativeLaws) {
     EXPECT_EQ(a * Fp::one(), a);
     EXPECT_EQ(a.square(), a * a);
     EXPECT_EQ(a.dbl(), a + a);
-    if (!a.is_zero()) EXPECT_EQ(a * a.inverse(), Fp::one());
+    if (!a.is_zero()) {
+      EXPECT_EQ(a * a.inverse(), Fp::one());
+    }
   }
 }
 
@@ -109,8 +112,8 @@ TEST(Fp, SqrtRejectsNonResidue) {
 TEST(Fp, PowMatchesFermat) {
   Fp a = random_fp();
   BigUInt p = fp_modulus_big();
-  EXPECT_EQ(a.pow(p - BigUInt(1)), Fp::one());
-  EXPECT_EQ(a.pow(p), a);  // Frobenius is identity on the prime field
+  EXPECT_EQ(a.pow((p - BigUInt(1)).to_u256()), Fp::one());
+  EXPECT_EQ(a.pow(p.to_u256()), a);  // Frobenius is identity on the prime field
 }
 
 TEST(Fr, DistinctModulusFromFp) {
@@ -121,7 +124,9 @@ TEST(Fr, DistinctModulusFromFp) {
 
 TEST(Fr, BasicFieldSanity) {
   Fr a = random_fr();
-  if (!a.is_zero()) EXPECT_EQ(a * a.inverse(), Fr::one());
+  if (!a.is_zero()) {
+    EXPECT_EQ(a * a.inverse(), Fr::one());
+  }
   EXPECT_EQ(a + a.neg(), Fr::zero());
 }
 
@@ -134,7 +139,9 @@ TEST(Fp2, RingLaws) {
     EXPECT_EQ((a * b) * c, a * (b * c));
     EXPECT_EQ(a * (b + c), a * b + a * c);
     EXPECT_EQ(a.square(), a * a);
-    if (!a.is_zero()) EXPECT_EQ(a * a.inverse(), Fp2::one());
+    if (!a.is_zero()) {
+      EXPECT_EQ(a * a.inverse(), Fp2::one());
+    }
   }
 }
 
@@ -155,7 +162,7 @@ TEST(Fp2, ConjugateIsFrobenius) {
   BigUInt p = fp_modulus_big();
   for (int i = 0; i < 5; ++i) {
     Fp2 a = random_fp2();
-    EXPECT_EQ(a.pow(p), a.conjugate());
+    EXPECT_EQ(a.pow(p.to_u256()), a.conjugate());
   }
 }
 
@@ -178,7 +185,7 @@ TEST(Fp2, XiIsCubicNonResidue) {
   // where q = p^2.
   BigUInt p = fp_modulus_big();
   BigUInt e = (p * p - BigUInt(1)) / BigUInt(3);
-  EXPECT_NE(Fp2::xi().pow(e), Fp2::one());
+  EXPECT_NE(pow_big(Fp2::xi(), e), Fp2::one());
 }
 
 // -------------------------------------------------------------------- Fp6
@@ -189,7 +196,9 @@ TEST(Fp6, RingLaws) {
     EXPECT_EQ(a * b, b * a);
     EXPECT_EQ((a * b) * c, a * (b * c));
     EXPECT_EQ(a * (b + c), a * b + a * c);
-    if (!a.is_zero()) EXPECT_EQ(a * a.inverse(), Fp6::one());
+    if (!a.is_zero()) {
+      EXPECT_EQ(a * a.inverse(), Fp6::one());
+    }
   }
 }
 
@@ -229,7 +238,9 @@ TEST(Fp12, RingLaws) {
     EXPECT_EQ(a * b, b * a);
     EXPECT_EQ((a * b) * c, a * (b * c));
     EXPECT_EQ(a.square(), a * a);
-    if (!a.is_zero()) EXPECT_EQ(a * a.inverse(), Fp12::one());
+    if (!a.is_zero()) {
+      EXPECT_EQ(a * a.inverse(), Fp12::one());
+    }
   }
 }
 
@@ -242,7 +253,7 @@ TEST(Fp12, WSquaredIsV) {
 TEST(Fp12, FrobeniusMatchesPow) {
   BigUInt p = fp_modulus_big();
   Fp12 a = random_fp12();
-  EXPECT_EQ(a.frobenius(), a.pow(p));
+  EXPECT_EQ(a.frobenius(), a.pow(p.to_u256()));
 }
 
 TEST(Fp12, FrobeniusTwelfthPowerIsIdentity) {
@@ -276,8 +287,8 @@ TEST(Fp12, CyclotomicSquareAgreesOnCyclotomicSubgroup) {
   BigUInt p6 = p2 * p2 * p2;
   for (int i = 0; i < 3; ++i) {
     Fp12 x = random_fp12();
-    Fp12 y = x.pow(p6 - BigUInt(1));
-    y = y.pow(p2 + BigUInt(1));
+    Fp12 y = pow_big(x, p6 - BigUInt(1));
+    y = pow_big(y, p2 + BigUInt(1));
     EXPECT_EQ(y.cyclotomic_square(), y.square());
     EXPECT_EQ(y * y.conjugate(), Fp12::one());  // unitary
   }
@@ -288,7 +299,7 @@ TEST(Fp12, PowCyclotomicMatchesPow) {
   BigUInt p2 = p * p;
   BigUInt p6 = p2 * p2 * p2;
   Fp12 x = random_fp12();
-  Fp12 y = x.pow(p6 - BigUInt(1)).pow(p2 + BigUInt(1));
+  Fp12 y = pow_big(pow_big(x, p6 - BigUInt(1)), p2 + BigUInt(1));
   U256 e;
   for (auto& limb : e.limb) limb = rng()();
   EXPECT_EQ(y.pow_cyclotomic(e), y.pow(e));
@@ -405,17 +416,6 @@ TEST(FieldLazy, Fp2InverseOnWorstCaseOperands) {
       EXPECT_EQ(a * a.inverse(), Fp2::one());
     }
   }
-}
-
-TEST(TowerConsts, GammaPowersConsistent) {
-  const auto& g = ibbe::field::TowerConsts::get().gamma;
-  // g[k] = g1^(k+1); g1^6 = xi^(p-1).
-  for (int k = 1; k < 5; ++k) {
-    EXPECT_EQ(g[static_cast<std::size_t>(k)],
-              g[static_cast<std::size_t>(k - 1)] * g[0]);
-  }
-  BigUInt p = fp_modulus_big();
-  EXPECT_EQ(g[0].pow(BigUInt(6)), Fp2::xi().pow(p - BigUInt(1)));
 }
 
 }  // namespace

@@ -348,7 +348,9 @@ std::vector<ReadVerdict> check_against_full_parse(
       EXPECT_EQ(read.verdict, ReadVerdict::stale);
     } else if (const auto* want = full->find(pid)) {
       EXPECT_EQ(read.verdict, ReadVerdict::ok);
-      if (read.ok()) EXPECT_EQ(read.record.to_bytes(), want->to_bytes());
+      if (read.ok()) {
+        EXPECT_EQ(read.record.to_bytes(), want->to_bytes());
+      }
     } else {
       EXPECT_EQ(read.verdict, ReadVerdict::absent);
     }

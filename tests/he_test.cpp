@@ -4,18 +4,14 @@
 
 #include "he/he_ibe.h"
 #include "he/he_pki.h"
+#include "test_util.h"
 
 namespace {
 
 using ibbe::core::Identity;
 using ibbe::he::GroupScheme;
 using ibbe::util::Bytes;
-
-std::vector<Identity> make_users(std::size_t n) {
-  std::vector<Identity> users;
-  for (std::size_t i = 0; i < n; ++i) users.push_back("u" + std::to_string(i));
-  return users;
-}
+using ibbe::testutil::make_users;
 
 /// Both baselines must satisfy the same access-control contract; run the
 /// suite against each.

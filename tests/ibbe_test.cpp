@@ -197,7 +197,9 @@ TEST_F(IbbeFixture, RemoveUserRekeysAndShrinksSet) {
       ibbe::core::decrypt(keys.pk, usk(leaver), remaining, removed.ct).has_value());
   // Even pretending to still be in the set, the old key yields a wrong bk.
   auto cheat = ibbe::core::decrypt(keys.pk, usk(leaver), users, removed.ct);
-  if (cheat.has_value()) EXPECT_NE(*cheat, removed.bk);
+  if (cheat.has_value()) {
+    EXPECT_NE(*cheat, removed.bk);
+  }
 }
 
 TEST_F(IbbeFixture, RekeyChangesBkNotMembership) {

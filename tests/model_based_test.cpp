@@ -23,6 +23,7 @@
 #include "he/he_ibe.h"
 #include "he/he_pki.h"
 #include "system/ibbe_scheme.h"
+#include "test_util.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -235,7 +236,7 @@ TEST_P(ModelBasedTest, SchemeAgreesWithReferenceModel) {
       model.add(it->first);
       revoked_keys.erase(it);
     } else {
-      Identity joiner = "n" + std::to_string(next_user++);
+      Identity joiner = ibbe::testutil::numbered("n", next_user++);
       scheme->add_user(joiner);
       model.add(joiner);
     }

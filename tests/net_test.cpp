@@ -38,6 +38,7 @@
 #include "net/remote_store.h"
 #include "net/server.h"
 #include "net/transport.h"
+#include "test_util.h"
 #include "util/bytes.h"
 #include "util/errors.h"
 #include "util/retry.h"
@@ -60,6 +61,7 @@ using ibbe::util::Bytes;
 using ibbe::util::IntegrityError;
 using ibbe::util::RetryPolicy;
 using ibbe::util::TransientError;
+using ibbe::testutil::numbered;
 
 Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
@@ -764,10 +766,10 @@ TEST(NetHammer, ConcurrentClientsOverFaultyWires) {
       plan.disconnect_send_rate = 0.02;
       cfg.faults = std::make_shared<NetFaultSchedule>(plan);
       RemoteStore remote(cfg);
-      const std::string mine = "h/c" + std::to_string(c);
+      const std::string mine = numbered("h/c", c);
       for (int i = 0; i < kOpsPerClient; ++i) {
         try {
-          auto payload = bytes_of("v" + std::to_string(i));
+          auto payload = bytes_of(numbered("v", i));
           remote.put(mine, payload);
           if (remote.get(mine) != payload) {
             ++failures;  // silent data divergence — the one forbidden outcome
@@ -808,10 +810,10 @@ TEST(NetHammer, FaultInjectingStoreThreadSafeUnderServerLoad) {
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       RemoteStore remote(client_config(server));
-      const std::string mine = "f/c" + std::to_string(c);
+      const std::string mine = numbered("f/c", c);
       for (int i = 0; i < kOps; ++i) {
         try {
-          remote.put(mine, bytes_of("x" + std::to_string(i)));
+          remote.put(mine, bytes_of(numbered("x", i)));
           (void)remote.get(mine);
         } catch (const ibbe::util::FaultError&) {
           // injected store faults forward as typed errors; fine

@@ -6,6 +6,7 @@
 #include "ec/curves.h"
 #include "field/fields.h"
 #include "pairing/pairing.h"
+#include "support/pairing_oracle.h"
 #include "util/hex.h"
 
 namespace {

@@ -57,12 +57,15 @@ std::vector<Identity> make_ids(std::size_t n, const std::string& prefix) {
 
 // ---------------------------------------------------------------------------
 // Declared FIRST so it runs first in this binary: hammer the lazily-built
-// shared singletons (GLV/GLS decomposition contexts, the G1 generator comb,
-// the G2 4-dim generator comb, the GT exponentiation contexts, the pairing
-// tower constants, the Montgomery backend dispatch) from many pool workers
-// at once, while they are still uninitialized in this process. Under TSan
-// this pins that every one of them is a magic static / properly synchronized
-// — the latent hazard the parallel paths would otherwise hit on first use.
+// shared singletons that remain (the G1 generator comb, the G2 4-dim
+// generator comb, the per-prime Montgomery contexts and the Montgomery
+// backend dispatch, the curve coefficients and generators, and the pairing's
+// 1/2 in Fp) from many pool workers at once, while they are still
+// uninitialized in this process. The GLV/GLS lattices, the GT exponentiation
+// constants and the tower's Frobenius constants are constant-initialized
+// literals and need no guard. Under TSan this pins that every lazy one is a
+// magic static / properly synchronized — the latent hazard the parallel
+// paths would otherwise hit on first use.
 TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfLazySingletons) {
   GlobalThreadsGuard guard;
   ThreadPool::set_global_threads(7);
@@ -70,11 +73,11 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfLazySingletons) {
   std::vector<util::Bytes> g1(32), g2(32), gt(32), pair(32);
   ThreadPool::global().parallel_for(0, 32, 1, [&](std::size_t i) {
     field::Fr k = s + field::Fr::from_u64(i);
-    g1[i] = ec::g1_to_bytes(ec::G1::generator().mul(k));     // GLV + G1 comb
-    g2[i] = ec::g2_to_bytes(ec::G2::generator().mul(k));     // GLS + G2 comb4
+    g1[i] = ec::g1_to_bytes(ec::G1::generator().mul(k));     // G1 comb
+    g2[i] = ec::g2_to_bytes(ec::G2::generator().mul(k));     // G2 comb4
     gt[i] = pairing::pairing(ec::G1::generator(), ec::G2::generator())
                 .exp(k)
-                .to_bytes();                                 // GT exp contexts
+                .to_bytes();                                 // GT exp
     pair[i] = pairing::pairing(ec::G1::generator().mul(k),
                                ec::G2::generator())
                   .to_bytes();                               // Miller + Mont

@@ -4,13 +4,13 @@
 
 #include <vector>
 
-#include "bigint/biguint.h"
 #include "bigint/u256.h"
 #include "ec/curves.h"
 #include "ec/glv.h"
 #include "ec/msm.h"
 #include "field/fields.h"
 #include "ibbe/poly.h"
+#include "support/biguint.h"
 #include "test_util.h"
 
 namespace {
@@ -43,29 +43,10 @@ TEST(Glv, DecompositionRoundTripsAndIsShort) {
   for (int i = 0; i < 50; ++i) scalars.push_back(random_u256());
   for (const U256& k : scalars) {
     auto d = ibbe::ec::decompose_glv(k);
-    EXPECT_EQ(recombine(d, ibbe::ec::glv_lambda()), BigUInt::from_u256(k) % n);
+    EXPECT_EQ(recombine(d, ibbe::ec::glv_constants().lambda),
+              BigUInt::from_u256(k) % n);
     EXPECT_LE(d.k0.bit_length(), 132u);
     EXPECT_LE(d.k1.bit_length(), 132u);
-  }
-}
-
-TEST(Glv, LambdaIsPrimitiveCubeRootModR) {
-  Fr l = Fr::from_u256(ibbe::ec::glv_lambda());
-  EXPECT_FALSE(l.is_one());
-  EXPECT_TRUE((l * l + l + Fr::one()).is_zero());
-}
-
-TEST(Glv, PhiActsAsLambda) {
-  for (int i = 0; i < 5; ++i) {
-    G1 p = G1::generator().scalar_mul(random_u256());
-    EXPECT_EQ(ibbe::ec::apply_phi(p), p.scalar_mul(ibbe::ec::glv_lambda()));
-  }
-}
-
-TEST(Gls, PsiActsAsMu) {
-  for (int i = 0; i < 5; ++i) {
-    G2 p = G2::generator().scalar_mul(random_u256());
-    EXPECT_EQ(ibbe::ec::apply_psi(p), p.scalar_mul(ibbe::ec::gls_mu()));
   }
 }
 

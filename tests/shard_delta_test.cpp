@@ -13,6 +13,7 @@
 #include "crypto/gcm.h"
 #include "system/admin.h"
 #include "system/client.h"
+#include "test_util.h"
 
 namespace {
 
@@ -31,6 +32,7 @@ using ibbe::system::IndexDelta;
 using ibbe::system::MetadataReader;
 using ibbe::system::ObjectName;
 using ibbe::util::Bytes;
+using ibbe::testutil::numbered;
 
 std::vector<Identity> make_users(std::size_t n, std::size_t offset = 0) {
   std::vector<Identity> users;
@@ -649,7 +651,7 @@ TEST(CachedIndexScale, MillionMemberLookupIsConstantTime) {
   for (std::uint64_t pid = 0; pid < 1000; ++pid) {
     std::vector<Identity> members;
     members.reserve(1000);
-    for (int i = 0; i < 1000; ++i) members.push_back("u" + std::to_string(uid++));
+    for (int i = 0; i < 1000; ++i) members.push_back(numbered("u", uid++));
     view.add_partition(pid, std::move(members));
   }
   ASSERT_EQ(view.member_count(), 1'000'000u);
@@ -661,10 +663,10 @@ TEST(CachedIndexScale, MillionMemberLookupIsConstantTime) {
   for (std::size_t i = 0; i < 200'000; ++i) {
     // Alternate hits (stride over the whole range) and guaranteed misses.
     if (i % 2 == 0) {
-      hits += view.find_user("u" + std::to_string((i * 4999) % 1'000'000))
+      hits += view.find_user(numbered("u", (i * 4999) % 1'000'000))
                   .has_value();
     } else {
-      hits += view.find_user("nobody" + std::to_string(i)).has_value();
+      hits += view.find_user(numbered("nobody", i)).has_value();
     }
   }
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(

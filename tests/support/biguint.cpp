@@ -1,4 +1,4 @@
-#include "bigint/biguint.h"
+#include "support/biguint.h"
 
 #include <algorithm>
 #include <stdexcept>

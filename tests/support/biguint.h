@@ -1,10 +1,10 @@
-// Arbitrary-precision unsigned integers.
+// Arbitrary-precision integers for the test oracles.
 //
-// The paper's implementation ports GMP into the SGX enclave; this class is
-// our self-contained substitute. It is used on setup paths only (Montgomery
-// constant derivation, Frobenius exponents, the final-exponentiation hard
-// part, test oracles), so clarity wins over speed: schoolbook multiplication
-// and binary long division throughout.
+// The library runs on fixed-width U256/U512 words and curve constants that
+// are literals; the tests check those literals, the Montgomery constants and
+// the fast final exponentiation against values computed here from first
+// principles. Clarity wins over speed: schoolbook multiplication and binary
+// long division throughout.
 #pragma once
 
 #include <cstdint>
@@ -69,5 +69,35 @@ class BigUInt {
   // Little-endian limbs; empty vector represents zero.
   std::vector<std::uint64_t> limbs_;
 };
+
+/// Sign-magnitude BigUInt (zero canonicalizes to non-negative through the
+/// helpers below), for lattice determinants and cofactors.
+struct SBig {
+  BigUInt v;
+  bool neg = false;
+
+  [[nodiscard]] bool is_zero() const { return v.is_zero(); }
+};
+
+inline SBig sbig_add(const SBig& a, const SBig& b) {
+  if (a.neg == b.neg) return {a.v + b.v, a.neg};
+  if (a.v >= b.v) return {a.v - b.v, a.neg};
+  return {b.v - a.v, b.neg};
+}
+
+inline SBig sbig_sub(const SBig& a, const SBig& b) {
+  return sbig_add(a, {b.v, !b.neg});
+}
+
+inline SBig sbig_mul(const SBig& a, const SBig& b) {
+  return {a.v * b.v, a.neg != b.neg};
+}
+
+/// Signed value mod n in [0, n).
+inline BigUInt sbig_mod(const SBig& a, const BigUInt& n) {
+  BigUInt m = a.v % n;
+  if (a.neg && !m.is_zero()) m = n - m;
+  return m;
+}
 
 }  // namespace ibbe::bigint

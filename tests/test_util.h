@@ -9,20 +9,39 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "bigint/biguint.h"
 #include "bigint/u256.h"
 #include "ec/curves.h"
 #include "field/fields.h"
 #include "field/fp12.h"
 #include "pairing/pairing.h"
+#include "support/biguint.h"
 
 namespace ibbe::testutil {
 
 /// The BN254 curve parameter u = 4965661367192848881, pinned independently
 /// of the library so edge scalars don't inherit a library transcription bug.
 inline constexpr std::uint64_t kBnU = 0x44e992b44a6909f1ULL;
+
+/// `prefix` followed by the decimal `n` ("u17"). Built by appending: GCC 12
+/// reports a false -Wrestrict on `"u" + std::to_string(n)`.
+inline std::string numbered(std::string_view prefix, std::uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+/// Member identities u<offset> .. u<offset + n - 1>.
+inline std::vector<std::string> make_users(std::size_t n,
+                                           std::size_t offset = 0) {
+  std::vector<std::string> users;
+  users.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) users.push_back(numbered("u", offset + i));
+  return users;
+}
 
 /// Process-wide deterministic RNG.
 inline std::mt19937_64& rng() {

@@ -128,8 +128,8 @@ TEST(Summary, CdfIsMonotonic) {
 
 TEST(Summary, ThrowsWithoutSamples) {
   ibbe::util::Summary s;
-  EXPECT_THROW(s.mean(), std::logic_error);
-  EXPECT_THROW(s.percentile(0.5), std::logic_error);
+  EXPECT_THROW((void)s.mean(), std::logic_error);
+  EXPECT_THROW((void)s.percentile(0.5), std::logic_error);
 }
 
 TEST(Summary, Stddev) {
