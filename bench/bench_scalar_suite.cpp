@@ -2,9 +2,9 @@
 // dependency) that times the primitives the scheme is built from — field
 // and tower multiplication, Fr inversion, pairing and 2-pair multi-pairing,
 // G1/G2 muls (naive ladder vs GLV / the 4-dim psi split, and the generator
-// combs), GT exponentiation (naive ladder vs cyclotomic engine, and the
-// final exponentiation's u-power, and the fixed-base comb for v with its
-// build), 64-term G1/G2 MSMs, hash-to-G1, SHA-256, AES-GCM, ECIES, IBBE
+// combs), G2 decoding with and without the subgroup check, GT
+// exponentiation (naive ladder vs cyclotomic engine, and the final
+// exponentiation's u-power, and the fixed-base comb for v with its build), 64-term G1/G2 MSMs, hash-to-G1, SHA-256, AES-GCM, ECIES, IBBE
 // encrypt/decrypt at |S| = 16 and 256, the enclave's per-partition re-key
 // and the 1000-entry cipher-bundle encode — and
 // optionally writes them as JSON so CI can diff a BENCH_scalar.json between
@@ -108,6 +108,7 @@ int main(int argc, char** argv) {
     msm_bases_g1.push_back(G1::generator().mul(random_fr()));
     msm_scalars.push_back(random_fr());
   }
+  const auto p2_bytes = ibbe::ec::g2_to_bytes(p2);
   const std::vector<std::pair<G1, G2>> product_pairs = {{p1, p2},
                                                          {p1.dbl(), p2}};
 
@@ -192,6 +193,11 @@ int main(int argc, char** argv) {
   metrics.push_back({"g2_mul_naive_us",
                      median_us([&] { (void)p2.scalar_mul(ku); }, iters)});
   metrics.push_back({"g2_mul_4dim_us", median_us([&] { (void)p2.mul(k); }, iters)});
+  metrics.push_back({"g2_decode_checked_us", median_us(
+      [&] { (void)ibbe::ec::g2_from_bytes(p2_bytes); }, iters)});
+  metrics.push_back({"g2_decode_unchecked_us", median_us(
+      [&] { (void)ibbe::ec::g2_from_bytes(p2_bytes, /*subgroup_check=*/false); },
+      iters)});
   metrics.push_back({"g1_mul_gen_us", median_us(
       [&] { (void)G1::generator().mul(k); }, fast_iters)});
   metrics.push_back({"g2_mul_gen_us", median_us(

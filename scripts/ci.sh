@@ -194,6 +194,10 @@ if [ -r /proc/cpuinfo ] && grep -qw adx /proc/cpuinfo; then
   echo "==> $PORTABLE_DIR/strategy_equivalence_test (portable backend)"
   IBBE_FORCE_PORTABLE_MUL=1 "$PORTABLE_DIR/strategy_equivalence_test" \
     --gtest_brief=1
+  # Point encodings and the G2 subgroup check (its psi test and the twist
+  # points it must refuse) under the portable backend, by name likewise.
+  echo "==> $PORTABLE_DIR/ec_test (portable backend)"
+  IBBE_FORCE_PORTABLE_MUL=1 "$PORTABLE_DIR/ec_test" --gtest_brief=1
   # The curve-constant literals (Montgomery-form beta and Frobenius gammas,
   # the GLV/psi lattices) must hold their defining properties under the
   # portable backend too.
@@ -211,13 +215,16 @@ fi
 # line tables that move with PreparedPartition and the PK's caches), the
 # strategy-equivalence suite (the fixed-base combs index their tables by
 # recoded scalar digits, so an off-by-one in a recoding is an out-of-bounds
-# read) and the curve-constants suite (its BigUInt oracle recomputes every
-# lattice and Montgomery constant the library carries as a literal).
+# read), the curve-constants suite (its BigUInt oracle recomputes every
+# lattice and Montgomery constant the library carries as a literal), and
+# the ec and field suites (point decoding of untrusted bytes, the G2
+# subgroup check, square roots).
 sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
   util_test cloud_test fault_injection_test byzantine_test system_test \
   extensions_test shard_delta_test thread_pool_test \
   parallel_equivalence_test net_test fuzz_deserialize_test \
-  pairing_test ibbe_test strategy_equivalence_test curve_constants_test
+  pairing_test ibbe_test strategy_equivalence_test curve_constants_test \
+  ec_test field_test
 
 # ThreadSanitizer stage: the Byzantine store wraps every fault decision in a
 # mutex and clients race long-polls, gossip publishes, and CAS retries

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "crypto/sha256.h"
+#include "ec/glv.h"
 
 namespace ibbe::ec {
 
@@ -189,7 +190,7 @@ G2 g2_from_bytes(std::span<const std::uint8_t> data, bool subgroup_check) {
   if (!y) throw util::DeserializeError("G2: x not on curve");
   Fp2 y_final = (y->is_odd() == (flag == 0x03)) ? *y : y->neg();
   G2 point = G2::from_affine(x, y_final);
-  if (subgroup_check && !point.scalar_mul(bn_group_order()).is_infinity()) {
+  if (subgroup_check && !g2_in_subgroup(point)) {
     throw util::DeserializeError("G2: point not in the order-r subgroup");
   }
   return point;
@@ -218,11 +219,6 @@ G1 hash_to_g1(std::string_view msg) {
   // Each try succeeds with probability ~1/2; reaching here is impossible in
   // practice (2^-256).
   throw std::logic_error("hash_to_g1: no curve point found");
-}
-
-const bigint::U256& bn_group_order() {
-  static const bigint::U256 r = field::Fr::modulus();
-  return r;
 }
 
 }  // namespace ibbe::ec

@@ -85,8 +85,9 @@ util::Bytes g1_to_bytes(const G1& p);
 G1 g1_from_bytes(std::span<const std::uint8_t> data);
 
 util::Bytes g2_to_bytes(const G2& p);
-/// `subgroup_check` additionally verifies r*P = O (the twist has composite
-/// order, so untrusted inputs should keep it on).
+/// `subgroup_check` additionally verifies that the point lies in the order-r
+/// subgroup G2 (the twist has composite order, so untrusted inputs should
+/// keep it on), by the psi test of ec::g2_in_subgroup (ec/glv.h).
 G2 g2_from_bytes(std::span<const std::uint8_t> data, bool subgroup_check = true);
 
 /// The same encodings for points already in affine form (e.g. one
@@ -106,8 +107,5 @@ P256Point p256_from_bytes(std::span<const std::uint8_t> data);
 /// cofactor 1 on BN curves, so no cofactor clearing is required. Used by the
 /// Boneh–Franklin HE-IBE baseline.
 G1 hash_to_g1(std::string_view msg);
-
-/// Order of G1/G2/GT (the BN254 scalar-field modulus) as a U256.
-const bigint::U256& bn_group_order();
 
 }  // namespace ibbe::ec

@@ -208,6 +208,24 @@ AffinePt<Fp2> apply_psi(const AffinePt<Fp2>& p) {
   return {p.x.conjugate() * g[1], p.y.conjugate() * g[2], false};
 }
 
+bool g2_in_subgroup(const G2& q) {
+  // Completeness: on G2, psi = [mu] with mu = 6u^2, and row 2 of
+  // kPsiLattice says (u+1) + u mu + u mu^2 - 2u mu^3 = 0 (mod r), so every
+  // Q in G2 passes. Soundness: psi satisfies X^2 - tX + p = 0 on the whole
+  // twist, so the test endomorphism alpha reduces to a + b psi with norm
+  // N = a^2 + abt + b^2 p. A non-trivial cofactor component of Q in
+  // ker(alpha) would need a prime factor of h2 = #E'(Fp2)/r = 2p - r to
+  // divide #ker(alpha), which divides deg(alpha) = N. gcd(N, h2) = 1 for
+  // BN254, so only G2 passes (the norm criterion of Dai, Lin, Zhao and
+  // Zhou, "Fast subgroup membership testings for G1, G2 and GT on
+  // pairing-friendly curves", ePrint 2022/348).
+  // tests/curve_constants_test.cpp recomputes N and the gcd.
+  const G2 uq = q.scalar_mul_wnaf(U256::from_u64(kBnU));
+  const G2 lhs = q + uq + apply_psi(uq + apply_psi(uq));
+  const G2 rhs = apply_psi(apply_psi(apply_psi(uq.dbl())));
+  return lhs == rhs;
+}
+
 EndoDecomp decompose_glv(const U256& k) {
   return glv_split(reduce_mod_r(k));
 }

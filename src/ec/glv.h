@@ -54,6 +54,16 @@ G2 apply_psi(const G2& p);
 /// psi on an affine table entry (stays affine: the map is coordinate-wise).
 AffinePt<field::Fp2> apply_psi(const AffinePt<field::Fp2>& p);
 
+/// G2 membership for a point already on the twist E'(Fp2): true iff Q lies
+/// in the order-r subgroup. Row 2 of the psi lattice, (u+1, u, u, -2u),
+/// gives the test
+///   [u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q)
+/// (Scott, "A note on group membership tests for G1, G2 and GT on BLS
+/// pairing-friendly curves", ePrint 2021/1130): one 63-bit ladder where the
+/// r-multiply check needs a 254-bit one. The ladder is scalar_mul_wnaf, not
+/// g2_mul_endo4, which is correct only on G2 and so cannot decide it.
+bool g2_in_subgroup(const G2& q);
+
 /// Two-dimensional scalar decomposition: k = (-1)^neg0 k0 + (-1)^neg1 k1 * eig
 /// (mod r), with k0, k1 < ~2^131.
 struct EndoDecomp {

@@ -51,6 +51,15 @@ class Fp256 {
  public:
   using U256 = bigint::U256;
 
+  /// Read off the modulus literal's last hex digit (p mod 16).
+  static constexpr bool modulus_is_3_mod_4() {
+    const char c = Tag::modulus_hex.back();
+    const int low = c >= 'a'   ? c - 'a' + 10
+                    : c >= 'A' ? c - 'A' + 10
+                               : c - '0';
+    return low % 4 == 3;
+  }
+
   /// Zero element.
   constexpr Fp256() = default;
 
@@ -128,9 +137,13 @@ class Fp256 {
     return from_mont(ctx().pow(v_, e));
   }
 
-  /// Square root for p = 3 (mod 4) primes (all four of ours):
-  /// a^((p+1)/4); std::nullopt if `a` is not a quadratic residue.
-  [[nodiscard]] std::optional<Fp256> sqrt() const {
+  /// Square root a^((p+1)/4), which is correct only for p = 3 (mod 4): the
+  /// two base fields (BN254 p, P-256 p). The group orders BN254 r and P-256
+  /// n are 1 (mod 4), so the clause keeps Fr::sqrt and P256Fr::sqrt from
+  /// compiling. std::nullopt if `a` is not a quadratic residue.
+  [[nodiscard]] std::optional<Fp256> sqrt() const
+    requires(modulus_is_3_mod_4())
+  {
     U256 p_plus_1;  // no carry: none of the four primes is 2^256 - 1
     bigint::add_with_carry(modulus(), U256::one(), p_plus_1);
     Fp256 candidate = pow(bigint::shr(p_plus_1, 2));

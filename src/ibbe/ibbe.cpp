@@ -324,25 +324,28 @@ std::optional<PreparedPartition> PreparedPartition::prepare(
   }
   // coef = coefficients of prod_{j != i}(x + H(j)); Delta = constant term.
   auto coef = expand_polynomial(receivers, &usk.id);
-  PreparedPartition part;
-  part.delta_inv_ = coef[0].inverse();
-  part.usk_value_ = usk.value;
+  const Fr delta_inv = coef[0].inverse();
   // p_i(gamma) = (prod_{j != i}(gamma + H(j)) - Delta) / gamma: strip the
-  // constant term and shift degrees down by one.
+  // constant term and shift degrees down by one. 1/Delta rides along on
+  // both pairing arguments (bilinearity), so decrypt needs no GT tail:
+  //   e(C1, h^p_i)^(1/Delta) = e(C1, h^(p_i / Delta))
+  //   e(USK, C2)^(1/Delta)   = e(USK^(1/Delta), C2)
   std::vector<Fr> p_coef(coef.begin() + 1, coef.end());
+  for (Fr& c : p_coef) c *= delta_inv;
+  PreparedPartition part;
+  part.usk_scaled_ = usk.value.mul(delta_inv);
   part.h_pi_ = pairing::G2Prepared(evaluate_in_exponent(pk, p_coef));
   return part;
 }
 
 Gt decrypt(const PreparedPartition& part, const BroadcastCiphertext& ct) {
-  // bk = (e(C1, h^p_i) * e(USK, C2))^(1/Delta): only C2's line table is
-  // ciphertext-dependent. One shared-squaring 2-pair multi-pairing with a
-  // single final exponentiation, then the 1/Delta tail through the GT
-  // engine (Gt::exp).
+  // bk = e(C1, h^(p_i/Delta)) * e(USK^(1/Delta), C2): only C2's line table
+  // is ciphertext-dependent. One shared-squaring 2-pair multi-pairing with a
+  // single final exponentiation.
   pairing::G2Prepared c2_prep(ct.c2);
   std::array<pairing::PairingInput, 2> inputs = {
-      {{ct.c1, &part.h_pi()}, {part.usk_value(), &c2_prep}}};
-  return pairing::pairing_product_prepared(inputs).exp(part.delta_inv());
+      {{ct.c1, &part.h_pi()}, {part.usk_scaled(), &c2_prep}}};
+  return pairing::pairing_product_prepared(inputs);
 }
 
 G2 compute_c3_public(const PublicKey& pk, std::span<const Identity> receivers) {

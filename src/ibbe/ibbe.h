@@ -203,13 +203,11 @@ EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
 
 /// User-side decrypt: PreparedPartition::prepare (O(|S|^2)) followed by
 /// decrypt(const PreparedPartition&, ct) — a 2-pair multi-pairing (shared
-/// Miller-loop squarings and a single final exponentiation), then one GT
-/// exponentiation by 1/Delta through the cyclotomic engine
-/// (pairing/gt_exp.h). Returns the broadcast key; std::nullopt if `usk.id`
-/// is not in `receivers` or the set exceeds the PK bound. (A
-/// wrong-but-well-formed ciphertext still yields a wrong bk — callers
-/// authenticate via the AEAD wrap above this layer, exactly as the paper's
-/// y_p does.)
+/// Miller-loop squarings and a single final exponentiation). Returns the
+/// broadcast key; std::nullopt if `usk.id` is not in `receivers` or the set
+/// exceeds the PK bound. (A wrong-but-well-formed ciphertext still yields a
+/// wrong bk — callers authenticate via the AEAD wrap above this layer,
+/// exactly as the paper's y_p does.)
 std::optional<pairing::Gt> decrypt(const PublicKey& pk,
                                    const UserSecretKey& usk,
                                    std::span<const Identity> receivers,
@@ -217,10 +215,13 @@ std::optional<pairing::Gt> decrypt(const PublicKey& pk,
 
 /// Decrypt state for one (user, receiver set) pair — the partition key of
 /// IBBE-SGX. Everything that depends only on the receiver set:
-///   * the O(|S|^2) polynomial expansion and Delta (here: 1/Delta, inverted
-///     eagerly so the per-decrypt GT tail starts immediately),
-///   * h^{p_i(gamma)} assembled from the PK powers (one MSM), and
-///   * its Miller line table.
+///   * the O(|S|^2) polynomial expansion and 1/Delta,
+///   * h^{p_i(gamma)/Delta} assembled from the PK powers (one MSM over the
+///     p_i coefficients scaled by 1/Delta) and its Miller line table, and
+///   * USK^{1/Delta} (one G1 multiplication).
+/// Folding 1/Delta into both pairing arguments is bilinearity:
+/// (e(C1, h^p_i) e(USK, C2))^(1/Delta) = e(C1, h^(p_i/Delta)) e(USK^(1/Delta), C2),
+/// so the per-decrypt work has no GT exponentiation.
 /// Every decrypt goes through one; a client that decrypts the same partition
 /// repeatedly (every re-key, every message under a cached C3) can keep it,
 /// so only the ciphertext-dependent C2 table remains per-decrypt. The cache
@@ -233,20 +234,20 @@ class PreparedPartition {
       const PublicKey& pk, const UserSecretKey& usk,
       std::span<const Identity> receivers);
 
-  [[nodiscard]] const field::Fr& delta_inv() const { return delta_inv_; }
-  [[nodiscard]] const ec::G1& usk_value() const { return usk_value_; }
+  /// USK^(1/Delta).
+  [[nodiscard]] const ec::G1& usk_scaled() const { return usk_scaled_; }
+  /// Line table of h^(p_i(gamma)/Delta).
   [[nodiscard]] const pairing::G2Prepared& h_pi() const { return h_pi_; }
 
  private:
   PreparedPartition() = default;
-  field::Fr delta_inv_;
-  ec::G1 usk_value_;
+  ec::G1 usk_scaled_;
   pairing::G2Prepared h_pi_;
 };
 
-/// Decrypt against a PreparedPartition: one G2Prepared (C2), a 2-pair
-/// multi-pairing, and the GT tail. Equals what decrypt(pk, usk, receivers,
-/// ct) returns for the receiver set the partition was prepared from.
+/// Decrypt against a PreparedPartition: one G2Prepared (C2) and a 2-pair
+/// multi-pairing. Equals what decrypt(pk, usk, receivers, ct) returns for
+/// the receiver set the partition was prepared from.
 pairing::Gt decrypt(const PreparedPartition& part,
                     const BroadcastCiphertext& ct);
 

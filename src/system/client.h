@@ -14,7 +14,8 @@
 // core::PreparedPartition per group together with the exact member list it
 // was prepared from, so the O(|p|^2) polynomial expansion and MSM run only
 // when that list changes; every other fetch runs the prepared decrypt (one
-// C2 line table, a 2-pair multi-pairing and the GT tail).
+// C2 line table and a 2-pair multi-pairing; 1/Delta is folded into the
+// prepared partition, so there is no GT exponentiation).
 //
 // The membership index is sharded (metadata.h): the manifest pins each
 // shard's content hash, and every commit publishes an incremental delta that

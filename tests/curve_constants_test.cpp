@@ -11,12 +11,16 @@
 //    cofactors, and a sub-scalar bound that covers the Babai error.
 //  * The endomorphisms themselves: psi = [6u^2] on G2, psi^4 - psi^2 + 1 = 0
 //    on G2, and the p-power Frobenius = [6u^2] on order-r GT elements.
+//  * The G2 membership test (ec::g2_in_subgroup): its row is the psi
+//    lattice's row 2, psi^2 - t psi + p = 0 on the whole twist, and the
+//    test endomorphism's norm is coprime to the twist cofactor.
 //  * The tower: gamma_k = xi^(k(p-1)/6).
 //  * Montgomery: R = 2^256 and R^2 = 2^512 (mod n) for all four moduli.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "bigint/mont.h"
 #include "ec/curves.h"
@@ -220,6 +224,64 @@ TEST(Endomorphisms, FrobeniusActsAsSixUSquaredOnGt) {
   ASSERT_FALSE(x.is_one());
   ASSERT_TRUE(tu::pow_big(x, r_big()).is_one());  // order r
   EXPECT_EQ(x.frobenius(), x.pow(ibbe::ec::bn_psi_lattice().lambda));
+}
+
+// ------------------------------------------------------- G2 membership test
+
+BigUInt gcd(BigUInt a, BigUInt b) {
+  while (!b.is_zero()) {
+    BigUInt rem = a % b;
+    a = std::move(b);
+    b = std::move(rem);
+  }
+  return a;
+}
+
+TEST(G2Membership, TestRowIsRowTwoOfThePsiLattice) {
+  // ec::g2_in_subgroup hard-codes (u+1, u, u, -2u).
+  const auto& row = ibbe::ec::bn_psi_lattice().basis[2];
+  const std::uint64_t u = tu::kBnU;
+  EXPECT_TRUE(row[0].mag == u + 1 && !row[0].neg);
+  EXPECT_TRUE(row[1].mag == u && !row[1].neg);
+  EXPECT_TRUE(row[2].mag == u && !row[2].neg);
+  EXPECT_TRUE(row[3].mag == 2 * u && row[3].neg);
+}
+
+TEST(G2Membership, PsiSatisfiesTheFrobeniusQuadraticOnTheWholeTwist) {
+  // psi^2 - t psi + p = 0 on E'(Fp2), not only on G2: the premise of the
+  // soundness argument. Checked on twist points outside G2, whose order is
+  // r times the cofactor h2 = 2p - r.
+  const BigUInt p = big(Fp::modulus());
+  const BigUInt t = p + BigUInt(1) - r_big();
+  const BigUInt u(tu::kBnU);
+  EXPECT_EQ(t, BigUInt(6) * u * u + BigUInt(1));
+  for (const G2& q : tu::unchecked_twist_points(3)) {
+    ASSERT_FALSE(q.scalar_mul(Fr::modulus()).is_infinity());
+    EXPECT_TRUE(q.scalar_mul(Fr::modulus())
+                    .scalar_mul(tu::twist_cofactor().to_u256())
+                    .is_infinity());
+    const G2 psi = ibbe::ec::apply_psi(q);
+    EXPECT_EQ(ibbe::ec::apply_psi(psi) + q.scalar_mul(p.to_u256()),
+              psi.scalar_mul(t.to_u256()));
+  }
+}
+
+TEST(G2Membership, TestEndomorphismHasNoKernelOutsideG2) {
+  // alpha = (u+1) + u psi + u psi^2 - 2u psi^3 reduces modulo
+  // psi^2 = t psi - p (so psi^3 = (t^2 - p) psi - tp) to a + b psi with
+  //   a = u + 1 - up + 2utp,   b = u + ut + 2up - 2ut^2,
+  // both positive for BN254. #ker(alpha) divides its degree, the norm
+  // N = a^2 + abt + b^2 p. r | N (G2 is in the kernel) and gcd(N, h2) = 1
+  // (no cofactor point is), so alpha(Q) = O exactly on G2.
+  const BigUInt p = big(Fp::modulus());
+  const BigUInt t = p + BigUInt(1) - r_big();
+  const BigUInt u(tu::kBnU);
+  const BigUInt two(2);
+  const BigUInt a = u + BigUInt(1) + two * u * t * p - u * p;
+  const BigUInt b = u + u * t + two * u * p - two * u * t * t;
+  const BigUInt n = a * a + a * b * t + b * b * p;
+  EXPECT_TRUE((n % r_big()).is_zero());
+  EXPECT_EQ(gcd(n, tu::twist_cofactor()), BigUInt(1));
 }
 
 // -------------------------------------------------------------------- tower

@@ -83,7 +83,7 @@ TEST(CurveEdge, ScalarLargerThanOrderWraps) {
   auto g = ibbe::ec::G1::generator();
   U256 k = U256::from_u64(123456789);
   U256 k_plus_r;
-  ibbe::bigint::add_with_carry(k, ibbe::ec::bn_group_order(), k_plus_r);
+  ibbe::bigint::add_with_carry(k, ibbe::field::Fr::modulus(), k_plus_r);
   EXPECT_EQ(g.scalar_mul(k), g.scalar_mul(k_plus_r));
 }
 

@@ -18,6 +18,8 @@ using ibbe::field::Fp12;
 using ibbe::field::Fp2;
 using ibbe::field::Fp6;
 using ibbe::field::Fr;
+using ibbe::field::P256Fp;
+using ibbe::field::P256Fr;
 using ibbe::testutil::pow_big;
 
 std::mt19937_64& rng() {
@@ -86,15 +88,6 @@ TEST(Fp, RoundTrips) {
   }
 }
 
-TEST(Fp, SqrtOfSquares) {
-  for (int i = 0; i < 20; ++i) {
-    Fp a = random_fp();
-    auto root = a.square().sqrt();
-    ASSERT_TRUE(root.has_value());
-    EXPECT_TRUE(*root == a || *root == a.neg());
-  }
-}
-
 TEST(Fp, SqrtRejectsNonResidue) {
   // Exactly one of x, -x is a QR when x != 0 (p = 3 mod 4 => -1 is a non-residue).
   int rejected = 0;
@@ -107,6 +100,36 @@ TEST(Fp, SqrtRejectsNonResidue) {
     rejected += qr_a ? 0 : 1;
   }
   EXPECT_GT(rejected, 0);  // statistically certain over 20 draws
+}
+
+// a^((p+1)/4) is a square root only when p = 3 (mod 4): the two base
+// fields. The scalar fields are 1 (mod 4), and their sqrt must not compile.
+static_assert(Fp::modulus_is_3_mod_4() && P256Fp::modulus_is_3_mod_4());
+static_assert(!Fr::modulus_is_3_mod_4() && !P256Fr::modulus_is_3_mod_4());
+template <typename F>
+constexpr bool kHasSqrt = requires(const F& a) { a.sqrt(); };
+static_assert(kHasSqrt<Fp> && kHasSqrt<P256Fp>);
+static_assert(!kHasSqrt<Fr> && !kHasSqrt<P256Fr>);
+
+template <typename F>
+void expect_squares_round_trip() {
+  for (int i = 0; i < 20; ++i) {
+    U256 v;
+    for (auto& limb : v.limb) limb = rng()();
+    const F a = F::from_u256_reduce(v);
+    auto root = a.square().sqrt();
+    ASSERT_TRUE(root.has_value());
+    EXPECT_TRUE(*root == a || *root == a.neg());
+    EXPECT_EQ(root->square(), a.square());
+  }
+  auto zero = F::zero().sqrt();
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_TRUE(zero->is_zero());
+}
+
+TEST(SqrtThreeModFour, SquaresRoundTripInBothBaseFields) {
+  expect_squares_round_trip<Fp>();
+  expect_squares_round_trip<P256Fp>();
 }
 
 TEST(Fp, PowMatchesFermat) {

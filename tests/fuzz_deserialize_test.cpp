@@ -14,6 +14,7 @@
 #include "sgx/enclave.h"
 #include "system/metadata.h"
 #include "system/oplog.h"
+#include "test_util.h"
 
 namespace {
 
@@ -424,6 +425,28 @@ TEST(BundleEntry, HostileBundlesNeverThrow) {
       EXPECT_EQ(verdict, ReadVerdict::unauthenticated);
     }
   }
+}
+
+TEST(BundleEntry, TwistPointsOutsideG2AreRefused) {
+  // A signed entry whose C2 or C3 lies on the twist but outside the order-r
+  // subgroup: the signature holds, the decode must not.
+  Fixture f;
+  const auto twist = ibbe::testutil::unchecked_twist_points(2);
+  ASSERT_EQ(twist.size(), 2u);
+  CipherBundle bundle;
+  bundle.gk_epoch = 2;
+  bundle.entries.emplace_back(0, f.pool[0]);
+  bundle.entries.emplace_back(1, f.pool[1]);
+  bundle.entries[1].second.ct.c2 = twist[0];
+  bundle.entries.emplace_back(2, f.pool[2]);
+  bundle.entries[2].second.ct.c3 = twist[1];
+  ibbe::system::GroupManifest m;
+  m.gk_epoch = 2;
+  EXPECT_EQ(check_against_full_parse(f, bundle.to_bytes(), m, 3),
+            (std::vector<ReadVerdict>{ReadVerdict::ok,
+                                      ReadVerdict::unauthenticated,
+                                      ReadVerdict::unauthenticated}));
+  EXPECT_THROW(CipherBundle::from_bytes(bundle.to_bytes()), DeserializeError);
 }
 
 }  // namespace bundle_entry

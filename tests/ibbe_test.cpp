@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/drbg.h"
 #include "crypto/sha256.h"
 #include "he/he_ibe.h"
 #include "ibbe/ibbe.h"
+#include "ibbe/poly.h"
 #include "util/hex.h"
 
 namespace {
@@ -287,6 +289,48 @@ TEST_F(IbbeFixture, PreparedPartitionDecryptEqualsDecrypt) {
             *ibbe::core::decrypt(keys.pk, key, users, enc.ct));
   auto rekeyed = ibbe::core::rekey(keys.pk, enc.ct, rng);
   EXPECT_EQ(ibbe::core::decrypt(*part, rekeyed.ct), rekeyed.bk);
+}
+
+/// bk by the unfolded formula (e(C1, h^p_i) * e(USK, C2))^(1/Delta): h^p_i
+/// summed term by term from the PK powers, 1/Delta a GT exponentiation.
+ibbe::pairing::Gt unfolded_decrypt(const PublicKey& pk, const UserSecretKey& key,
+                                   const std::vector<Identity>& set,
+                                   const BroadcastCiphertext& ct) {
+  std::vector<ibbe::field::Fr> roots;
+  bool skipped = false;
+  for (const auto& id : set) {
+    if (!skipped && id == key.id) {
+      skipped = true;
+      continue;
+    }
+    roots.push_back(ibbe::core::hash_identity(id));
+  }
+  auto coef = ibbe::core::poly::expand_roots_incremental(roots);
+  ibbe::ec::G2 h_pi = ibbe::ec::G2::infinity();
+  for (std::size_t i = 1; i < coef.size(); ++i) {
+    h_pi += pk.h_powers[i - 1].mul(coef[i]);
+  }
+  std::vector<std::pair<ibbe::ec::G1, ibbe::ec::G2>> pairs = {
+      {ct.c1, h_pi}, {key.value, ct.c2}};
+  return ibbe::pairing::pairing_product(pairs).exp(coef[0].inverse());
+}
+
+TEST_F(IbbeFixture, FoldedPreparedDecryptEqualsTheGtTail) {
+  // |S| = 1 has Delta = 1 and h^p_i = infinity; the member sits first,
+  // in the middle and last.
+  for (std::size_t n : {1u, 2u, 17u}) {
+    auto users = make_users(n, "fold" + std::to_string(n) + "-");
+    auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
+    for (std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      auto key = usk(users[at]);
+      auto part = ibbe::core::PreparedPartition::prepare(keys.pk, key, users);
+      ASSERT_TRUE(part.has_value());
+      const auto want = unfolded_decrypt(keys.pk, key, users, enc.ct);
+      EXPECT_EQ(ibbe::core::decrypt(*part, enc.ct), want)
+          << "|S| = " << n << ", member " << at;
+      EXPECT_EQ(want, enc.bk) << "|S| = " << n << ", member " << at;
+    }
+  }
 }
 
 TEST_F(IbbeFixture, PreparedPartitionRejectsNonMembersAndOversizedSets) {

@@ -27,7 +27,7 @@ using ibbe::testutil::random_u256;
 
 /// (-1)^neg0 k0 + (-1)^neg1 k1 eig mod r, computed with BigUInt.
 BigUInt recombine(const ibbe::ec::EndoDecomp& d, const U256& eig) {
-  const BigUInt n = BigUInt::from_u256(ibbe::ec::bn_group_order());
+  const BigUInt n = BigUInt::from_u256(ibbe::field::Fr::modulus());
   BigUInt a = BigUInt::from_u256(d.k0) % n;
   if (d.neg0 && !a.is_zero()) a = n - a;
   BigUInt b = BigUInt::from_u256(d.k1) * BigUInt::from_u256(eig) % n;
@@ -38,7 +38,7 @@ BigUInt recombine(const ibbe::ec::EndoDecomp& d, const U256& eig) {
 // ------------------------------------------------------------ decomposition
 
 TEST(Glv, DecompositionRoundTripsAndIsShort) {
-  const BigUInt n = BigUInt::from_u256(ibbe::ec::bn_group_order());
+  const BigUInt n = BigUInt::from_u256(ibbe::field::Fr::modulus());
   auto scalars = edge_scalars();
   for (int i = 0; i < 50; ++i) scalars.push_back(random_u256());
   for (const U256& k : scalars) {

@@ -18,7 +18,9 @@
 // (psi powers act as mu powers, linearity, affine-table commutation,
 // prepare-after-psi; the minimal polynomial itself is pinned in
 // curve_constants_test.cpp), and MSM boundary regressions (n = 0 / 1 / the
-// Straus-Pippenger crossover, infinity and duplicate inputs).
+// Straus-Pippenger crossover, infinity and duplicate inputs), and the psi
+// G2 membership test (ec::g2_in_subgroup) against the r-multiply oracle on
+// members, on twist points outside G2 and on their cofactor components.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -218,6 +220,62 @@ TEST(PsiInvariants, PreparedAffineEntryMatchesPrepareAfterPsi) {
   // And both equal the unprepared pairing against psi(q).
   EXPECT_EQ(ibbe::pairing::pairing(p, via_entry),
             ibbe::pairing::pairing(p, ibbe::ec::apply_psi(q)));
+}
+
+// ------------------------------------------------------- G2 membership test
+
+/// The r-multiply oracle: Q lies in G2 iff [r]Q = O.
+bool in_g2_by_r_multiply(const G2& q) {
+  return q.scalar_mul(Fr::modulus()).is_infinity();
+}
+
+/// Expects g2_in_subgroup to agree with the oracle on `q`, and the checked
+/// decoder to accept exactly the points both call members.
+void expect_membership_agrees(const G2& q, bool want, const char* what) {
+  ASSERT_EQ(in_g2_by_r_multiply(q), want) << what << ": oracle";
+  EXPECT_EQ(ibbe::ec::g2_in_subgroup(q), want) << what;
+  const auto bytes = ibbe::ec::g2_to_bytes(q);
+  if (want) {
+    EXPECT_EQ(ibbe::ec::g2_from_bytes(bytes), q) << what;
+  } else {
+    EXPECT_THROW((void)ibbe::ec::g2_from_bytes(bytes),
+                 ibbe::util::DeserializeError)
+        << what;
+  }
+}
+
+TEST(G2Membership, AgreesWithTheRMultiplyOracle) {
+  expect_membership_agrees(G2::infinity(), true, "infinity");
+  expect_membership_agrees(G2::generator(), true, "generator");
+  for (int i = 0; i < 4; ++i) {
+    expect_membership_agrees(tu::random_g2(), true, "random G2");
+  }
+
+  const BigUInt r = BigUInt::from_u256(Fr::modulus());
+  const BigUInt h2 = tu::twist_cofactor();
+  const auto twist = tu::unchecked_twist_points(6);
+  ASSERT_EQ(twist.size(), 6u);
+  for (const G2& p : twist) {
+    // On the twist, outside G2: the r-multiply oracle already says which.
+    expect_membership_agrees(p, false, "unchecked twist point");
+    // [r]P: a pure cofactor component, non-identity.
+    const G2 cof = p.scalar_mul(r.to_u256());
+    ASSERT_FALSE(cof.is_infinity());
+    ASSERT_TRUE(cof.scalar_mul(h2.to_u256()).is_infinity());
+    expect_membership_agrees(cof, false, "[r]P");
+    // G2 plus a cofactor component.
+    expect_membership_agrees(tu::random_g2() + cof, false, "Q + [r]P");
+    expect_membership_agrees(cof.neg(), false, "-[r]P");
+    // The twist's cofactor has the small prime factor 10069: a point of
+    // that order is the smallest non-member there is.
+    const G2 small = cof.scalar_mul((h2 / BigUInt(10069)).to_u256());
+    if (!small.is_infinity()) {
+      ASSERT_TRUE(small.scalar_mul(U256::from_u64(10069)).is_infinity());
+      expect_membership_agrees(small, false, "order-10069 point");
+      expect_membership_agrees(G2::generator() + small, false,
+                               "generator + order-10069 point");
+    }
+  }
 }
 
 // --------------------------------------------------- MSM boundary regressions

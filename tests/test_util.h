@@ -82,6 +82,33 @@ inline field::Fp12 random_gt() {
       .value();
 }
 
+/// #E'(Fp2) / r = 2p - r for the BN254 D-twist: the cofactor of G2.
+inline bigint::BigUInt twist_cofactor() {
+  using bigint::BigUInt;
+  const BigUInt p = BigUInt::from_u256(field::Fp::modulus());
+  const BigUInt r = BigUInt::from_u256(field::Fr::modulus());
+  return p + p - r;
+}
+
+/// The first `count` twist points with x = (0, 1), (0, 2), ... (even y),
+/// decoded WITHOUT the subgroup check. The cofactor is a 254-bit number, so
+/// each lies outside G2 with overwhelming probability; callers that need
+/// that check it with the r-multiply oracle.
+inline std::vector<ec::G2> unchecked_twist_points(std::size_t count) {
+  std::vector<std::uint8_t> encoding(ec::g2_serialized_size, 0);
+  encoding[0] = 0x02;
+  std::vector<ec::G2> out;
+  for (std::uint8_t x = 1; out.size() < count && x != 0; ++x) {
+    encoding[ec::g2_serialized_size - 1] = x;
+    try {
+      out.push_back(ec::g2_from_bytes(encoding, /*subgroup_check=*/false));
+    } catch (const util::DeserializeError&) {
+      // x^3 + b' is not a square: no twist point with this x
+    }
+  }
+  return out;
+}
+
 /// Edge-case scalars for scalar-multiplication and decomposition tests:
 /// 0, 1, 2, the group-order neighborhood r-1 / r / r+1, the curve parameter
 /// u and the psi/Frobenius eigenvalue mu = 6u^2 with its neighbors, the
