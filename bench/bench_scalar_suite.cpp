@@ -117,6 +117,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 16; ++i) users.push_back("user" + std::to_string(i));
   auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
   auto usk = ibbe::core::extract_user_key(keys.msk, users[0]);
+  const Fr enc_exponent = ibbe::core::partition_exponent(keys.msk, users);
 
   // GT exponentiation operands: a genuine order-r element and a scalar.
   const auto gt_elem =
@@ -211,6 +212,8 @@ int main(int argc, char** argv) {
   metrics.push_back({"gt_fixed_table_build_ms", median_us(
       [&] { ibbe::pairing::GtComb4 comb(gt_elem.value()); },
       build_iters) / 1000.0});
+  metrics.push_back({"h_comb_build_ms", median_us(
+      [&] { ibbe::ec::G2Comb4 comb(keys.pk.h()); }, build_iters) / 1000.0});
   metrics.push_back({"gt_pow_u_us", median_us(
       [&] { (void)ibbe::pairing::gt_pow_u(gt_elem.value()); }, iters)});
   metrics.push_back({"msm_g2_64_us", median_us(
@@ -248,6 +251,11 @@ int main(int argc, char** argv) {
       iters)});
   metrics.push_back({"rekey_us", median_us(
       [&] { (void)ibbe::core::rekey(keys.pk, enc.ct, k); }, iters)});
+  metrics.push_back({"rekey_msk_us", median_us(
+      [&] {
+        (void)ibbe::core::rekey_with_exponent(keys.pk, enc.ct.c3, enc_exponent, k);
+      },
+      iters)});
   metrics.push_back({"bundle_encode_1k_ms", median_us(
       [&] { (void)bundle_1k.to_bytes(); }, build_iters) / 1000.0});
   metrics.push_back({"decrypt_256_us", median_us(

@@ -218,13 +218,14 @@ fi
 # read), the curve-constants suite (its BigUInt oracle recomputes every
 # lattice and Montgomery constant the library carries as a literal), and
 # the ec and field suites (point decoding of untrusted bytes, the G2
-# subgroup check, square roots).
+# subgroup check, square roots), and the enclave suite (the exponent table
+# moves entries between its generations under concurrent ECALLs).
 sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
   util_test cloud_test fault_injection_test byzantine_test system_test \
   extensions_test shard_delta_test thread_pool_test \
   parallel_equivalence_test net_test fuzz_deserialize_test \
   pairing_test ibbe_test strategy_equivalence_test curve_constants_test \
-  ec_test field_test
+  ec_test field_test enclave_test
 
 # ThreadSanitizer stage: the Byzantine store wraps every fault decision in a
 # mutex and clients race long-polls, gossip publishes, and CAS retries
@@ -232,16 +233,19 @@ sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
 # suites ride along: they hammer the pool's job list and shared chunk
 # cursors and the lazy first-use of the shared crypto singletons (the
 # generator comb tables, the Montgomery contexts and backend dispatch) and of
-# a shared PublicKey's tables from many workers at once.
+# a shared PublicKey's tables from many workers at once. The enclave suite
+# runs ECALLs from two threads on one enclave: its DRBG draws, EPC meter and
+# exponent table are shared with each other and with the pool workers.
 sanitizer_stage "${BUILD_DIR}-tsan" thread \
   cloud_test fault_injection_test byzantine_test system_test \
-  thread_pool_test parallel_equivalence_test net_test
+  thread_pool_test parallel_equivalence_test net_test enclave_test
 
 # One TSan pass sees one interleaving per test; twenty repeats of the pool
 # suite let the job list, the chunk cursor and the caller's wait race in
 # many orders, and ten repeats of the PublicKey-table test let seven workers
 # race the first build of every lazy PK table (the G2 powers MSM, the
-# pairing line tables, the fixed-base tables for v and w) in many orders.
+# pairing line tables, the fixed-base tables for v and w, the comb for h)
+# in many orders.
 # Skipped with the stage when the toolchain lacks TSan.
 if [ -x "${BUILD_DIR}-tsan/thread_pool_test" ]; then
   echo "==> ${BUILD_DIR}-tsan/thread_pool_test --gtest_repeat=20 (thread)"

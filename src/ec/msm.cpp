@@ -125,43 +125,60 @@ G2 G2PowersMsm::msm(std::span<const Fr> coefs) const {
 G2Comb4::G2Comb4(const G2& base, unsigned window)
     : w_(window),
       wins_((bn_psi_lattice().max_sub_bits + window - 1) / window),
-      per_((std::size_t{1} << window) - 1) {
-  std::vector<G2> jac;
-  jac.reserve(std::size_t{wins_} * per_);
-  G2 shifted = base;  // 2^(w win) * base
-  for (unsigned win = 0; win < wins_; ++win) {
-    G2 m = shifted;
-    for (std::size_t d = 1; d <= per_; ++d) {
-      jac.push_back(m);
-      if (d < per_) m += shifted;
-    }
-    for (unsigned j = 0; j < w_; ++j) shifted = shifted.dbl();
+      half_(std::size_t{1} << (window - 1)),
+      tbl_(4 * std::size_t{wins_} * half_) {
+  // Row bases 2^(w win) * base: a serial chain of doublings, after which the
+  // rows are independent, so each one is filled, normalized and psi-mapped
+  // on the pool. Every row is canonical affine, so the table is the same at
+  // any thread count.
+  std::vector<G2> rows(wins_);
+  rows[0] = base;
+  for (unsigned win = 1; win < wins_; ++win) {
+    rows[win] = rows[win - 1];
+    for (unsigned j = 0; j < w_; ++j) rows[win] = rows[win].dbl();
   }
-  auto flat = G2::batch_to_affine(jac);
-  const std::size_t stride = flat.size();
-  tbl_.resize(4 * stride);
-  std::copy(flat.begin(), flat.end(), tbl_.begin());
-  for (std::size_t i = 1; i < 4; ++i) {
-    for (std::size_t e = 0; e < stride; ++e) {
-      tbl_[i * stride + e] = apply_psi(tbl_[(i - 1) * stride + e]);
+  const std::size_t stride = std::size_t{wins_} * half_;
+  util::ThreadPool::global().parallel_for(0, wins_, 1, [&](std::size_t win) {
+    std::vector<G2> jac(half_);
+    jac[0] = rows[win];
+    for (std::size_t d = 1; d < half_; ++d) jac[d] = jac[d - 1] + rows[win];
+    auto row = G2::batch_to_affine(jac);
+    for (std::size_t i = 0; i < 4; ++i) {
+      AffinePt<Fp2>* out = &tbl_[i * stride + win * half_];
+      for (std::size_t d = 0; d < half_; ++d) {
+        if (i > 0) row[d] = apply_psi(row[d]);
+        out[d] = row[d];
+      }
     }
-  }
+  });
 }
 
 G2 G2Comb4::mul(const bigint::U256& k) const {
   const bigint::Decomp4 d = decompose_gls4(k);
-  const std::size_t stride = std::size_t{wins_} * per_;
+  const std::size_t stride = std::size_t{wins_} * half_;
   G2 acc = G2::infinity();
   for (std::size_t i = 0; i < 4; ++i) {
     if (d.k[i].bit_length() > wins_ * w_) {
       throw std::logic_error("g2comb4: sub-scalar exceeds the comb span");
     }
+    // Signed recoding, low digit first: a window value above 2^(w-1)
+    // becomes value - 2^w with a carry into the next window.
+    unsigned carry = 0;
     for (unsigned win = 0; win < wins_; ++win) {
-      unsigned dig = window_value(d.k[i], win * w_, w_);
-      if (!dig) continue;
-      AffinePt<Fp2> e = tbl_[i * stride + win * per_ + dig - 1];
-      if (d.neg[i]) e.y = e.y.neg();
+      int v = static_cast<int>(window_value(d.k[i], win * w_, w_) + carry);
+      carry = v > static_cast<int>(half_) ? 1 : 0;
+      if (carry) v -= 1 << w_;
+      if (v == 0) continue;
+      const auto mag = static_cast<std::size_t>(v < 0 ? -v : v);
+      AffinePt<Fp2> e = tbl_[i * stride + win * half_ + mag - 1];
+      if ((v < 0) != d.neg[i]) e.y = e.y.neg();
       acc = acc.add_mixed(e);
+    }
+    // decompose_gls4 bounds sub-scalars by 2^72 = 2^(wins w), so a carry
+    // out of the top digit (a sub-scalar of 2^71 or more) is the one way
+    // left to overflow the comb.
+    if (carry) {
+      throw std::logic_error("g2comb4: sub-scalar exceeds the comb span");
     }
   }
   return acc;

@@ -11,11 +11,12 @@
 //   FixedBaseTable      — single fixed base: a full windowed comb
 //                         tbl[i][d] = d 2^(wi) B, so one multiplication is
 //                         ~64 mixed additions and zero doublings.
-//   G2Comb4             — the 4-dim variant for fixed G2 bases (the h
-//                         generator): the psi split shrinks the comb span to
-//                         72 bits, which affords a window twice as wide —
-//                         ~36 mixed additions per mul, for a ~10x larger
-//                         one-time table (~1.2 MB).
+//   G2Comb4             — the 4-dim variant for fixed G2 bases (the G2
+//                         generator, the IBBE key's h): the psi split
+//                         shrinks the comb span to 72 bits, which affords a
+//                         window twice as wide — ~36 mixed additions per
+//                         mul, for a ~5x larger one-time table (~612 KiB,
+//                         signed digits).
 //   G2PowersMsm         — many fixed G2 bases (the IBBE public key's
 //                         h^(gamma^i) powers): per-base affine odd-multiple
 //                         tables plus their psi/psi^2/psi^3 images, consumed
@@ -258,11 +259,13 @@ class G2PowersMsm {
 /// (bn_psi_lattice().max_sub_bits), so the comb spans 72 bits and can
 /// afford a window twice as wide: with the default w = 8, a multiplication
 /// is at most 4 * 9 = 36 mixed additions (vs ~64) and still zero
-/// doublings. The price is table size — 4 psi-tables x 9 windows x 255
-/// entries = 9180 affine points (~1.2 MB), ~10x the w = 4 FixedBaseTable,
-/// which is why this is reserved for long-lived bases like the generator.
-/// Tables for psi^1..3 are coordinate-mapped images of the base table, so
-/// build cost stays ~wins * 2^w additions plus one field inversion.
+/// doublings. Digits are signed (|d| <= 2^(w-1), negation is free on the
+/// curve), so a window keeps 2^(w-1) entries: 4 psi-tables x 9 windows x
+/// 128 entries = 4608 affine points (~612 KiB), ~5x the w = 4
+/// FixedBaseTable, which is why this is reserved for long-lived bases (the
+/// generator, the IBBE key's h). Build: ~wins * 2^(w-1) additions, one
+/// inversion per window and coordinate-mapped psi images, one window per
+/// pool task.
 class G2Comb4 {
  public:
   explicit G2Comb4(const G2& base, unsigned window = 8);
@@ -271,11 +274,16 @@ class G2Comb4 {
   /// with plain scalar_mul because the subgroup has order r).
   [[nodiscard]] G2 mul(const bigint::U256& k) const;
 
+  /// Heap bytes held by the table.
+  [[nodiscard]] std::size_t table_bytes() const {
+    return tbl_.size() * sizeof(AffinePt<field::Fp2>);
+  }
+
  private:
   unsigned w_;
-  unsigned wins_;    // ceil(max_sub_bits / w)
-  std::size_t per_;  // digits per window = 2^w - 1
-  // tbl_[(i * wins_ + win) * per_ + (d - 1)] = d * 2^(w win) * psi^i(base)
+  unsigned wins_;     // ceil(max_sub_bits / w)
+  std::size_t half_;  // entries per window = 2^(w-1)
+  // tbl_[(i * wins_ + win) * half_ + (|d| - 1)] = |d| 2^(w win) psi^i(base)
   std::vector<AffinePt<field::Fp2>> tbl_;
 };
 

@@ -1,6 +1,7 @@
 #include "enclave/ibbe_enclave.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/gcm.h"
@@ -13,6 +14,7 @@ namespace ibbe::enclave {
 
 using core::BroadcastCiphertext;
 using core::Identity;
+using field::Fr;
 using pairing::Gt;
 
 util::Bytes PartitionCiphertext::to_bytes() const {
@@ -113,6 +115,31 @@ const core::PublicKey& IbbeEnclave::pk_with_tables() {
   return keys_.pk;
 }
 
+const core::PublicKey& IbbeEnclave::pk_with_h_comb() {
+  const core::PublicKey& pk = pk_with_tables();
+  std::call_once(h_comb_billed_,
+                 [&] { epc_alloc(pk.h_comb().table_bytes()); });
+  return pk;
+}
+
+template <typename Fn>
+void IbbeEnclave::with_exponents(Fn&& fn) {
+  std::lock_guard lock(exponents_mutex_);
+  const std::size_t before = exponents_.bytes();
+  fn(exponents_);
+  const std::size_t after = exponents_.bytes();
+  if (after >= before) {
+    epc_alloc(after - before);
+  } else {
+    epc_free(before - after);
+  }
+}
+
+std::size_t IbbeEnclave::exponent_table_entries() const {
+  std::lock_guard lock(exponents_mutex_);
+  return exponents_.size();
+}
+
 util::Bytes IbbeEnclave::identity_public_key() const {
   return identity_key_.public_key_bytes();
 }
@@ -157,22 +184,35 @@ IbbeEnclave::GroupCreation IbbeEnclave::ecall_create_group(
   if (partitions.empty()) {
     throw std::invalid_argument("ecall_create_group: no partitions");
   }
-  util::Bytes gk = enclave_rng().bytes(group_key_size);
+  util::Bytes gk;
   std::vector<PartitionDraw> draws(partitions.size());
-  for (auto& d : draws) d = draw_partition_randomness(enclave_rng());
+  {
+    std::lock_guard lock(draw_mutex_);
+    gk = enclave_rng().bytes(group_key_size);
+    for (auto& d : draws) d = draw_partition_randomness(enclave_rng());
+  }
 
   const core::PublicKey& pk = pk_with_tables();
   GroupCreation out;
   out.partitions.resize(partitions.size());
+  std::vector<Fr> exponents(partitions.size());
+  std::vector<ec::G2> c3s(partitions.size());
   util::ThreadPool::global().parallel_for(
       0, partitions.size(), 1, [&](std::size_t i) {
-        auto enc =
-            core::encrypt_with_msk(keys_.msk, pk, partitions[i], draws[i].k);
+        auto enc = core::encrypt_with_msk(keys_.msk, pk, partitions[i],
+                                          draws[i].k, &exponents[i]);
         PartitionCiphertext& pc = out.partitions[i];
         pc.ct = enc.ct;
         pc.nonce = std::move(draws[i].nonce);
         pc.wrapped_gk = wrap_gk(enc.bk, gk, pc.nonce);
+        c3s[i] = enc.ct.c3;
       });
+  const auto keys = ExponentTable::keys_of(c3s);
+  with_exponents([&](ExponentTable& table) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      table.insert(keys[i], exponents[i]);
+    }
+  });
   out.sealed_gk = seal(gk);
   return out;
 }
@@ -182,6 +222,14 @@ BroadcastCiphertext IbbeEnclave::ecall_add_user_to_partition(
   EcallScope scope(*this);
   BroadcastCiphertext updated = ct;
   core::add_user_with_msk(keys_.msk, updated, added);
+  const auto keys = ExponentTable::keys_of(std::array{ct.c3, updated.c3});
+  with_exponents([&](ExponentTable& table) {
+    if (auto s = table.lookup(keys[0])) {
+      table.erase(keys[0]);
+      table.insert(keys[1], *s * core::partition_exponent(
+                                     keys_.msk, std::span(&added, 1)));
+    }
+  });
   return updated;
 }
 
@@ -190,9 +238,17 @@ PartitionCiphertext IbbeEnclave::ecall_create_partition(
   EcallScope scope(*this);
   auto gk = unseal(sealed_gk);
   if (!gk) throw std::invalid_argument("ecall_create_partition: bad sealed gk");
-  auto draw = draw_partition_randomness(enclave_rng());
+  PartitionDraw draw;
+  {
+    std::lock_guard lock(draw_mutex_);
+    draw = draw_partition_randomness(enclave_rng());
+  }
+  Fr exponent;
   auto enc = core::encrypt_with_msk(keys_.msk, pk_with_tables(), members,
-                                    draw.k);
+                                    draw.k, &exponent);
+  const auto keys = ExponentTable::keys_of(std::span(&enc.ct.c3, 1));
+  with_exponents(
+      [&](ExponentTable& table) { table.insert(keys[0], exponent); });
   PartitionCiphertext pc;
   pc.ct = enc.ct;
   pc.nonce = std::move(draw.nonce);
@@ -204,29 +260,74 @@ IbbeEnclave::RemovalResult IbbeEnclave::ecall_remove_users(
     std::span<const BatchRemovalSpec> hosts,
     std::span<const BroadcastCiphertext> other_partitions) {
   EcallScope scope(*this);
-  // Algorithm 3, line 3: fresh group key (revocation re-keys everything).
-  util::Bytes gk = enclave_rng().bytes(group_key_size);
   const std::size_t total = hosts.size() + other_partitions.size();
+  util::Bytes gk;
   std::vector<PartitionDraw> draws(total);
-  for (auto& d : draws) d = draw_partition_randomness(enclave_rng());
+  {
+    std::lock_guard lock(draw_mutex_);
+    // Algorithm 3, line 3: fresh group key (revocation re-keys everything).
+    gk = enclave_rng().bytes(group_key_size);
+    for (auto& d : draws) d = draw_partition_randomness(enclave_rng());
+  }
 
-  const core::PublicKey& pk = pk_with_tables();
+  // Every partition's exponent s, where the enclave computed its C3.
+  std::vector<ec::G2> c3s;
+  c3s.reserve(total);
+  for (const auto& host : hosts) c3s.push_back(host.ct.c3);
+  for (const auto& ct : other_partitions) c3s.push_back(ct.c3);
+  const auto keys = ExponentTable::keys_of(c3s);
+  std::vector<std::optional<Fr>> exponents(total);
+  with_exponents([&](ExponentTable& table) {
+    for (std::size_t i = 0; i < total; ++i) {
+      exponents[i] = table.lookup(keys[i]);
+    }
+  });
+  const bool any_known =
+      std::any_of(exponents.begin(), exponents.end(),
+                  [](const std::optional<Fr>& s) { return s.has_value(); });
+  const core::PublicKey& pk = any_known ? pk_with_h_comb() : pk_with_tables();
+
   RemovalResult out;
   out.partitions.resize(total);
   // Slots [0, hosts.size()): lines 4-5, the removal on each hosting
   // partition; the rest: lines 6-8, the constant-time re-key of every other
   // partition, in the input order. Randomness was drawn above; the fan-out
-  // is pure arithmetic into pre-sized slots.
+  // is pure arithmetic into pre-sized slots. A known exponent and the
+  // MSK/PK path give the same bytes.
   util::ThreadPool::global().parallel_for(0, total, 1, [&](std::size_t i) {
-    auto enc = (i < hosts.size())
-                   ? core::remove_users_with_msk(keys_.msk, pk, hosts[i].ct,
-                                                 hosts[i].removed, draws[i].k)
-                   : core::rekey(pk, other_partitions[i - hosts.size()],
-                                 draws[i].k);
+    std::optional<Fr>& s = exponents[i];
+    core::EncryptResult enc;
+    if (i < hosts.size()) {
+      const BatchRemovalSpec& host = hosts[i];
+      if (s) {
+        *s *= core::partition_exponent(keys_.msk, host.removed).inverse();
+        enc = core::encrypt_with_exponent(pk, *s, draws[i].k);
+      } else {
+        enc = core::remove_users_with_msk(keys_.msk, pk, host.ct,
+                                          host.removed, draws[i].k);
+      }
+    } else {
+      const BroadcastCiphertext& ct = other_partitions[i - hosts.size()];
+      enc = s ? core::rekey_with_exponent(pk, ct.c3, *s, draws[i].k)
+              : core::rekey(pk, ct, draws[i].k);
+    }
     PartitionCiphertext& pc = out.partitions[i];
     pc.ct = enc.ct;
     pc.nonce = std::move(draws[i].nonce);
     pc.wrapped_gk = wrap_gk(enc.bk, gk, pc.nonce);
+  });
+  // The hosts' C3s changed: each known one's entry moves to its new C3.
+  std::vector<ec::G2> host_c3s(hosts.size());
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    host_c3s[i] = out.partitions[i].ct.c3;
+  }
+  const auto host_keys = ExponentTable::keys_of(host_c3s);
+  with_exponents([&](ExponentTable& table) {
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      if (!exponents[i]) continue;
+      table.erase(keys[i]);
+      table.insert(host_keys[i], *exponents[i]);
+    }
   });
   // Line 9: seal the new group key.
   out.sealed_gk = seal(gk);
@@ -243,6 +344,7 @@ util::Bytes IbbeEnclave::ecall_provision_user_key(
   EcallScope scope(*this);
   auto usk = core::extract_user_key(keys_.msk, id);
   ec::P256Point recipient = ec::p256_from_bytes(user_p256_pub);
+  std::lock_guard lock(draw_mutex_);
   return pki::ecies_encrypt(recipient, usk.to_bytes(), enclave_rng());
 }
 

@@ -7,11 +7,15 @@
 // partition broadcast key bk, nor gamma ever cross in plaintext — this is the
 // zero-knowledge property the scheme claims against curious administrators,
 // enforced here by the type of the API.
+//
+// ECALLs may run concurrently on one enclave: each draws its randomness in
+// one locked run of the DRBG, and the exponent table has its own lock.
 #pragma once
 
 #include <mutex>
 #include <vector>
 
+#include "enclave/exponent_table.h"
 #include "ibbe/ibbe.h"
 #include "pki/ecdsa.h"
 #include "sgx/enclave.h"
@@ -94,6 +98,11 @@ class IbbeEnclave : public sgx::EnclaveBase {
   /// SHA-256 of the public key), for the Fig. 3 attestation flow.
   [[nodiscard]] sgx::Quote attestation_quote() const;
 
+  /// Partition exponents the enclave currently remembers (instrumentation:
+  /// the count is already visible through the EPC meter; the exponents
+  /// never leave).
+  [[nodiscard]] std::size_t exponent_table_entries() const;
+
   // ---- ECALLs ------------------------------------------------------------
 
   struct GroupCreation {
@@ -102,17 +111,20 @@ class IbbeEnclave : public sgx::EnclaveBase {
   };
   /// Algorithm 1 (enclaved block): fresh gk, one IBBE encrypt per partition,
   /// gk wrapped under every partition broadcast key, gk sealed for the admin
-  /// cache. Partition assignment itself is untrusted-side work.
+  /// cache. Partition assignment itself is untrusted-side work. Records each
+  /// partition's exponent s (C3 = h^s) for later re-keys.
   [[nodiscard]] GroupCreation ecall_create_group(
       std::span<const std::vector<core::Identity>> partitions);
 
   /// Algorithm 2, fast path (lines 9-12): O(1) extension of an existing
-  /// partition's ciphertext; y_p is unchanged.
+  /// partition's ciphertext; y_p is unchanged. If the enclave knows the old
+  /// C3's exponent s, the new C3 is recorded with s * (gamma + H(added)).
   [[nodiscard]] core::BroadcastCiphertext ecall_add_user_to_partition(
       const core::BroadcastCiphertext& ct, const core::Identity& added);
 
   /// Algorithm 2, slow path (lines 3-7): brand-new partition wrapping the
-  /// *existing* group key (unsealed inside). O(|members|).
+  /// *existing* group key (unsealed inside). O(|members|). Records the
+  /// partition's exponent.
   [[nodiscard]] PartitionCiphertext ecall_create_partition(
       std::span<const core::Identity> members, const sgx::SealedBlob& sealed_gk);
 
@@ -122,6 +134,11 @@ class IbbeEnclave : public sgx::EnclaveBase {
   /// other partition a constant-time re-key, and the new gk is wrapped under
   /// every partition key. A single revocation is a batch of one host with
   /// one user; k revocations cost ONE group-key rotation instead of k.
+  /// A partition whose C3 the enclave computed itself is re-keyed from its
+  /// recorded exponent s: C2 = h^(k s) (a host: s / prod(gamma + H(removed))
+  /// first) on the PK's h comb, built on the first call. Any other C3 (a
+  /// restarted enclave, a host-built C3) takes the MSK/PK path; both give
+  /// the same bytes.
   struct BatchRemovalSpec {
     core::BroadcastCiphertext ct;
     std::vector<core::Identity> removed;
@@ -195,11 +212,22 @@ class IbbeEnclave : public sgx::EnclaveBase {
   /// ECALL calls this on the ECALL thread before it fans out, so the pool
   /// workers share one copy; the first call bills the tables to the EPC.
   const core::PublicKey& pk_with_tables();
+  /// pk_with_tables() plus the comb for h, built and billed the same way by
+  /// the first revocation that re-keys from an exponent.
+  const core::PublicKey& pk_with_h_comb();
+  /// Runs fn(exponents_) under its lock and bills the size change to the
+  /// EPC meter.
+  template <typename Fn>
+  void with_exponents(Fn&& fn);
 
   // ---- enclave-private state (never crosses the boundary) ----
   core::SystemKeys keys_;
   pki::EcdsaKeyPair identity_key_;
   std::once_flag tables_billed_;
+  std::once_flag h_comb_billed_;
+  std::mutex draw_mutex_;  // one ECALL's DRBG draws at a time
+  mutable std::mutex exponents_mutex_;
+  ExponentTable exponents_;  // guarded by exponents_mutex_
 };
 
 /// Size of the group key generated inside the enclave.

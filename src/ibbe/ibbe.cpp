@@ -74,17 +74,24 @@ G2 evaluate_in_exponent(const PublicKey& pk, std::span<const Fr> coef) {
   return pk.powers_msm(coef.size())->msm(coef);
 }
 
-/// Completes (bk, C1, C2) for the randomizer k over an existing C3: v and w
-/// through the key's fixed-base tables, C3 (different per partition) through
-/// the variable-base GLS split.
-EncryptResult assemble_from_c3(const PublicKey& pk, const G2& c3,
-                               const Fr& k) {
+/// (bk, C1, C3) for the randomizer k over an existing C3: v and w through
+/// the key's fixed-base tables. The caller fills C2 = C3^k.
+EncryptResult assemble_without_c2(const PublicKey& pk, const G2& c3,
+                                  const Fr& k) {
   const FixedBaseTables& tables = pk.fixed_base_tables();
   EncryptResult out;
   out.bk = Gt::from_fp12_unchecked(tables.v.pow(k.to_u256()));
   out.ct.c1 = tables.w.mul(k.neg().to_u256());
-  out.ct.c2 = c3.mul(k);
   out.ct.c3 = c3;
+  return out;
+}
+
+/// Completes (bk, C1, C2) over an existing C3, which (different per
+/// partition) goes through the variable-base GLS split.
+EncryptResult assemble_from_c3(const PublicKey& pk, const G2& c3,
+                               const Fr& k) {
+  EncryptResult out = assemble_without_c2(pk, c3, k);
+  out.ct.c2 = c3.mul(k);
   return out;
 }
 
@@ -128,6 +135,8 @@ const pairing::G2Prepared& PublicKey::prepared_h_gamma() const {
 const FixedBaseTables& PublicKey::fixed_base_tables() const {
   return cached(fixed_, v, w);
 }
+
+const ec::G2Comb4& PublicKey::h_comb() const { return cached(h_comb_, h()); }
 
 std::shared_ptr<const ec::G2PowersMsm> PublicKey::powers_msm(
     std::size_t need) const {
@@ -238,17 +247,21 @@ UserSecretKey extract_user_key(const MasterSecretKey& msk, const Identity& id) {
   return {id, msk.g.mul(denom.inverse())};
 }
 
+Fr partition_exponent(const MasterSecretKey& msk,
+                      std::span<const Identity> ids) {
+  Fr prod = Fr::one();
+  for (const Identity& id : ids) prod *= msk.gamma + hash_identity(id);
+  return prod;
+}
+
 EncryptResult encrypt_with_msk(const MasterSecretKey& msk, const PublicKey& pk,
                                std::span<const Identity> receivers,
-                               const Fr& k) {
+                               const Fr& k, Fr* exponent) {
   check_receivers(pk, receivers);
   // O(|S|): the product lives in Zr thanks to gamma.
-  Fr prod = Fr::one();
-  for (const Identity& id : receivers) {
-    prod *= msk.gamma + hash_identity(id);
-  }
-  G2 c3 = pk.h().mul(prod);
-  return assemble_from_c3(pk, c3, k);
+  const Fr s = partition_exponent(msk, receivers);
+  if (exponent) *exponent = s;
+  return assemble_from_c3(pk, pk.h().mul(s), k);
 }
 
 EncryptResult encrypt_with_msk(const MasterSecretKey& msk, const PublicKey& pk,
@@ -280,11 +293,7 @@ EncryptResult remove_users_with_msk(const MasterSecretKey& msk,
                                     const BroadcastCiphertext& ct,
                                     std::span<const Identity> removed,
                                     const Fr& k) {
-  Fr product = Fr::one();
-  for (const Identity& id : removed) {
-    product *= msk.gamma + hash_identity(id);
-  }
-  G2 c3 = ct.c3.mul(product.inverse());
+  G2 c3 = ct.c3.mul(partition_exponent(msk, removed).inverse());
   return assemble_from_c3(pk, c3, k);
 }
 
@@ -304,6 +313,18 @@ EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
 EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
                     crypto::Drbg& rng) {
   return assemble_from_c3(pk, ct.c3, rng);
+}
+
+EncryptResult rekey_with_exponent(const PublicKey& pk, const G2& c3,
+                                  const Fr& s, const Fr& k) {
+  EncryptResult out = assemble_without_c2(pk, c3, k);
+  out.ct.c2 = pk.h_comb().mul((k * s).to_u256());
+  return out;
+}
+
+EncryptResult encrypt_with_exponent(const PublicKey& pk, const Fr& s,
+                                    const Fr& k) {
+  return rekey_with_exponent(pk, pk.h_comb().mul(s.to_u256()), s, k);
 }
 
 std::optional<Gt> decrypt(const PublicKey& pk, const UserSecretKey& usk,

@@ -10,6 +10,8 @@
 //     C1 = w^(-k)
 //     C2 = h^(k * prod_{u in S}(gamma + H(u)))
 //     C3 = h^(prod_{u in S}(gamma + H(u)))          (paper's Formula 5 cache)
+//   The product s = prod_{u in S}(gamma + H(u)) is the partition's secret
+//   exponent: C3 = h^s, C2 = h^(k s). Only the MSK holder can compute it.
 //
 // Complexities (Table I of the paper):
 //   encrypt_with_msk      O(|S|)   — gamma collapses the product to Zr mults
@@ -17,7 +19,12 @@
 //   add_user_with_msk     O(1)     — C{2,3} <- C{2,3}^(gamma+H(u))
 //   remove_users_with_msk O(k)     — C3 <- C3^(1/prod(gamma+H(u))), then
 //                                    re-key; k = 1 is the paper's O(1) removal
-//   rekey                 O(1)     — fresh k applied to the cached C3 (PK only)
+//   rekey                 O(1)     — fresh k applied to the cached C3 (PK only):
+//                                    C2 = C3^k, a variable-base G2 mul
+//   rekey_with_exponent   O(1)     — the same re-key for a caller holding s:
+//                                    C2 = h^(k s) on the h comb, a fixed-base
+//                                    mul about half the variable-base cost
+//   encrypt_with_exponent O(1)     — C3 = h^s and C2 = h^(k s) on the h comb
 //   decrypt               O(|S|^2) — polynomial expansion, then 2 pairings
 #pragma once
 
@@ -102,6 +109,13 @@ struct PublicKey {
   /// first, so the workers share one copy instead of racing to build several.
   [[nodiscard]] const FixedBaseTables& fixed_base_tables() const;
 
+  /// Fixed-base comb for h, the third base: the explicit-exponent paths
+  /// compute C3 = h^s and C2 = h^(k s) through it. Kept apart from
+  /// fixed_base_tables() because only a caller holding exponents repays its
+  /// build (~5 ms at one thread, ~612 KiB): the enclave builds it on its
+  /// first revocation, not at group creation. Same double-checked init.
+  [[nodiscard]] const ec::G2Comb4& h_comb() const;
+
   [[nodiscard]] util::Bytes to_bytes() const;
   static PublicKey from_bytes(std::span<const std::uint8_t> data);
 
@@ -110,6 +124,7 @@ struct PublicKey {
   mutable std::shared_ptr<const pairing::G2Prepared> prep_h_gamma_;
   mutable std::shared_ptr<const ec::G2PowersMsm> prep_msm_;
   mutable std::shared_ptr<const FixedBaseTables> fixed_;
+  mutable std::shared_ptr<const ec::G2Comb4> h_comb_;
 };
 
 struct UserSecretKey {
@@ -157,10 +172,17 @@ EncryptResult encrypt_with_msk(const MasterSecretKey& msk, const PublicKey& pk,
 /// Deterministic variant taking the randomizer explicitly (k must be a
 /// random_nonzero_fr draw). Lets a parallel caller pre-draw every k on its
 /// own thread and fan the O(|S|) arithmetic out; identical output to the
-/// rng overload given the same k.
+/// rng overload given the same k. A non-null `exponent` receives the
+/// partition exponent s (C3 = h^s) computed on the way.
 EncryptResult encrypt_with_msk(const MasterSecretKey& msk, const PublicKey& pk,
                                std::span<const Identity> receivers,
-                               const field::Fr& k);
+                               const field::Fr& k,
+                               field::Fr* exponent = nullptr);
+
+/// prod_{u in ids}(gamma + H(u)): a receiver set's exponent s, or the factor
+/// a removal divides out of it. O(|ids|) hashes and Zr multiplications.
+field::Fr partition_exponent(const MasterSecretKey& msk,
+                             std::span<const Identity> ids);
 
 /// Traditional IBBE encrypt: PK only, O(|S|^2) (quadratic polynomial
 /// expansion, Formula 4 of the paper). Same output distribution as
@@ -200,6 +222,24 @@ EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
 /// Explicit-randomizer variant of rekey.
 EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
                     const field::Fr& k);
+
+// Explicit-exponent paths, for a caller that knows a partition's exponent s
+// (C3 = h^s; the enclave keeps the s it computed). C3 = h^s and
+// C2 = h^(k s) go through pk.h_comb() instead of variable-base
+// multiplications of C3; bk and C1 through the fixed-base tables as above.
+// Given the same s and k the bytes equal the MSK/PK paths' (h has prime
+// order, so C3 fixes s).
+
+/// A fresh ciphertext for exponent s: C3 = h^s, C2 = h^(k s). Equals
+/// encrypt_with_msk for a set with exponent s, and remove_users_with_msk for
+/// the exponent left after the removal, s / partition_exponent(removed).
+EncryptResult encrypt_with_exponent(const PublicKey& pk, const field::Fr& s,
+                                    const field::Fr& k);
+
+/// Re-key of c3 = h^s: C2 = h^(k s), C3 kept. Equals rekey(pk, ct, k) for a
+/// ciphertext with that C3. The caller vouches for c3 = h^s.
+EncryptResult rekey_with_exponent(const PublicKey& pk, const ec::G2& c3,
+                                  const field::Fr& s, const field::Fr& k);
 
 /// User-side decrypt: PreparedPartition::prepare (O(|S|^2)) followed by
 /// decrypt(const PreparedPartition&, ct) — a 2-pair multi-pairing (shared

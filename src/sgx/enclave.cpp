@@ -65,17 +65,24 @@ Quote Quote::from_bytes(std::span<const std::uint8_t> data) {
 
 namespace {
 
-crypto::Drbg& platform_entropy() {
+/// `bytes` from the process-wide OS-seeded pool; callable from concurrent
+/// ECALLs.
+util::Bytes platform_entropy(std::size_t bytes) {
+  static std::mutex mutex;
   static crypto::Drbg rng;  // OS-seeded
-  return rng;
+  std::lock_guard lock(mutex);
+  return rng.bytes(bytes);
 }
 
 }  // namespace
 
 EnclavePlatform::EnclavePlatform(std::string platform_id)
     : platform_id_(std::move(platform_id)),
-      fuse_key_(platform_entropy().bytes(32)),
-      qe_key_(pki::EcdsaKeyPair::generate(platform_entropy())) {}
+      fuse_key_(platform_entropy(32)),
+      qe_key_([] {
+        crypto::Drbg rng(platform_entropy(32));
+        return pki::EcdsaKeyPair::generate(rng);
+      }()) {}
 
 Quote EnclavePlatform::quote(const Measurement& measurement,
                              util::Bytes report_data) const {
@@ -140,7 +147,7 @@ SealedBlob EnclaveBase::seal(std::span<const std::uint8_t> plaintext) const {
   blob.measurement = measurement_;
   // Random nonce from the platform pool; the measurement doubles as AAD so a
   // blob cannot be replayed under a different claimed identity.
-  blob.nonce = platform_entropy().bytes(crypto::Aes256Gcm::nonce_size);
+  blob.nonce = platform_entropy(crypto::Aes256Gcm::nonce_size);
   blob.ciphertext = gcm.seal(blob.nonce, plaintext, measurement_);
   return blob;
 }
@@ -153,7 +160,18 @@ std::optional<util::Bytes> EnclaveBase::unseal(const SealedBlob& blob) const {
   return gcm.open(blob.nonce, blob.ciphertext, measurement_);
 }
 
+std::size_t EnclaveBase::epc_bytes_used() const {
+  std::lock_guard lock(epc_mutex_);
+  return epc_used_;
+}
+
+std::size_t EnclaveBase::epc_bytes_peak() const {
+  std::lock_guard lock(epc_mutex_);
+  return epc_peak_;
+}
+
 void EnclaveBase::epc_alloc(std::size_t bytes) {
+  std::lock_guard lock(epc_mutex_);
   epc_used_ += bytes;
   if (epc_used_ > epc_peak_) epc_peak_ = epc_used_;
   if (epc_used_ > epc_limit) {
@@ -164,6 +182,7 @@ void EnclaveBase::epc_alloc(std::size_t bytes) {
 }
 
 void EnclaveBase::epc_free(std::size_t bytes) {
+  std::lock_guard lock(epc_mutex_);
   epc_used_ = bytes > epc_used_ ? 0 : epc_used_ - bytes;
 }
 

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -132,8 +133,8 @@ class EnclaveBase {
 
   // ---- instrumentation (readable from untrusted code) ----
   [[nodiscard]] std::uint64_t ecall_count() const { return ecall_count_; }
-  [[nodiscard]] std::size_t epc_bytes_used() const { return epc_used_; }
-  [[nodiscard]] std::size_t epc_bytes_peak() const { return epc_peak_; }
+  [[nodiscard]] std::size_t epc_bytes_used() const;
+  [[nodiscard]] std::size_t epc_bytes_peak() const;
   /// SGX v1 EPC size on the paper's hardware.
   static constexpr std::size_t epc_limit = 128u * 1024 * 1024;
 
@@ -162,7 +163,8 @@ class EnclaveBase {
   [[nodiscard]] EnclavePlatform& platform() { return platform_; }
   [[nodiscard]] const EnclavePlatform& platform() const { return platform_; }
 
-  /// EPC accounting hooks for derived enclaves' long-lived state.
+  /// EPC accounting hooks for derived enclaves' long-lived state. Safe to
+  /// call from concurrent ECALLs.
   void epc_alloc(std::size_t bytes);
   void epc_free(std::size_t bytes);
 
@@ -170,9 +172,10 @@ class EnclaveBase {
   EnclavePlatform& platform_;
   Measurement measurement_;
   crypto::Drbg rng_;
-  mutable std::uint64_t ecall_count_ = 0;
-  std::size_t epc_used_ = 0;
-  std::size_t epc_peak_ = 0;
+  mutable std::atomic<std::uint64_t> ecall_count_ = 0;
+  mutable std::mutex epc_mutex_;
+  std::size_t epc_used_ = 0;  // guarded by epc_mutex_
+  std::size_t epc_peak_ = 0;  // guarded by epc_mutex_
 };
 
 }  // namespace ibbe::sgx

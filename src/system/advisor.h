@@ -24,11 +24,11 @@ class PartitionAdvisor {
  public:
   struct CostModel {
     /// Seconds to re-key one partition inside the enclave (1 G1 + 1 G2 + 1 GT
-    /// exponentiation + AEAD wrap). bench_scalar_suite's `rekey_us` row
-    /// times the exponentiations: ~0.53 ms on one thread of a shared 4-vCPU
-    /// x86-64 host, with v and w on fixed-base tables (~1.1 ms before).
-    /// The default below predates that row and is left as it was.
-    double rekey_seconds = 3.5e-3;
+    /// fixed-base exponentiation + AEAD wrap): bench_scalar_suite's
+    /// `rekey_msk_us`, the re-key of a partition whose exponent the enclave
+    /// recorded, 172 µs in BENCH_baseline.json (one thread of a shared
+    /// 4-vCPU x86-64 host), plus ~5 µs for the SHA-256 and GCM wrap.
+    double rekey_seconds = 1.8e-4;
     /// Client decrypt seconds per partition member (G2 exponentiation
     /// dominated at practical sizes).
     double decrypt_seconds_per_member = 1.1e-3;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "crypto/gcm.h"
@@ -10,8 +11,10 @@
 
 namespace {
 
+using ibbe::core::BroadcastCiphertext;
 using ibbe::core::Identity;
 using ibbe::core::UserSecretKey;
+using ibbe::enclave::ExponentTable;
 using ibbe::enclave::IbbeEnclave;
 using ibbe::enclave::PartitionCiphertext;
 using ibbe::util::Bytes;
@@ -174,8 +177,228 @@ TEST_F(EnclaveFixture, EcallsAreCounted) {
 }
 
 TEST_F(EnclaveFixture, EpcAccountsForPkTable) {
-  EXPECT_GT(enclave.epc_bytes_used(), 8 * ibbe::ec::g2_serialized_size);
-  EXPECT_LE(enclave.epc_bytes_used(), ibbe::sgx::EnclaveBase::epc_limit);
+  const auto& pk = enclave.public_key();
+  const std::size_t at_load = enclave.epc_bytes_used();
+  EXPECT_GT(at_load, 8 * ibbe::ec::g2_serialized_size);
+
+  // Group creation adds the v/w tables and one exponent per partition; the
+  // first revocation adds the h comb and moves its host's entry.
+  auto group = enclave.ecall_create_group(
+      std::vector<std::vector<Identity>>{make_users(3, 0), make_users(3, 3)});
+  EXPECT_EQ(enclave.epc_bytes_used(), at_load + pk.fixed_base_tables().bytes() +
+                                          2 * ExponentTable::entry_bytes);
+  (void)enclave.ecall_remove_users(
+      std::vector<IbbeEnclave::BatchRemovalSpec>{{group.partitions[0].ct, {"user1"}}},
+      std::vector<BroadcastCiphertext>{group.partitions[1].ct});
+  EXPECT_EQ(enclave.exponent_table_entries(), 2u);
+  EXPECT_EQ(enclave.epc_bytes_used(),
+            at_load + pk.fixed_base_tables().bytes() + pk.h_comb().table_bytes() +
+                2 * ExponentTable::entry_bytes);
+  EXPECT_LE(enclave.epc_bytes_peak(), ibbe::sgx::EnclaveBase::epc_limit);
+}
+
+// ------------------------------------------------------ partition exponents
+
+std::vector<Bytes> partition_bytes(const std::vector<PartitionCiphertext>& pcs) {
+  std::vector<Bytes> out;
+  for (const auto& pc : pcs) out.push_back(pc.to_bytes());
+  return out;
+}
+
+TEST(EnclaveExponents, WarmAndColdEnclavesReturnTheSameBytes) {
+  // Two same-seed enclaves hold the same MSK. The warm one built the group
+  // and re-keys from its recorded exponents; the cold one, brought to the
+  // same DRBG position by a same-shape group over other ids, has never seen
+  // these C3s and takes the MSK/PK path.
+  ibbe::sgx::EnclavePlatform platform("warm-cold");
+  IbbeEnclave warm(platform, 8, /*rng_seed=*/41);
+  IbbeEnclave cold(platform, 8, /*rng_seed=*/41);
+  const std::vector<std::vector<Identity>> partitions = {
+      make_users(4, 0), make_users(4, 4), make_users(3, 8)};
+  auto group = warm.ecall_create_group(partitions);
+  (void)cold.ecall_create_group(std::vector<std::vector<Identity>>{
+      make_users(4, 100), make_users(4, 104), make_users(3, 108)});
+  ASSERT_EQ(warm.public_key().to_bytes(), cold.public_key().to_bytes());
+
+  using Hosts = std::vector<IbbeEnclave::BatchRemovalSpec>;
+  using Others = std::vector<BroadcastCiphertext>;
+  const Hosts hosts = {{group.partitions[0].ct, {"user1"}}};
+  const Others others = {group.partitions[1].ct, group.partitions[2].ct};
+  auto warm_removal = warm.ecall_remove_users(hosts, others);
+  auto cold_removal = cold.ecall_remove_users(hosts, others);
+  EXPECT_EQ(partition_bytes(warm_removal.partitions),
+            partition_bytes(cold_removal.partitions));
+  // Only the warm enclave re-keyed from exponents, so only it built the comb.
+  EXPECT_EQ(warm.epc_bytes_used() - cold.epc_bytes_used(),
+            warm.public_key().h_comb().table_bytes());
+
+  // A join on the re-keyed host: the warm enclave knows its new C3.
+  const BroadcastCiphertext& host_ct = warm_removal.partitions[0].ct;
+  auto warm_join = warm.ecall_add_user_to_partition(host_ct, "newcomer");
+  auto cold_join = cold.ecall_add_user_to_partition(host_ct, "newcomer");
+  EXPECT_EQ(warm_join.to_bytes(), cold_join.to_bytes());
+
+  // A second revocation on the joined partition reads the exponent the join
+  // recorded.
+  const Hosts hosts2 = {{warm_join, {"user0"}}};
+  const Others others2 = {warm_removal.partitions[1].ct,
+                          warm_removal.partitions[2].ct};
+  auto warm_second = warm.ecall_remove_users(hosts2, others2);
+  auto cold_second = cold.ecall_remove_users(hosts2, others2);
+  EXPECT_EQ(partition_bytes(warm_second.partitions),
+            partition_bytes(cold_second.partitions));
+  EXPECT_EQ(warm.exponent_table_entries(), 3u);  // superseded C3s went
+
+  const std::vector<Identity> left = {"user2", "user3", "newcomer"};
+  PartitionCiphertext pc = warm_second.partitions[0];
+  for (const auto& id : left) {
+    EXPECT_TRUE(unwrap_gk(warm.public_key(), warm.ecall_extract_user_key(id),
+                          left, pc)
+                    .has_value())
+        << id;
+  }
+}
+
+TEST_F(EnclaveFixture, HostBuiltC3IsRekeyedOnTheMissPath) {
+  // A known partition and one whose C3 the host computed from the PK alone
+  // (C1 and C2 are never read by a re-key) share one batch.
+  auto known = make_users(2, 50);
+  auto group = enclave.ecall_create_group({{known}});
+  auto members = make_users(3, 0);
+  BroadcastCiphertext host_built;
+  host_built.c3 = ibbe::core::compute_c3_public(enclave.public_key(), members);
+
+  auto result = enclave.ecall_remove_users(
+      {}, std::vector<BroadcastCiphertext>{host_built, group.partitions[0].ct});
+  auto gk_known = unwrap_gk(enclave.public_key(), usk(known[0]), known,
+                            result.partitions[1]);
+  ASSERT_TRUE(gk_known.has_value());
+  for (const auto& id : members) {
+    auto gk = unwrap_gk(enclave.public_key(), usk(id), members,
+                        result.partitions[0]);
+    ASSERT_TRUE(gk.has_value()) << id;
+    EXPECT_EQ(*gk, *gk_known) << id;
+  }
+
+  // As a removal host, too: the MSK path divides C3 itself.
+  auto removal = enclave.ecall_remove_users(
+      std::vector<IbbeEnclave::BatchRemovalSpec>{{host_built, {members[1]}}},
+      std::vector<BroadcastCiphertext>{result.partitions[1].ct});
+  const std::vector<Identity> left = {members[0], members[2]};
+  auto gk_left = unwrap_gk(enclave.public_key(), usk(left[0]), left,
+                           removal.partitions[0]);
+  auto gk_other = unwrap_gk(enclave.public_key(), usk(known[1]), known,
+                            removal.partitions[1]);
+  ASSERT_TRUE(gk_left.has_value());
+  ASSERT_TRUE(gk_other.has_value());
+  EXPECT_EQ(*gk_left, *gk_other);
+  EXPECT_FALSE(unwrap_gk(enclave.public_key(), usk(members[1]), left,
+                         removal.partitions[0])
+                   .has_value());
+  // Misses record nothing; only the enclave's own partition is known.
+  EXPECT_EQ(enclave.exponent_table_entries(), 1u);
+}
+
+ExponentTable::Key test_key(std::size_t i) {
+  ExponentTable::Key key{};
+  for (std::size_t b = 0; b < sizeof(i); ++b) {
+    key[b] = static_cast<std::uint8_t>(i >> (8 * b));
+  }
+  return key;
+}
+
+TEST(ExponentTable, TwoGenerationsBoundTheSizeAndKeepLiveEntries) {
+  ExponentTable table(/*generation=*/8);
+  const auto s = [](std::size_t i) { return ibbe::field::Fr::from_u64(i + 1); };
+  // Keys 0-2 stand for a group's live partitions, read on every revocation;
+  // every round also records two C3s nothing reads again (rebuilds). Live
+  // entries survive while the live set plus the inserts between two reads
+  // fit in a generation.
+  for (std::size_t i = 0; i < 3; ++i) table.insert(test_key(i), s(i));
+  for (std::size_t round = 0; round < 50; ++round) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      auto got = table.lookup(test_key(i));
+      ASSERT_TRUE(got.has_value()) << "round " << round << ", key " << i;
+      EXPECT_EQ(*got, s(i));
+    }
+    table.insert(test_key(1000 + 2 * round), s(0));
+    table.insert(test_key(1001 + 2 * round), s(0));
+    EXPECT_LE(table.size(), 2u * 8u);
+  }
+  EXPECT_FALSE(table.lookup(test_key(1000)).has_value());  // aged out
+  table.erase(test_key(1));
+  EXPECT_FALSE(table.lookup(test_key(1)).has_value());
+  EXPECT_EQ(table.bytes(), table.size() * ExponentTable::entry_bytes);
+}
+
+TEST_F(EnclaveFixture, ExponentTableStaysBoundedAcrossRebuildsAndRevocations) {
+  // Revocations and joins replace entries; only rebuilds add them, and those
+  // age out two generations on.
+  std::size_t expected = 0;
+  for (std::size_t round = 0; round < 6; ++round) {
+    auto group = enclave.ecall_create_group(std::vector<std::vector<Identity>>{
+        make_users(2, 10 * round), make_users(2, 10 * round + 2)});
+    expected += 2;
+    EXPECT_EQ(enclave.exponent_table_entries(), expected);
+    auto ct0 = group.partitions[0].ct;
+    auto ct1 = group.partitions[1].ct;
+    for (int rev = 0; rev < 3; ++rev) {
+      const Identity joiner = "joiner" + std::to_string(rev);
+      ct0 = enclave.ecall_add_user_to_partition(ct0, joiner);
+      EXPECT_EQ(enclave.exponent_table_entries(), expected);
+      auto removal = enclave.ecall_remove_users(
+          std::vector<IbbeEnclave::BatchRemovalSpec>{{ct0, {joiner}}},
+          std::vector<BroadcastCiphertext>{ct1});
+      ct0 = removal.partitions[0].ct;
+      ct1 = removal.partitions[1].ct;
+      EXPECT_EQ(enclave.exponent_table_entries(), expected);
+    }
+  }
+  EXPECT_LE(enclave.exponent_table_entries(),
+            2 * ExponentTable::default_generation);
+}
+
+TEST_F(EnclaveFixture, ConcurrentEcallsOnOneEnclave) {
+  // Two admins drive one enclave from two threads; the pool is shared too.
+  struct Outcome {
+    std::vector<Identity> left;
+    std::vector<PartitionCiphertext> partitions;
+  };
+  std::array<Outcome, 2> outcomes;
+  auto admin = [&](std::size_t t) {
+    auto a = make_users(3, 100 * t);
+    auto b = make_users(3, 100 * t + 3);
+    auto group =
+        enclave.ecall_create_group(std::vector<std::vector<Identity>>{a, b});
+    auto extra = enclave.ecall_create_partition(make_users(2, 100 * t + 6),
+                                                group.sealed_gk);
+    auto removal = enclave.ecall_remove_users(
+        std::vector<IbbeEnclave::BatchRemovalSpec>{{group.partitions[0].ct, {a[0]}}},
+        std::vector<BroadcastCiphertext>{group.partitions[1].ct, extra.ct});
+    auto joined = enclave.ecall_add_user_to_partition(removal.partitions[1].ct,
+                                                      "joiner" + std::to_string(t));
+    auto second = enclave.ecall_remove_users(
+        std::vector<IbbeEnclave::BatchRemovalSpec>{{joined, {b[0]}}},
+        std::vector<BroadcastCiphertext>{removal.partitions[0].ct,
+                                         removal.partitions[2].ct});
+    std::vector<Identity> left = {b[1], b[2], "joiner" + std::to_string(t)};
+    outcomes[t] = {left, second.partitions};
+  };
+  std::thread first(admin, 0);
+  std::thread other(admin, 1);
+  first.join();
+  other.join();
+
+  for (std::size_t t = 0; t < 2; ++t) {
+    const auto& out = outcomes[t];
+    for (const auto& id : out.left) {
+      EXPECT_TRUE(unwrap_gk(enclave.public_key(), usk(id), out.left,
+                            out.partitions[0])
+                      .has_value())
+          << "thread " << t << ", " << id;
+    }
+  }
+  EXPECT_EQ(enclave.exponent_table_entries(), 6u);
 }
 
 // ------------------------------------------------- provisioning (Fig. 3)

@@ -346,6 +346,48 @@ TEST_F(IbbeFixture, PreparedPartitionRejectsNonMembersAndOversizedSets) {
           .has_value());
 }
 
+// ----------------------------------------------------- explicit exponents
+
+void expect_same_bytes(const ibbe::core::EncryptResult& got,
+                       const ibbe::core::EncryptResult& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.bk.to_bytes(), want.bk.to_bytes()) << what;
+  EXPECT_EQ(got.ct.to_bytes(), want.ct.to_bytes()) << what;
+}
+
+TEST(IbbeExponent, ExponentPathsEqualTheMskAndPkPathsBytewise) {
+  using ibbe::core::partition_exponent;
+  Drbg rng(23);
+  const SystemKeys keys = ibbe::core::setup(33, rng);
+  for (std::size_t n : {1u, 16u, 33u}) {
+    const auto users = make_users(n, "exp" + std::to_string(n) + "-");
+    const std::string tag = "|S| = " + std::to_string(n);
+    const auto k = ibbe::core::random_nonzero_fr(rng);
+    ibbe::field::Fr s;
+    const auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, k, &s);
+    EXPECT_EQ(s, partition_exponent(keys.msk, users)) << tag;
+    EXPECT_EQ(ibbe::ec::g2_to_bytes(ibbe::core::compute_c3_public(keys.pk, users)),
+              ibbe::ec::g2_to_bytes(enc.ct.c3))
+        << tag;
+    expect_same_bytes(ibbe::core::encrypt_with_exponent(keys.pk, s, k), enc,
+                      "encrypt, " + tag);
+
+    // rekey is assemble_from_c3 over the cached C3.
+    const auto k2 = ibbe::core::random_nonzero_fr(rng);
+    expect_same_bytes(
+        ibbe::core::rekey_with_exponent(keys.pk, enc.ct.c3, s, k2),
+        ibbe::core::rekey(keys.pk, enc.ct, k2), "rekey, " + tag);
+
+    // A removal is a fresh ciphertext for the exponent left behind.
+    const std::span<const Identity> removed(users.data(), (n + 1) / 2);
+    const auto s_left = s * partition_exponent(keys.msk, removed).inverse();
+    expect_same_bytes(
+        ibbe::core::encrypt_with_exponent(keys.pk, s_left, k2),
+        ibbe::core::remove_users_with_msk(keys.msk, keys.pk, enc.ct, removed, k2),
+        "removal, " + tag);
+  }
+}
+
 // ------------------------------------------------------------- golden pin
 
 TEST(IbbeGolden, PairingOutputsArePinned) {

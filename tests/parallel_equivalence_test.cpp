@@ -115,9 +115,10 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfPublicKeyTables) {
   }
   const auto pk_bytes = keys.pk.to_bytes();
 
-  std::vector<field::Fr> ks;
+  std::vector<field::Fr> ks, exponents;
   for (std::size_t p = 0; p < shapes.size(); ++p) {
     ks.push_back(core::random_nonzero_fr(rng));
+    exponents.push_back(core::partition_exponent(keys.msk, receivers[p]));
   }
   // bk, C1, C2 and C3 of one encrypt result, as bytes.
   auto encoded = [](const core::EncryptResult& r) {
@@ -142,10 +143,17 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfPublicKeyTables) {
   ThreadPool::set_global_threads(7);
   const auto shared_pk = core::PublicKey::from_bytes(pk_bytes);
   const std::size_t n = shapes.size();
-  std::vector<util::Bytes> prepared(n), one_shot(n), rekeyed(n), encrypted(n);
+  std::vector<util::Bytes> prepared(n), one_shot(n), rekeyed(n), encrypted(n),
+      exp_rekeyed(n);
   std::vector<char> verified(n, 0);
+  auto rekey_with_exponent = [&](std::size_t p) {
+    return encoded(core::rekey_with_exponent(shared_pk, cts[p].c3,
+                                             exponents[p], ks[p]));
+  };
   ThreadPool::global().parallel_for(0, n, 1, [&](std::size_t p) {
-    // Odd workers hit the fixed-base tables first, even ones the MSM.
+    // Odd workers hit the h comb and the fixed-base tables first, even ones
+    // the MSM.
+    if (p % 2) exp_rekeyed[p] = rekey_with_exponent(p);
     if (p % 2) rekeyed[p] = encoded(core::rekey(shared_pk, cts[p], ks[p]));
     auto part = core::PreparedPartition::prepare(shared_pk, usk, receivers[p]);
     if (part) prepared[p] = core::decrypt(*part, cts[p]).to_bytes();
@@ -155,12 +163,14 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfPublicKeyTables) {
     if (p % 2 == 0) rekeyed[p] = encoded(core::rekey(shared_pk, cts[p], ks[p]));
     encrypted[p] = encoded(
         core::encrypt_with_msk(keys.msk, shared_pk, receivers[p], ks[p]));
+    if (p % 2 == 0) exp_rekeyed[p] = rekey_with_exponent(p);
   });
   for (std::size_t p = 0; p < n; ++p) {
     EXPECT_EQ(prepared[p], serial[p]) << p;
     EXPECT_EQ(one_shot[p], serial[p]) << p;
     EXPECT_TRUE(verified[p]) << p;
     EXPECT_EQ(rekeyed[p], serial_rekey[p]) << p;
+    EXPECT_EQ(exp_rekeyed[p], serial_rekey[p]) << p;
     EXPECT_EQ(encrypted[p], serial_encrypt[p]) << p;
   }
 }
