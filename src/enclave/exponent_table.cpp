@@ -25,7 +25,7 @@ std::optional<field::Fr> ExponentTable::lookup(const Key& key) {
 void ExponentTable::insert(const Key& key, const field::Fr& s) {
   previous_.erase(key);
   current_.insert_or_assign(key, s);
-  if (current_.size() >= generation_) {
+  if (current_.size() >= generation) {
     previous_ = std::move(current_);
     current_.clear();
   }

@@ -32,16 +32,13 @@ class ExponentTable {
  public:
   using Key = std::array<std::uint8_t, ec::g2_serialized_size>;
 
-  /// Entries per generation in IbbeEnclave: 4096 partitions (4·10⁶
-  /// members at |p| = 1000) stay warm; the table stays under ~1.1 MB.
-  static constexpr std::size_t default_generation = 4096;
+  /// Entries per generation: 4096 partitions (4·10⁶ members at
+  /// |p| = 1000) stay warm; the table stays under ~1.1 MB.
+  static constexpr std::size_t generation = 4096;
   /// EPC bill per entry: the key, s, and a red-black tree node's pointers
   /// and colour.
   static constexpr std::size_t entry_bytes =
       sizeof(Key) + sizeof(field::Fr) + 4 * sizeof(void*);
-
-  explicit ExponentTable(std::size_t generation = default_generation)
-      : generation_(generation) {}
 
   /// The encodings of `c3s`, normalized with one batch inversion.
   static std::vector<Key> keys_of(std::span<const ec::G2> c3s);
@@ -58,7 +55,6 @@ class ExponentTable {
   [[nodiscard]] std::size_t bytes() const { return size() * entry_bytes; }
 
  private:
-  std::size_t generation_;
   std::map<Key, field::Fr> current_;
   std::map<Key, field::Fr> previous_;
 };

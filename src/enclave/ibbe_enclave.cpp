@@ -135,11 +135,6 @@ void IbbeEnclave::with_exponents(Fn&& fn) {
   }
 }
 
-std::size_t IbbeEnclave::exponent_table_entries() const {
-  std::lock_guard lock(exponents_mutex_);
-  return exponents_.size();
-}
-
 util::Bytes IbbeEnclave::identity_public_key() const {
   return identity_key_.public_key_bytes();
 }
@@ -221,13 +216,14 @@ BroadcastCiphertext IbbeEnclave::ecall_add_user_to_partition(
     const BroadcastCiphertext& ct, const Identity& added) {
   EcallScope scope(*this);
   BroadcastCiphertext updated = ct;
-  core::add_user_with_msk(keys_.msk, updated, added);
+  const Fr factor = core::add_user_with_msk(keys_.msk, updated, added);
+  // Both C3s share one inversion, so encoding the new one costs a miss
+  // little; a known entry moves to the new C3.
   const auto keys = ExponentTable::keys_of(std::array{ct.c3, updated.c3});
   with_exponents([&](ExponentTable& table) {
     if (auto s = table.lookup(keys[0])) {
       table.erase(keys[0]);
-      table.insert(keys[1], *s * core::partition_exponent(
-                                     keys_.msk, std::span(&added, 1)));
+      table.insert(keys[1], *s * factor);
     }
   });
   return updated;

@@ -98,11 +98,6 @@ class IbbeEnclave : public sgx::EnclaveBase {
   /// SHA-256 of the public key), for the Fig. 3 attestation flow.
   [[nodiscard]] sgx::Quote attestation_quote() const;
 
-  /// Partition exponents the enclave currently remembers (instrumentation:
-  /// the count is already visible through the EPC meter; the exponents
-  /// never leave).
-  [[nodiscard]] std::size_t exponent_table_entries() const;
-
   // ---- ECALLs ------------------------------------------------------------
 
   struct GroupCreation {
@@ -226,7 +221,7 @@ class IbbeEnclave : public sgx::EnclaveBase {
   std::once_flag tables_billed_;
   std::once_flag h_comb_billed_;
   std::mutex draw_mutex_;  // one ECALL's DRBG draws at a time
-  mutable std::mutex exponents_mutex_;
+  std::mutex exponents_mutex_;
   ExponentTable exponents_;  // guarded by exponents_mutex_
 };
 

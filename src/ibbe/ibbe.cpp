@@ -281,11 +281,12 @@ EncryptResult encrypt_public(const PublicKey& pk,
   return assemble_from_c3(pk, c3, rng);
 }
 
-void add_user_with_msk(const MasterSecretKey& msk, BroadcastCiphertext& ct,
-                       const Identity& added) {
-  Fr factor = msk.gamma + hash_identity(added);
+Fr add_user_with_msk(const MasterSecretKey& msk, BroadcastCiphertext& ct,
+                     const Identity& added) {
+  const Fr factor = msk.gamma + hash_identity(added);
   ct.c2 = ct.c2.mul(factor);
   ct.c3 = ct.c3.mul(factor);
+  return factor;
 }
 
 EncryptResult remove_users_with_msk(const MasterSecretKey& msk,

@@ -191,11 +191,12 @@ EncryptResult encrypt_public(const PublicKey& pk,
                              std::span<const Identity> receivers,
                              crypto::Drbg& rng);
 
-/// O(1) membership addition (MSK path): folds (gamma + H(id)) into C2 and C3.
-/// bk is unchanged — the joiner may read prior ciphertexts by design (the
-/// paper re-keys only on revocation).
-void add_user_with_msk(const MasterSecretKey& msk, BroadcastCiphertext& ct,
-                       const Identity& added);
+/// O(1) membership addition (MSK path): folds (gamma + H(id)) into C2 and C3
+/// and returns that factor, the partition exponent's new term. bk is
+/// unchanged — the joiner may read prior ciphertexts by design (the paper
+/// re-keys only on revocation).
+field::Fr add_user_with_msk(const MasterSecretKey& msk,
+                            BroadcastCiphertext& ct, const Identity& added);
 
 /// Membership removal (MSK path): divides the product prod(gamma + H(id))
 /// over `removed` out of C3 and re-keys; returns the fresh bk. With one

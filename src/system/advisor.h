@@ -23,11 +23,13 @@ namespace ibbe::system {
 class PartitionAdvisor {
  public:
   struct CostModel {
-    /// Seconds to re-key one partition inside the enclave (1 G1 + 1 G2 + 1 GT
-    /// fixed-base exponentiation + AEAD wrap): bench_scalar_suite's
-    /// `rekey_msk_us`, the re-key of a partition whose exponent the enclave
-    /// recorded, 172 µs in BENCH_baseline.json (one thread of a shared
-    /// 4-vCPU x86-64 host), plus ~5 µs for the SHA-256 and GCM wrap.
+    /// Seconds to re-key one partition inside a warm enclave, one that
+    /// recorded the partition's exponent (1 G1 + 1 G2 + 1 GT fixed-base
+    /// exponentiation + AEAD wrap): bench_scalar_suite's `rekey_msk_us`,
+    /// 172 µs in BENCH_baseline.json (one thread of a shared 4-vCPU x86-64
+    /// host), plus ~5 µs for the SHA-256 and GCM wrap. An enclave that never
+    /// saw the partition's C3 (after a restart) pays `rekey_us`, 273 µs in
+    /// the same file.
     double rekey_seconds = 1.8e-4;
     /// Client decrypt seconds per partition member (G2 exponentiation
     /// dominated at practical sizes).

@@ -39,15 +39,32 @@ std::optional<Bytes> unwrap_gk(const ibbe::core::PublicKey& pk,
   return gcm.open(pc.nonce, pc.wrapped_gk);
 }
 
+/// Exponent-table entries, read off the EPC meter: the enclave's bill past
+/// `at_load` (read right after construction), less its v/w tables and, once
+/// a revocation has built it, its h comb.
+std::size_t exponent_entries(const IbbeEnclave& enclave, std::size_t at_load,
+                             bool comb_built) {
+  const auto& pk = enclave.public_key();
+  std::size_t tables = pk.fixed_base_tables().bytes();
+  if (comb_built) tables += pk.h_comb().table_bytes();
+  const std::size_t entries = enclave.epc_bytes_used() - at_load - tables;
+  EXPECT_EQ(entries % ExponentTable::entry_bytes, 0u);
+  return entries / ExponentTable::entry_bytes;
+}
+
 struct EnclaveFixture : ::testing::Test {
   EnclaveFixture() : platform("admin-server"), enclave(platform, 8) {}
 
   UserSecretKey usk(const Identity& id) {
     return enclave.ecall_extract_user_key(id);
   }
+  std::size_t exponent_entries(bool comb_built) const {
+    return ::exponent_entries(enclave, at_load, comb_built);
+  }
 
   ibbe::sgx::EnclavePlatform platform;
   IbbeEnclave enclave;
+  const std::size_t at_load = enclave.epc_bytes_used();
 };
 
 TEST_F(EnclaveFixture, CreateGroupAllMembersRecoverSameGk) {
@@ -178,7 +195,6 @@ TEST_F(EnclaveFixture, EcallsAreCounted) {
 
 TEST_F(EnclaveFixture, EpcAccountsForPkTable) {
   const auto& pk = enclave.public_key();
-  const std::size_t at_load = enclave.epc_bytes_used();
   EXPECT_GT(at_load, 8 * ibbe::ec::g2_serialized_size);
 
   // Group creation adds the v/w tables and one exponent per partition; the
@@ -190,7 +206,6 @@ TEST_F(EnclaveFixture, EpcAccountsForPkTable) {
   (void)enclave.ecall_remove_users(
       std::vector<IbbeEnclave::BatchRemovalSpec>{{group.partitions[0].ct, {"user1"}}},
       std::vector<BroadcastCiphertext>{group.partitions[1].ct});
-  EXPECT_EQ(enclave.exponent_table_entries(), 2u);
   EXPECT_EQ(enclave.epc_bytes_used(),
             at_load + pk.fixed_base_tables().bytes() + pk.h_comb().table_bytes() +
                 2 * ExponentTable::entry_bytes);
@@ -213,6 +228,7 @@ TEST(EnclaveExponents, WarmAndColdEnclavesReturnTheSameBytes) {
   ibbe::sgx::EnclavePlatform platform("warm-cold");
   IbbeEnclave warm(platform, 8, /*rng_seed=*/41);
   IbbeEnclave cold(platform, 8, /*rng_seed=*/41);
+  const std::size_t warm_at_load = warm.epc_bytes_used();
   const std::vector<std::vector<Identity>> partitions = {
       make_users(4, 0), make_users(4, 4), make_users(3, 8)};
   auto group = warm.ecall_create_group(partitions);
@@ -247,7 +263,8 @@ TEST(EnclaveExponents, WarmAndColdEnclavesReturnTheSameBytes) {
   auto cold_second = cold.ecall_remove_users(hosts2, others2);
   EXPECT_EQ(partition_bytes(warm_second.partitions),
             partition_bytes(cold_second.partitions));
-  EXPECT_EQ(warm.exponent_table_entries(), 3u);  // superseded C3s went
+  // Superseded C3s went.
+  EXPECT_EQ(exponent_entries(warm, warm_at_load, /*comb_built=*/true), 3u);
 
   const std::vector<Identity> left = {"user2", "user3", "newcomer"};
   PartitionCiphertext pc = warm_second.partitions[0];
@@ -296,7 +313,7 @@ TEST_F(EnclaveFixture, HostBuiltC3IsRekeyedOnTheMissPath) {
                          removal.partitions[0])
                    .has_value());
   // Misses record nothing; only the enclave's own partition is known.
-  EXPECT_EQ(enclave.exponent_table_entries(), 1u);
+  EXPECT_EQ(exponent_entries(/*comb_built=*/true), 1u);
 }
 
 ExponentTable::Key test_key(std::size_t i) {
@@ -308,23 +325,27 @@ ExponentTable::Key test_key(std::size_t i) {
 }
 
 TEST(ExponentTable, TwoGenerationsBoundTheSizeAndKeepLiveEntries) {
-  ExponentTable table(/*generation=*/8);
+  ExponentTable table;
   const auto s = [](std::size_t i) { return ibbe::field::Fr::from_u64(i + 1); };
   // Keys 0-2 stand for a group's live partitions, read on every revocation;
-  // every round also records two C3s nothing reads again (rebuilds). Live
-  // entries survive while the live set plus the inserts between two reads
-  // fit in a generation.
+  // every round also records 100 C3s nothing reads again (rebuilds), so 100
+  // rounds fill the table's two generations about twice over. Live entries
+  // survive while the live set plus the inserts between two reads fit in a
+  // generation.
+  constexpr std::size_t stale_per_round = 100;
   for (std::size_t i = 0; i < 3; ++i) table.insert(test_key(i), s(i));
-  for (std::size_t round = 0; round < 50; ++round) {
+  for (std::size_t round = 0; round < 100; ++round) {
     for (std::size_t i = 0; i < 3; ++i) {
       auto got = table.lookup(test_key(i));
       ASSERT_TRUE(got.has_value()) << "round " << round << ", key " << i;
       EXPECT_EQ(*got, s(i));
     }
-    table.insert(test_key(1000 + 2 * round), s(0));
-    table.insert(test_key(1001 + 2 * round), s(0));
-    EXPECT_LE(table.size(), 2u * 8u);
+    for (std::size_t j = 0; j < stale_per_round; ++j) {
+      table.insert(test_key(1000 + stale_per_round * round + j), s(0));
+    }
+    ASSERT_LE(table.size(), 2 * ExponentTable::generation);
   }
+  EXPECT_GT(table.size(), ExponentTable::generation);
   EXPECT_FALSE(table.lookup(test_key(1000)).has_value());  // aged out
   table.erase(test_key(1));
   EXPECT_FALSE(table.lookup(test_key(1)).has_value());
@@ -339,23 +360,22 @@ TEST_F(EnclaveFixture, ExponentTableStaysBoundedAcrossRebuildsAndRevocations) {
     auto group = enclave.ecall_create_group(std::vector<std::vector<Identity>>{
         make_users(2, 10 * round), make_users(2, 10 * round + 2)});
     expected += 2;
-    EXPECT_EQ(enclave.exponent_table_entries(), expected);
+    // The first revocation builds the h comb.
+    EXPECT_EQ(exponent_entries(/*comb_built=*/round > 0), expected);
     auto ct0 = group.partitions[0].ct;
     auto ct1 = group.partitions[1].ct;
     for (int rev = 0; rev < 3; ++rev) {
       const Identity joiner = "joiner" + std::to_string(rev);
       ct0 = enclave.ecall_add_user_to_partition(ct0, joiner);
-      EXPECT_EQ(enclave.exponent_table_entries(), expected);
+      EXPECT_EQ(exponent_entries(/*comb_built=*/round > 0 || rev > 0), expected);
       auto removal = enclave.ecall_remove_users(
           std::vector<IbbeEnclave::BatchRemovalSpec>{{ct0, {joiner}}},
           std::vector<BroadcastCiphertext>{ct1});
       ct0 = removal.partitions[0].ct;
       ct1 = removal.partitions[1].ct;
-      EXPECT_EQ(enclave.exponent_table_entries(), expected);
+      EXPECT_EQ(exponent_entries(/*comb_built=*/true), expected);
     }
   }
-  EXPECT_LE(enclave.exponent_table_entries(),
-            2 * ExponentTable::default_generation);
 }
 
 TEST_F(EnclaveFixture, ConcurrentEcallsOnOneEnclave) {
@@ -398,7 +418,7 @@ TEST_F(EnclaveFixture, ConcurrentEcallsOnOneEnclave) {
           << "thread " << t << ", " << id;
     }
   }
-  EXPECT_EQ(enclave.exponent_table_entries(), 6u);
+  EXPECT_EQ(exponent_entries(/*comb_built=*/true), 6u);
 }
 
 // ------------------------------------------------- provisioning (Fig. 3)
