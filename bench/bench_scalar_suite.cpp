@@ -1,8 +1,8 @@
 // Crypto perf trajectory: the one always-built suite (no third-party
 // dependency) that times the primitives the scheme is built from — field
 // and tower multiplication, Fr inversion, pairing and 2-pair multi-pairing,
-// G1/G2 muls (naive ladder vs GLV / the 4-dim psi split, and the generator
-// combs), G2 decoding with and without the subgroup check, GT
+// G1/G2 muls (naive ladder vs GLV / the 4-dim psi split, and the G1, G2 and
+// P-256 generator combs), G2 decoding with and without the subgroup check, GT
 // exponentiation (naive ladder vs cyclotomic engine, and the final
 // exponentiation's u-power, and the fixed-base comb for v with its build), 64-term G1/G2 MSMs, hash-to-G1, SHA-256, AES-GCM, ECIES, IBBE
 // encrypt/decrypt at |S| = 16 and 256, the enclave's per-partition re-key
@@ -30,6 +30,7 @@
 #include "crypto/gcm.h"
 #include "crypto/sha256.h"
 #include "ec/curves.h"
+#include "ec/endo.h"
 #include "ec/glv.h"
 #include "ec/msm.h"
 #include "field/fp12.h"
@@ -99,6 +100,8 @@ int main(int argc, char** argv) {
   const G2 p2 = G2::generator().mul(random_fr());
   const Fr k = random_fr();
   const auto ku = k.to_u256();
+  // The ECDSA nonce shape: k * G on P-256 (k reused, so no extra draw).
+  const auto p256_k = ibbe::field::P256Fr::from_u256_reduce(ku);
 
   std::vector<G2> msm_bases;
   std::vector<G1> msm_bases_g1;
@@ -123,7 +126,7 @@ int main(int argc, char** argv) {
   const auto gt_elem =
       ibbe::pairing::pairing(G1::generator().mul(random_fr()), p2);
   const Fr gt_k = random_fr();
-  const ibbe::pairing::GtComb4 gt_comb(gt_elem.value());
+  const ibbe::ec::Comb<ibbe::pairing::GtOps> gt_comb(gt_elem.value());
 
   // |S| = 256: the size where decrypt's O(|S|^2) expansion shows.
   auto keys_256 = ibbe::core::setup(256, rng);
@@ -203,6 +206,8 @@ int main(int argc, char** argv) {
       [&] { (void)G1::generator().mul(k); }, fast_iters)});
   metrics.push_back({"g2_mul_gen_us", median_us(
       [&] { (void)G2::generator().mul(k); }, fast_iters)});
+  metrics.push_back({"p256_mul_gen_us", median_us(
+      [&] { (void)ibbe::ec::P256Point::generator().mul(p256_k); }, fast_iters)});
   metrics.push_back({"gt_pow_naive_us", median_us(
       [&] { (void)gt_elem.value().pow_cyclotomic(gt_k.to_u256()); }, iters)});
   metrics.push_back({"gt_pow_us", median_us(
@@ -210,10 +215,11 @@ int main(int argc, char** argv) {
   metrics.push_back({"gt_pow_fixed_us", median_us(
       [&] { (void)gt_comb.pow(gt_k.to_u256()); }, iters)});
   metrics.push_back({"gt_fixed_table_build_ms", median_us(
-      [&] { ibbe::pairing::GtComb4 comb(gt_elem.value()); },
+      [&] { ibbe::ec::Comb<ibbe::pairing::GtOps> comb(gt_elem.value()); },
       build_iters) / 1000.0});
   metrics.push_back({"h_comb_build_ms", median_us(
-      [&] { ibbe::ec::G2Comb4 comb(keys.pk.h()); }, build_iters) / 1000.0});
+      [&] { ibbe::ec::Comb<ibbe::ec::G2Ops> comb(keys.pk.h()); },
+      build_iters) / 1000.0});
   metrics.push_back({"gt_pow_u_us", median_us(
       [&] { (void)ibbe::pairing::gt_pow_u(gt_elem.value()); }, iters)});
   metrics.push_back({"msm_g2_64_us", median_us(

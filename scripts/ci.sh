@@ -194,6 +194,10 @@ if [ -r /proc/cpuinfo ] && grep -qw adx /proc/cpuinfo; then
   echo "==> $PORTABLE_DIR/strategy_equivalence_test (portable backend)"
   IBBE_FORCE_PORTABLE_MUL=1 "$PORTABLE_DIR/strategy_equivalence_test" \
     --gtest_brief=1
+  # The comb and the ladder of every group (G1, G2, GT, P-256) against the
+  # oracles, by name likewise.
+  echo "==> $PORTABLE_DIR/endo_test (portable backend)"
+  IBBE_FORCE_PORTABLE_MUL=1 "$PORTABLE_DIR/endo_test" --gtest_brief=1
   # Point encodings and the G2 subgroup check (its psi test and the twist
   # points it must refuse) under the portable backend, by name likewise.
   echo "==> $PORTABLE_DIR/ec_test (portable backend)"
@@ -213,9 +217,10 @@ fi
 # plus the deserialization fuzz suite (the metadata reader parses untrusted
 # cloud bytes), the pairing/IBBE suites (Miller-loop operands point into
 # line tables that move with PreparedPartition and the PK's caches), the
-# strategy-equivalence suite (the fixed-base combs index their tables by
-# recoded scalar digits, so an off-by-one in a recoding is an out-of-bounds
-# read), the curve-constants suite (its BigUInt oracle recomputes every
+# comb-and-ladder suites (endo, strategy-equivalence, gt_exp and scalar_mul:
+# the combs and ladders index their tables by recoded scalar digits, so an
+# off-by-one in a recoding is an out-of-bounds read), the curve-constants
+# suite (its BigUInt oracle recomputes every
 # lattice and Montgomery constant the library carries as a literal), and
 # the ec and field suites (point decoding of untrusted bytes, the G2
 # subgroup check, square roots), and the enclave suite (the exponent table
@@ -225,7 +230,7 @@ sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
   extensions_test shard_delta_test thread_pool_test \
   parallel_equivalence_test net_test fuzz_deserialize_test \
   pairing_test ibbe_test strategy_equivalence_test curve_constants_test \
-  ec_test field_test enclave_test
+  ec_test field_test enclave_test endo_test gt_exp_test scalar_mul_test
 
 # ThreadSanitizer stage: the Byzantine store wraps every fault decision in a
 # mutex and clients race long-polls, gossip publishes, and CAS retries

@@ -17,17 +17,22 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "bigint/u256.h"
 
 namespace ibbe::bigint {
 
-/// Four-dimensional decomposition k = sum_i (-1)^neg[i] k[i] l^i (mod n).
-struct Decomp4 {
-  std::array<U256, 4> k;
-  std::array<bool, 4> neg;
+/// D-dimensional decomposition k = sum_i (-1)^neg[i] k[i] l^i (mod n): the
+/// shape every endomorphism split in the project returns (D = 2 for the G1
+/// GLV split, 4 for this lattice, 1 for a group without an endomorphism).
+template <std::size_t D>
+struct Decomp {
+  std::array<U256, D> k;
+  std::array<bool, D> neg;
 };
+using Decomp4 = Decomp<4>;
 
 struct Lattice4 {
   /// One signed basis entry; magnitudes fit a single limb (the BN bases are

@@ -52,10 +52,9 @@ using P256Point = JacobianPoint<P256Params>;
 
 // Fast-path routing for scalar-times-group-element (defined in msm.cpp;
 // declared here so every translation unit that multiplies picks them up):
-// generator multiplications use precomputed fixed-base comb tables (G2's is
-// the 4-dim psi-split G2Comb4), other G1 points go through the 2-dim GLV
-// endomorphism decomposition and other G2 points through the 4-dim GLS psi
-// split (ec/glv.h), and other P-256 points use wNAF. The generic
+// generator multiplications use one fixed-base ec::Comb per group, other G1
+// and G2 points the endomorphism ladder ec::endo_pow (GLV over phi, the
+// 4-dim psi split; ec/endo.h), and other P-256 points wNAF. The generic
 // scalar_mul/scalar_mul_wnaf remain available as endomorphism-free oracles.
 template <>
 template <>

@@ -1,11 +1,8 @@
 #include "ec/glv.h"
 
-#include <array>
 #include <stdexcept>
-#include <vector>
 
 #include "bigint/int512.h"
-#include "ec/wnaf.h"
 #include "field/fields.h"
 #include "field/tower_consts.h"
 
@@ -52,7 +49,7 @@ constexpr GlvConstants kGlv{
     {{0xb64748cbb1f82cf6ULL, 0, 0, 0}},
 };
 
-EndoDecomp glv_split(const U256& k) {
+bigint::Decomp<2> glv_split(const U256& k) {
   // c1 = round(k b2 / r) and c2 = round(k b1 / r) via the reciprocals;
   // (k0, k1) = (k, 0) - c1 v1 - c2 v2, i.e.
   //   k0 = k - c1 a1 - c2 a2,   k1 = c1 b1 - c2 b2.
@@ -63,12 +60,11 @@ EndoDecomp glv_split(const U256& k) {
       S512{bigint::mul_wide(c2, kGlv.a2), false});
   S512 s_k1 = signed_sub(S512{bigint::mul_wide(c1, kGlv.b1), false},
                          S512{bigint::mul_wide(c2, kGlv.b2), false});
-  EndoDecomp d;
-  if (!s512_to_u256(s_k0, d.k0) || !s512_to_u256(s_k1, d.k1)) {
+  bigint::Decomp<2> d;
+  if (!s512_to_u256(s_k0, d.k[0]) || !s512_to_u256(s_k1, d.k[1])) {
     throw std::logic_error("glv: decomposition out of range");
   }
-  d.neg0 = s_k0.neg;
-  d.neg1 = s_k1.neg;
+  d.neg = {s_k0.neg, s_k1.neg};
   return d;
 }
 
@@ -101,88 +97,9 @@ constexpr bigint::Lattice4 kPsiLattice{
     /*max_sub_bits=*/72,
 };
 
-/// The joint width-4 wNAF ladder over {Q, psi(Q), psi^2(Q), psi^3(Q)}.
-/// One batch normalization pays for mixed additions throughout; tables
-/// 1..3 are coordinate-wise psi images of table 0 (no point additions).
-G2 psi4_mul(const G2& q, const bigint::Decomp4& d) {
-  constexpr unsigned kWindow = 4;
-  std::array<std::vector<int>, 4> digits;
-  std::size_t len = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    digits[i] = wnaf_digits(d.k[i], kWindow);
-    len = std::max(len, digits[i].size());
-  }
-  if (len == 0) return G2::infinity();
-
-  std::vector<G2> jac;  // odd multiples 1, 3, 5, 7 of q
-  jac.reserve(4);
-  G2 m = q;
-  const G2 twice = q.dbl();
-  for (int i = 0; i < 4; ++i) {
-    jac.push_back(m);
-    m += twice;
-  }
-  std::array<std::array<AffinePt<Fp2>, 4>, 4> tbl;
-  auto base = G2::batch_to_affine(jac);
-  for (std::size_t i = 0; i < 4; ++i) tbl[0][i] = base[i];
-  for (std::size_t i = 1; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) tbl[i][j] = apply_psi(tbl[i - 1][j]);
-  }
-
-  G2 acc = G2::infinity();
-  for (std::size_t pos = len; pos-- > 0;) {
-    acc = acc.dbl();
-    for (std::size_t i = 0; i < 4; ++i) {
-      if (pos >= digits[i].size() || digits[i][pos] == 0) continue;
-      int v = digits[i][pos];
-      AffinePt<Fp2> e = tbl[i][static_cast<std::size_t>(v < 0 ? -v : v) / 2];
-      if ((v < 0) != d.neg[i]) e.y = e.y.neg();
-      acc = acc.add_mixed(e);
-    }
-  }
-  return acc;
-}
-
 U256 reduce_mod_r(const U256& k) {
   if (bigint::cmp(k, Fr::modulus()) < 0) return k;
   return bigint::mod(k, Fr::modulus());
-}
-
-/// Simultaneous double-and-add over the two half-length sub-scalars with
-/// width-4 wNAF. The second odd-multiple table is the phi image of the first
-/// (one cheap map per entry instead of point additions).
-G1 dual_wnaf_mul(const G1& p, const EndoDecomp& d) {
-  constexpr unsigned kWindow = 4;
-  auto d0 = wnaf_digits(d.k0, kWindow);
-  auto d1 = wnaf_digits(d.k1, kWindow);
-  if (d0.empty() && d1.empty()) return G1::infinity();
-
-  std::array<G1, 4> t0;  // (2i+1) * (+-P)
-  t0[0] = d.neg0 ? p.neg() : p;
-  G1 twice = t0[0].dbl();
-  for (std::size_t i = 1; i < t0.size(); ++i) t0[i] = t0[i - 1] + twice;
-  std::array<G1, 4> t1;  // (2i+1) * (+-phi(P))
-  const bool flip = d.neg0 != d.neg1;
-  for (std::size_t i = 0; i < t1.size(); ++i) {
-    t1[i] = apply_phi(t0[i]);
-    if (flip) t1[i] = t1[i].neg();
-  }
-
-  G1 acc = G1::infinity();
-  for (std::size_t i = std::max(d0.size(), d1.size()); i-- > 0;) {
-    acc = acc.dbl();
-    if (i < d0.size() && d0[i] != 0) {
-      int v = d0[i];
-      acc += v > 0 ? t0[static_cast<std::size_t>(v / 2)]
-                   : t0[static_cast<std::size_t>(-v / 2)].neg();
-    }
-    if (i < d1.size() && d1[i] != 0) {
-      int v = d1[i];
-      acc += v > 0 ? t1[static_cast<std::size_t>(v / 2)]
-                   : t1[static_cast<std::size_t>(-v / 2)].neg();
-    }
-  }
-  return acc;
 }
 
 }  // namespace
@@ -226,28 +143,14 @@ bool g2_in_subgroup(const G2& q) {
   return lhs == rhs;
 }
 
-EndoDecomp decompose_glv(const U256& k) {
+bigint::Decomp<2> G1Ops::decompose(const U256& k) {
   return glv_split(reduce_mod_r(k));
-}
-
-G1 g1_mul_endo(const G1& p, const U256& k) {
-  if (p.is_infinity()) return p;
-  U256 kr = reduce_mod_r(k);
-  if (kr.is_zero()) return G1::infinity();
-  return dual_wnaf_mul(p, glv_split(kr));
 }
 
 const bigint::Lattice4& bn_psi_lattice() { return kPsiLattice; }
 
-bigint::Decomp4 decompose_gls4(const U256& k) {
+bigint::Decomp4 G2Ops::decompose(const U256& k) {
   return kPsiLattice.decompose(reduce_mod_r(k));
-}
-
-G2 g2_mul_endo4(const G2& q, const U256& k) {
-  if (q.is_infinity()) return q;
-  U256 kr = reduce_mod_r(k);
-  if (kr.is_zero()) return G2::infinity();
-  return psi4_mul(q, kPsiLattice.decompose(kr));
 }
 
 }  // namespace ibbe::ec

@@ -29,6 +29,7 @@
 #include "bigint/lattice4.h"
 #include "bigint/u256.h"
 #include "ec/curves.h"
+#include "ec/endo.h"
 
 namespace ibbe::ec {
 
@@ -61,44 +62,50 @@ AffinePt<field::Fp2> apply_psi(const AffinePt<field::Fp2>& p);
 /// (Scott, "A note on group membership tests for G1, G2 and GT on BLS
 /// pairing-friendly curves", ePrint 2021/1130): one 63-bit ladder where the
 /// r-multiply check needs a 254-bit one. The ladder is scalar_mul_wnaf, not
-/// g2_mul_endo4, which is correct only on G2 and so cannot decide it.
+/// endo_pow<G2Ops>, which is correct only on G2 and so cannot decide it.
 bool g2_in_subgroup(const G2& q);
 
-/// Two-dimensional scalar decomposition: k = (-1)^neg0 k0 + (-1)^neg1 k1 * eig
-/// (mod r), with k0, k1 < ~2^131.
-struct EndoDecomp {
-  bigint::U256 k0;
-  bigint::U256 k1;
-  bool neg0 = false;
-  bool neg1 = false;
+/// The BN254 Ops of ec/endo.h (the comb and ladder behind G1::mul and
+/// G2::mul, the IBBE key's w and h combs, and the endomorphism MSMs).
+/// decompose() takes any U256 and reduces it mod r first, which agrees with
+/// plain scalar_mul because both groups have order r.
+
+/// G1: GLV over phi, k = (-1)^neg0 k0 + (-1)^neg1 k1 lambda (mod r). The
+/// Babai coefficients are off by less than 1, so |k0| < a1 + a2 and
+/// |k1| < b1 + b2, both below 2^127 (pinned in curve_constants_test.cpp).
+/// The ladder keeps Jacobian entries: one Fp inversion costs more than
+/// mixed additions save over ~50 additions.
+struct G1Ops : CurveOps<G1> {
+  using LadderEntry = G1;
+  static constexpr std::size_t kDim = 2;
+  static constexpr unsigned kSpan = 128;
+  static constexpr unsigned kCombWindow = 6;
+  static constexpr unsigned kLadderWindow = 4;
+  static G1 endo(const G1& p) { return apply_phi(p); }
+  static bigint::Decomp<2> decompose(const bigint::U256& k);
 };
 
-/// GLV split of k (any U256; reduced mod r internally).
-EndoDecomp decompose_glv(const bigint::U256& k);
-
-/// k*P via GLV (valid for any P in G1; k reduced mod r, which agrees with
-/// plain scalar_mul because G1 has order r).
-G1 g1_mul_endo(const G1& p, const bigint::U256& k);
-
-// ------------------------------------------------------------- 4-dim GLS
+/// G2: the 4-dim split over psi against bn_psi_lattice(), whose sub-scalars
+/// have fewer than max_sub_bits = kSpan bits (mathematically ~65). The ladder
+/// tables are batch-normalized: one Fp2 inversion pays for mixed additions.
+/// Points must lie in the order-r subgroup (true for every G2 value produced
+/// by this library; untrusted twist points outside it must use scalar_mul).
+struct G2Ops : CurveOps<G2> {
+  using LadderEntry = AffinePt<field::Fp2>;
+  static constexpr std::size_t kDim = 4;
+  static constexpr unsigned kSpan = 72;
+  static constexpr unsigned kCombWindow = 8;
+  static constexpr unsigned kLadderWindow = 4;
+  static G2 endo(const G2& p) { return apply_psi(p); }
+  static LadderEntry endo(const LadderEntry& p) { return apply_psi(p); }
+  static bigint::Decomp4 decompose(const bigint::U256& k);
+};
 
 /// The shared psi/Frobenius lattice: LLL-reduced basis of
 /// {(a0..a3) : sum a_i (6u^2)^i = 0 mod r}, entries all +-u, +-(u+1), +-2u
 /// or +-(2u+1). psi on G2 and the p-power Frobenius on Gt share the
-/// eigenvalue lambda = 6u^2 = p mod r, so this single instance serves both
-/// engines (pairing/gt_exp.cpp borrows it). Sub-scalars are bounded by
-/// max_sub_bits = 72 bits (mathematically ~65).
+/// eigenvalue lambda = 6u^2 = p mod r, so G2Ops::decompose serves both
+/// (pairing::GtOps calls it).
 const bigint::Lattice4& bn_psi_lattice();
-
-/// Four-dimensional GLS split of k (any U256; reduced mod r internally):
-/// k = sum_i (-1)^neg[i] k[i] mu^i (mod r) with k[i] < ~2^66.
-bigint::Decomp4 decompose_gls4(const bigint::U256& k);
-
-/// k*Q via the 4-dim psi decomposition: one joint width-4 wNAF ladder of
-/// ~64 shared doublings over batch-normalized affine tables for
-/// {Q, psi(Q), psi^2(Q), psi^3(Q)}. Q must lie in the order-r subgroup
-/// (true for every G2 value produced by this library; untrusted twist points
-/// outside the subgroup must use scalar_mul).
-G2 g2_mul_endo4(const G2& q, const bigint::U256& k);
 
 }  // namespace ibbe::ec

@@ -1,6 +1,6 @@
-// Multi-scalar multiplication engine and fixed-base precomputation.
+// Multi-scalar multiplication engine.
 //
-// Three tiers, picked by workload shape:
+// Two tiers, picked by workload shape:
 //
 //   msm_u256 / msm      — one-shot Σ k_i P_i. Straus interleaved wNAF with
 //                         batch-normalized odd-multiple tables for n <= 32,
@@ -8,19 +8,14 @@
 //                         overloads first split every scalar with GLV (G1,
 //                         2-dim) / GLS (G2, 4-dim psi split), so the shared
 //                         doubling ladder is half / quarter length.
-//   FixedBaseTable      — single fixed base: a full windowed comb
-//                         tbl[i][d] = d 2^(wi) B, so one multiplication is
-//                         ~64 mixed additions and zero doublings.
-//   G2Comb4             — the 4-dim variant for fixed G2 bases (the G2
-//                         generator, the IBBE key's h): the psi split
-//                         shrinks the comb span to 72 bits, which affords a
-//                         window twice as wide — ~36 mixed additions per
-//                         mul, for a ~5x larger one-time table (~612 KiB,
-//                         signed digits).
 //   G2PowersMsm         — many fixed G2 bases (the IBBE public key's
 //                         h^(gamma^i) powers): per-base affine odd-multiple
 //                         tables plus their psi/psi^2/psi^3 images, consumed
 //                         by a 4-dim-GLS-decomposed Straus loop.
+//
+// A single base, fixed or not, goes through ec/endo.h instead: the comb
+// Comb<Ops> for long-lived bases (the generators, the IBBE key's w and h)
+// and the ladder endo_pow<Ops> for the rest.
 #pragma once
 
 #include <array>
@@ -35,16 +30,6 @@
 #include "util/thread_pool.h"
 
 namespace ibbe::ec {
-
-/// Bits [lo, lo + width) of k as an unsigned value (width <= 32).
-inline unsigned window_value(const bigint::U256& k, unsigned lo,
-                             unsigned width) {
-  if (lo >= 256) return 0;
-  unsigned idx = lo / 64, off = lo % 64;
-  std::uint64_t v = k.limb[idx] >> off;
-  if (off + width > 64 && idx + 1 < 4) v |= k.limb[idx + 1] << (64 - off);
-  return static_cast<unsigned>(v) & ((1u << width) - 1);
-}
 
 namespace msm_detail {
 
@@ -175,59 +160,6 @@ Point msm_u256(std::span<const Point> bases,
 G1 msm(std::span<const G1> bases, std::span<const field::Fr> scalars);
 G2 msm(std::span<const G2> bases, std::span<const field::Fr> scalars);
 
-/// Full windowed comb for one fixed base: tbl[i][d] = d * 2^(w i) * base,
-/// batch-normalized to affine. A multiplication is ceil(256/w) mixed
-/// additions and no doublings.
-template <typename Point>
-class FixedBaseTable {
- public:
-  using Field = typename Point::Field;
-
-  explicit FixedBaseTable(const Point& base, unsigned window = 4)
-      : w_(window), wins_((256 + window - 1) / window) {
-    const unsigned per = (1u << w_) - 1;
-    std::vector<Point> jac;
-    jac.reserve(std::size_t{wins_} * per);
-    Point shifted = base;  // 2^(w i) * base
-    for (unsigned i = 0; i < wins_; ++i) {
-      Point m = shifted;
-      for (unsigned d = 1; d <= per; ++d) {
-        jac.push_back(m);
-        if (d < per) m += shifted;
-      }
-      for (unsigned j = 0; j < w_; ++j) shifted = shifted.dbl();
-    }
-    tbl_ = Point::batch_to_affine(jac);
-  }
-
-  [[nodiscard]] Point mul(const bigint::U256& k) const {
-    const unsigned per = (1u << w_) - 1;
-    Point acc = Point::infinity();
-    for (unsigned i = 0; i < wins_; ++i) {
-      unsigned d = window_value(k, i * w_, w_);
-      if (d) acc = acc.add_mixed(tbl_[std::size_t{i} * per + d - 1]);
-    }
-    return acc;
-  }
-
-  /// Heap bytes held by the table.
-  [[nodiscard]] std::size_t table_bytes() const {
-    return tbl_.size() * sizeof(AffinePt<Field>);
-  }
-
- private:
-  unsigned w_;
-  unsigned wins_;
-  std::vector<AffinePt<Field>> tbl_;
-};
-
-/// Lazily-built comb table for the group generator (thread-safe static).
-template <typename Point>
-const FixedBaseTable<Point>& generator_table() {
-  static const FixedBaseTable<Point> tbl(Point::generator());
-  return tbl;
-}
-
 /// Prepared multi-base MSM over fixed G2 points in the order-r subgroup
 /// (the IBBE public key's h^(gamma^i) powers): per-base affine odd-multiple
 /// tables plus their psi/psi^2/psi^3 images, consumed by a 4-dim-GLS-split
@@ -236,7 +168,7 @@ const FixedBaseTable<Point>& generator_table() {
 /// one field inversion total.
 class G2PowersMsm {
  public:
-  explicit G2PowersMsm(std::span<const G2> bases, unsigned window = 5);
+  explicit G2PowersMsm(std::span<const G2> bases);
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
@@ -245,50 +177,12 @@ class G2PowersMsm {
   [[nodiscard]] G2 msm(std::span<const field::Fr> coefs) const;
 
  private:
-  unsigned w_;
-  std::size_t per_;  // odd multiples per base = 2^(w-2)
+  static constexpr unsigned kWindow = 5;
+  static constexpr std::size_t kPer = std::size_t{1} << (kWindow - 2);
   std::size_t n_;
-  // tbl_[i] is the psi^i image of the base table; tbl_[i][b * per_ + m] =
+  // tbl_[i] is the psi^i image of the base table; tbl_[i][b * kPer + m] =
   // psi^i((2m + 1) bases[b]).
   std::array<std::vector<AffinePt<field::Fp2>>, 4> tbl_;
 };
-
-/// Four-dimensional psi-split fixed-base comb for a G2 point in the order-r
-/// subgroup. FixedBaseTable must cover all 256 scalar bits; here the scalar
-/// is first decomposed into four sub-scalars of at most 72 bits
-/// (bn_psi_lattice().max_sub_bits), so the comb spans 72 bits and can
-/// afford a window twice as wide: with the default w = 8, a multiplication
-/// is at most 4 * 9 = 36 mixed additions (vs ~64) and still zero
-/// doublings. Digits are signed (|d| <= 2^(w-1), negation is free on the
-/// curve), so a window keeps 2^(w-1) entries: 4 psi-tables x 9 windows x
-/// 128 entries = 4608 affine points (~612 KiB), ~5x the w = 4
-/// FixedBaseTable, which is why this is reserved for long-lived bases (the
-/// generator, the IBBE key's h). Build: ~wins * 2^(w-1) additions, one
-/// inversion per window and coordinate-mapped psi images, one window per
-/// pool task.
-class G2Comb4 {
- public:
-  explicit G2Comb4(const G2& base, unsigned window = 8);
-
-  /// k * base; any U256 k (reduced mod r by the decomposition, which agrees
-  /// with plain scalar_mul because the subgroup has order r).
-  [[nodiscard]] G2 mul(const bigint::U256& k) const;
-
-  /// Heap bytes held by the table.
-  [[nodiscard]] std::size_t table_bytes() const {
-    return tbl_.size() * sizeof(AffinePt<field::Fp2>);
-  }
-
- private:
-  unsigned w_;
-  unsigned wins_;     // ceil(max_sub_bits / w)
-  std::size_t half_;  // entries per window = 2^(w-1)
-  // tbl_[(i * wins_ + win) * half_ + (|d| - 1)] = |d| 2^(w win) psi^i(base)
-  std::vector<AffinePt<field::Fp2>> tbl_;
-};
-
-/// Lazily-built 4-dim comb for the G2 generator h (thread-safe static); the
-/// G2 analogue of generator_table<G1>().
-const G2Comb4& g2_generator_comb4();
 
 }  // namespace ibbe::ec

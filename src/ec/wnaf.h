@@ -1,5 +1,6 @@
-// Windowed non-adjacent-form (wNAF) scalar recoding, shared by the generic
-// curve template, the GLV/GLS fast paths, and the MSM engine.
+// Scalar recodings shared by the generic curve template, the endomorphism
+// ladder and comb (ec/endo.h) and the MSM engine: windowed non-adjacent form
+// (wNAF), fixed-width windows, and the NAF of a compile-time constant.
 #pragma once
 
 #include <array>
@@ -42,6 +43,16 @@ inline std::vector<int> wnaf_digits(const bigint::U256& k, unsigned w) {
   }
   while (!digits.empty() && digits.back() == 0) digits.pop_back();
   return digits;
+}
+
+/// Bits [lo, lo + width) of k as an unsigned value (width <= 32).
+inline unsigned window_value(const bigint::U256& k, unsigned lo,
+                             unsigned width) {
+  if (lo >= 256) return 0;
+  unsigned idx = lo / 64, off = lo % 64;
+  std::uint64_t v = k.limb[idx] >> off;
+  if (off + width > 64 && idx + 1 < 4) v |= k.limb[idx + 1] << (64 - off);
+  return static_cast<unsigned>(v) & ((1u << width) - 1);
 }
 
 /// Signed NAF of a compile-time constant: the digits wnaf_digits(n, 2)

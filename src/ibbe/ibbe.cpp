@@ -81,7 +81,7 @@ EncryptResult assemble_without_c2(const PublicKey& pk, const G2& c3,
   const FixedBaseTables& tables = pk.fixed_base_tables();
   EncryptResult out;
   out.bk = Gt::from_fp12_unchecked(tables.v.pow(k.to_u256()));
-  out.ct.c1 = tables.w.mul(k.neg().to_u256());
+  out.ct.c1 = tables.w.pow(k.neg().to_u256());
   out.ct.c3 = c3;
   return out;
 }
@@ -136,7 +136,9 @@ const FixedBaseTables& PublicKey::fixed_base_tables() const {
   return cached(fixed_, v, w);
 }
 
-const ec::G2Comb4& PublicKey::h_comb() const { return cached(h_comb_, h()); }
+const ec::Comb<ec::G2Ops>& PublicKey::h_comb() const {
+  return cached(h_comb_, h());
+}
 
 std::shared_ptr<const ec::G2PowersMsm> PublicKey::powers_msm(
     std::size_t need) const {
@@ -319,13 +321,13 @@ EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
 EncryptResult rekey_with_exponent(const PublicKey& pk, const G2& c3,
                                   const Fr& s, const Fr& k) {
   EncryptResult out = assemble_without_c2(pk, c3, k);
-  out.ct.c2 = pk.h_comb().mul((k * s).to_u256());
+  out.ct.c2 = pk.h_comb().pow((k * s).to_u256());
   return out;
 }
 
 EncryptResult encrypt_with_exponent(const PublicKey& pk, const Fr& s,
                                     const Fr& k) {
-  return rekey_with_exponent(pk, pk.h_comb().mul(s.to_u256()), s, k);
+  return rekey_with_exponent(pk, pk.h_comb().pow(s.to_u256()), s, k);
 }
 
 std::optional<Gt> decrypt(const PublicKey& pk, const UserSecretKey& usk,

@@ -1,12 +1,13 @@
 #include "pairing/gt.h"
 
 #include "crypto/sha256.h"
+#include "ec/endo.h"
 #include "pairing/gt_exp.h"
 
 namespace ibbe::pairing {
 
 Gt Gt::exp(const field::Fr& k) const {
-  return Gt(gt_pow(v_, k.to_u256()));
+  return Gt(ec::endo_pow<GtOps>(v_, k.to_u256()));
 }
 
 std::array<std::uint8_t, 32> Gt::hash() const {

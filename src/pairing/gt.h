@@ -31,7 +31,7 @@ class Gt {
   /// GT elements are unitary: x^(-1) = conj(x).
   [[nodiscard]] Gt inverse() const { return Gt(v_.conjugate()); }
 
-  /// Exponentiation by a scalar in Zr, through the cyclotomic engine
+  /// Exponentiation by a scalar in Zr, through ec::endo_pow<GtOps>
   /// (pairing/gt_exp.h): 4-dimensional Frobenius decomposition plus a joint
   /// wNAF ladder, ~2.8x the plain square-and-multiply pow_cyclotomic. Relies
   /// on the class invariant that the wrapped value has order r; a value

@@ -4,11 +4,13 @@
 //
 //  * G1 GLV (ec::glv_constants()): beta^3 = 1 != beta, phi = [lambda] on G1,
 //    lambda^2 + lambda + 1 = 0 (mod r), both basis rows in the lattice,
-//    determinant r, and the rounding reciprocals g = round(b 2^254 / r).
+//    determinant r, the rounding reciprocals g = round(b 2^254 / r), and a
+//    sub-scalar bound within G1Ops::kSpan.
 //  * The psi/Frobenius lattice (ec::bn_psi_lattice()): eigenvalue 6u^2,
 //    every row in the lattice, determinant +-r, the reciprocals
 //    ghat_j = round(2^256 |C_j0| / r) and the coefficient signs from the
-//    cofactors, and a sub-scalar bound that covers the Babai error.
+//    cofactors, and a sub-scalar bound that covers the Babai error and
+//    equals G2Ops::kSpan.
 //  * The endomorphisms themselves: psi = [6u^2] on G2, psi^4 - psi^2 + 1 = 0
 //    on G2, and the p-power Frobenius = [6u^2] on order-r GT elements.
 //  * The G2 membership test (ec::g2_in_subgroup): its row is the psi
@@ -105,6 +107,15 @@ TEST(GlvConstants, RoundingReciprocals) {
   EXPECT_EQ(big(c.g2), round_div(big(c.b1) << 254, r_big()));
 }
 
+TEST(GlvConstants, SubScalarBoundFitsTheCombSpan) {
+  // The rounded coefficients are off by less than 1 each, so
+  // |k0| < a1 + a2 and |k1| < b1 + b2; G1Ops promises sub-scalars of fewer
+  // than kSpan bits.
+  const auto& c = ibbe::ec::glv_constants();
+  EXPECT_LT((big(c.a1) + big(c.a2)).bit_length(), ibbe::ec::G1Ops::kSpan);
+  EXPECT_LT((big(c.b1) + big(c.b2)).bit_length(), ibbe::ec::G1Ops::kSpan);
+}
+
 // --------------------------------------------------------- psi/GT lattice
 
 using Lattice = ibbe::bigint::Lattice4;
@@ -193,7 +204,7 @@ TEST(PsiLattice, SubScalarBoundCoversTheBabaiError) {
     EXPECT_LT(((col >> 1) + BigUInt(1)).bit_length(), lat.max_sub_bits)
         << "column " << i;
   }
-  EXPECT_LE(lat.max_sub_bits, 72u);
+  EXPECT_EQ(lat.max_sub_bits, ibbe::ec::G2Ops::kSpan);
 }
 
 // ------------------------------------------------------------ endomorphisms

@@ -1,11 +1,13 @@
-// The cyclotomic GT exponentiation engine (pairing/gt_exp.h) against the
-// naive Fp12::pow / pow_cyclotomic oracles, plus the Karabina compression
-// round-trips it builds on.
+// GT exponentiation (pairing/gt_exp.h: the GtOps ladder behind Gt::exp and
+// gt_pow_u) against the naive Fp12::pow / pow_cyclotomic oracles, plus the
+// Karabina compression round-trips it builds on. The GtOps comb is checked
+// in endo_test.cpp with the other groups'.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "ec/curves.h"
+#include "ec/endo.h"
 #include "ec/glv.h"
 #include "field/fields.h"
 #include "field/fp12.h"
@@ -24,6 +26,7 @@ using ibbe::ec::G2;
 using ibbe::field::Fp12;
 using ibbe::field::Fp12Compressed;
 using ibbe::field::Fr;
+using ibbe::pairing::GtOps;
 using ibbe::testutil::kBnU;
 using ibbe::testutil::random_gt;
 using ibbe::testutil::random_u256;
@@ -32,31 +35,23 @@ using ibbe::testutil::random_u256;
 /// order-r assumptions at all).
 Fp12 pow_oracle(const Fp12& x, const U256& e) { return x.pow(e); }
 
-// ------------------------------------------------------------- decomposition
-
-TEST(GtDecompose, ReassemblesModR) {
-  const BigUInt n = BigUInt::from_u256(Fr::modulus());
-  const BigUInt lam = BigUInt::from_u256(ibbe::ec::bn_psi_lattice().lambda);
-  for (int trial = 0; trial < 50; ++trial) {
-    U256 k = ibbe::bigint::mod(random_u256(), Fr::modulus());
-    auto d = ibbe::pairing::decompose_gt(k);
-    BigUInt acc;
-    BigUInt lam_pow(1);
-    for (int i = 0; i < 4; ++i) {
-      auto idx = static_cast<std::size_t>(i);
-      EXPECT_LE(d.k[idx].bit_length(), 72u) << "sub-scalar " << i << " too long";
-      BigUInt term = BigUInt::from_u256(d.k[idx]) * lam_pow % n;
-      if (d.neg[idx] && !term.is_zero()) term = n - term;
-      acc = (acc + term) % n;
-      lam_pow = lam_pow * lam % n;
-    }
-    EXPECT_EQ(acc, BigUInt::from_u256(k));
-  }
+/// The engine under test: the joint 4-dim Frobenius ladder.
+Fp12 gt_pow(const Fp12& x, const U256& k) {
+  return ibbe::ec::endo_pow<GtOps>(x, k);
 }
 
-TEST(GtDecompose, RejectsUnreducedScalar) {
-  EXPECT_THROW(ibbe::pairing::decompose_gt(Fr::modulus()),
-               std::invalid_argument);
+// ------------------------------------------------------------- decomposition
+
+// The split itself is G2Ops::decompose, checked as Gls4Decompose in
+// strategy_equivalence_test.cpp.
+TEST(GtDecompose, ReducesUnreducedScalar) {
+  // r splits like 0, and 2^256 - 1 like its residue.
+  for (const U256& k : GtOps::decompose(Fr::modulus()).k) {
+    EXPECT_TRUE(k.is_zero());
+  }
+  const U256 top{{~0ull, ~0ull, ~0ull, ~0ull}};
+  EXPECT_EQ(GtOps::decompose(top).k,
+            GtOps::decompose(ibbe::bigint::mod(top, Fr::modulus())).k);
 }
 
 // ----------------------------------------------------------------- gt_pow
@@ -64,18 +59,18 @@ TEST(GtDecompose, RejectsUnreducedScalar) {
 TEST(GtPow, EdgeExponents) {
   Fp12 x = random_gt();
   // 0 and r (== 0 mod r) give the identity; 1 gives x back.
-  EXPECT_TRUE(ibbe::pairing::gt_pow(x, U256::zero()).is_one());
-  EXPECT_TRUE(ibbe::pairing::gt_pow(x, Fr::modulus()).is_one());
-  EXPECT_EQ(ibbe::pairing::gt_pow(x, U256::one()), x);
+  EXPECT_TRUE(gt_pow(x, U256::zero()).is_one());
+  EXPECT_TRUE(gt_pow(x, Fr::modulus()).is_one());
+  EXPECT_EQ(gt_pow(x, U256::one()), x);
   // r - 1 is the inverse, i.e. the conjugate for unitary elements.
   U256 r_minus_1 = (BigUInt::from_u256(Fr::modulus()) - BigUInt(1)).to_u256();
-  EXPECT_EQ(ibbe::pairing::gt_pow(x, r_minus_1), x.conjugate());
-  EXPECT_EQ(ibbe::pairing::gt_pow(x, r_minus_1), pow_oracle(x, r_minus_1));
+  EXPECT_EQ(gt_pow(x, r_minus_1), x.conjugate());
+  EXPECT_EQ(gt_pow(x, r_minus_1), pow_oracle(x, r_minus_1));
 }
 
 TEST(GtPow, MatchesOracleOn63BitU) {
   Fp12 x = random_gt();
-  EXPECT_EQ(ibbe::pairing::gt_pow(x, U256::from_u64(kBnU)),
+  EXPECT_EQ(gt_pow(x, U256::from_u64(kBnU)),
             pow_oracle(x, U256::from_u64(kBnU)));
 }
 
@@ -83,13 +78,13 @@ TEST(GtPow, MatchesOracleOnRandom256Bit) {
   for (int trial = 0; trial < 5; ++trial) {
     Fp12 x = random_gt();
     U256 k = random_u256();  // full 256 bits; gt_pow reduces mod r
-    EXPECT_EQ(ibbe::pairing::gt_pow(x, k),
+    EXPECT_EQ(gt_pow(x, k),
               pow_oracle(x, ibbe::bigint::mod(k, Fr::modulus())));
   }
 }
 
 TEST(GtPow, IdentityBaseStaysIdentity) {
-  EXPECT_TRUE(ibbe::pairing::gt_pow(Fp12::one(), random_u256()).is_one());
+  EXPECT_TRUE(gt_pow(Fp12::one(), random_u256()).is_one());
 }
 
 // ---------------------------------------------------------------- gt_pow_u

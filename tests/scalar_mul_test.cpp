@@ -1,5 +1,6 @@
-// GLV/GLS decomposition, endomorphism scalar multiplication, the MSM
-// engine, fixed-base tables, and the subproduct-tree polynomial expansion.
+// GLV decomposition, mul routing, the MSM engine, and the subproduct-tree
+// polynomial expansion. The comb and the ladder behind mul are checked in
+// endo_test.cpp.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -26,12 +27,12 @@ using ibbe::testutil::random_fr;
 using ibbe::testutil::random_u256;
 
 /// (-1)^neg0 k0 + (-1)^neg1 k1 eig mod r, computed with BigUInt.
-BigUInt recombine(const ibbe::ec::EndoDecomp& d, const U256& eig) {
+BigUInt recombine(const ibbe::bigint::Decomp<2>& d, const U256& eig) {
   const BigUInt n = BigUInt::from_u256(ibbe::field::Fr::modulus());
-  BigUInt a = BigUInt::from_u256(d.k0) % n;
-  if (d.neg0 && !a.is_zero()) a = n - a;
-  BigUInt b = BigUInt::from_u256(d.k1) * BigUInt::from_u256(eig) % n;
-  if (d.neg1 && !b.is_zero()) b = n - b;
+  BigUInt a = BigUInt::from_u256(d.k[0]) % n;
+  if (d.neg[0] && !a.is_zero()) a = n - a;
+  BigUInt b = BigUInt::from_u256(d.k[1]) * BigUInt::from_u256(eig) % n;
+  if (d.neg[1] && !b.is_zero()) b = n - b;
   return (a + b) % n;
 }
 
@@ -42,27 +43,16 @@ TEST(Glv, DecompositionRoundTripsAndIsShort) {
   auto scalars = edge_scalars();
   for (int i = 0; i < 50; ++i) scalars.push_back(random_u256());
   for (const U256& k : scalars) {
-    auto d = ibbe::ec::decompose_glv(k);
+    auto d = ibbe::ec::G1Ops::decompose(k);
     EXPECT_EQ(recombine(d, ibbe::ec::glv_constants().lambda),
               BigUInt::from_u256(k) % n);
-    EXPECT_LE(d.k0.bit_length(), 132u);
-    EXPECT_LE(d.k1.bit_length(), 132u);
+    // Below the comb span, with the spare bit for the top digit's carry.
+    EXPECT_LT(d.k[0].bit_length(), ibbe::ec::G1Ops::kSpan);
+    EXPECT_LT(d.k[1].bit_length(), ibbe::ec::G1Ops::kSpan);
   }
 }
 
-// -------------------------------------------------- endomorphism scalar mul
-
-TEST(Glv, MulMatchesScalarMulOnEdgeAndRandomScalars) {
-  G1 p = G1::generator().scalar_mul(random_u256());
-  for (const U256& k : edge_scalars()) {
-    EXPECT_EQ(ibbe::ec::g1_mul_endo(p, k), p.scalar_mul(k)) << k.to_hex();
-  }
-  for (int i = 0; i < 10; ++i) {
-    U256 k = random_u256();
-    EXPECT_EQ(ibbe::ec::g1_mul_endo(p, k), p.scalar_mul(k)) << k.to_hex();
-  }
-  EXPECT_TRUE(ibbe::ec::g1_mul_endo(G1::infinity(), random_u256()).is_infinity());
-}
+// ------------------------------------------------------------- mul routing
 
 TEST(MulRouting, SpecializedMulMatchesGenericOracle) {
   // The Fr specializations of JacobianPoint::mul (comb tables for the
@@ -142,18 +132,6 @@ TEST(Msm, EmptyAndAllZeroInputs) {
   EXPECT_TRUE(ibbe::ec::msm(std::span<const G1>(bases),
                             std::span<const Fr>(zeros))
                   .is_infinity());
-}
-
-TEST(FixedBaseTable, MatchesScalarMul) {
-  G1 base = G1::generator().scalar_mul(random_u256());
-  ibbe::ec::FixedBaseTable<G1> tbl(base);
-  for (const U256& k : edge_scalars()) {
-    EXPECT_EQ(tbl.mul(k), base.scalar_mul(k)) << k.to_hex();
-  }
-  for (int i = 0; i < 5; ++i) {
-    U256 k = random_u256();
-    EXPECT_EQ(tbl.mul(k), base.scalar_mul(k));
-  }
 }
 
 TEST(G2PowersMsm, MatchesNaiveSum) {

@@ -1,18 +1,15 @@
 // Differential property tests for the G2 scalar-multiplication strategies.
 //
 // The repo ships several ways to compute k*Q on G2 — plain double-and-add,
-// wNAF, the 4-dim psi split, fixed-base combs (generic and psi-split), and
-// two MSM engines that degenerate to single multiplications — and their
-// agreement is what makes routing changes safe.
+// wNAF, the 4-dim psi ladder, and two MSM engines that degenerate to single
+// multiplications — and their agreement is what makes routing changes safe.
+// The fixed-base comb is checked with the other groups' in endo_test.cpp.
 // Every strategy here is run against the same scalars (edge cases from
 // tests/test_util.h plus randomized ones) and the same points, and results
 // are compared BITWISE on affine coordinates, not just by the projective
 // equality predicate. The same binary runs under both Montgomery backends:
 // scripts/ci.sh executes it in the forced-portable build tree too, where
 // results must be identical.
-//
-// The fixed-base combs for the IBBE public key's v (GT) and w (G1) are held
-// to the same standard against their variable-base engines and ladders.
 //
 // Also here: the psi-endomorphism invariants backing the 4-dim split
 // (psi powers act as mu powers, linearity, affine-table commutation,
@@ -30,10 +27,10 @@
 
 #include "bigint/u256.h"
 #include "ec/curves.h"
+#include "ec/endo.h"
 #include "ec/glv.h"
 #include "ec/msm.h"
 #include "field/fields.h"
-#include "pairing/gt_exp.h"
 #include "pairing/pairing.h"
 #include "support/biguint.h"
 #include "test_util.h"
@@ -45,6 +42,7 @@ using ibbe::bigint::U256;
 using ibbe::ec::AffinePt;
 using ibbe::ec::G1;
 using ibbe::ec::G2;
+using ibbe::ec::G2Ops;
 using ibbe::field::Fp2;
 using ibbe::field::Fr;
 namespace tu = ibbe::testutil;
@@ -67,11 +65,9 @@ void expect_same_affine(const G2& got, const G2& want, const char* strategy,
       << strategy << " affine mismatch at k=" << k.to_hex();
 }
 
-/// All-strategy differential run for one base point. The fixed-base tables
-/// are built once per point and reused across scalars.
+/// All-strategy differential run for one base point. The prepared MSM is
+/// built once per point and reused across scalars.
 void check_all_strategies(const G2& q) {
-  const ibbe::ec::FixedBaseTable<G2> comb(q);
-  const ibbe::ec::G2Comb4 comb4(q);
   const std::vector<G2> bases{q};
   const ibbe::ec::G2PowersMsm powers{std::span<const G2>(bases)};
 
@@ -81,9 +77,7 @@ void check_all_strategies(const G2& q) {
   for (const U256& k : scalars) {
     const G2 oracle = q.scalar_mul(k);  // plain double-and-add
     expect_same_affine(q.scalar_mul_wnaf(k), oracle, "wnaf", k);
-    expect_same_affine(ibbe::ec::g2_mul_endo4(q, k), oracle, "gls4", k);
-    expect_same_affine(comb.mul(k), oracle, "comb", k);
-    expect_same_affine(comb4.mul(k), oracle, "comb4", k);
+    expect_same_affine(ibbe::ec::endo_pow<G2Ops>(q, k), oracle, "gls4", k);
     // The Fr-typed strategies see k mod r, which agrees on the order-r
     // subgroup.
     const Fr kf = Fr::from_u256_reduce(k);
@@ -106,19 +100,10 @@ TEST(StrategyEquivalence, SmallOrderMultipleOfGenerator) {
   check_all_strategies(G2::generator().dbl());
 }
 
-TEST(StrategyEquivalence, GeneratorCombRoutingMatchesOracle) {
-  // The static generator comb behind JacobianPoint<G2>::mul.
-  for (const U256& k : tu::edge_scalars()) {
-    expect_same_affine(ibbe::ec::g2_generator_comb4().mul(k),
-                       G2::generator().scalar_mul(k), "generator-comb4", k);
-  }
-}
-
 TEST(StrategyEquivalence, InfinityBase) {
   const G2 inf = G2::infinity();
   const U256 k = tu::random_u256();
-  EXPECT_TRUE(ibbe::ec::g2_mul_endo4(inf, k).is_infinity());
-  EXPECT_TRUE(ibbe::ec::G2Comb4(inf).mul(k).is_infinity());
+  EXPECT_TRUE(ibbe::ec::endo_pow<G2Ops>(inf, k).is_infinity());
   EXPECT_TRUE(inf.mul(Fr::from_u256_reduce(k)).is_infinity());
 }
 
@@ -130,7 +115,7 @@ TEST(Gls4Decompose, ReassemblesModRAndIsShort) {
   auto scalars = tu::edge_scalars();
   for (int i = 0; i < 50; ++i) scalars.push_back(tu::random_u256());
   for (const U256& k : scalars) {
-    auto d = ibbe::ec::decompose_gls4(k);
+    auto d = G2Ops::decompose(k);
     BigUInt acc;
     BigUInt mu_pow(1);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -143,20 +128,6 @@ TEST(Gls4Decompose, ReassemblesModRAndIsShort) {
       mu_pow = mu_pow * mu % n;
     }
     EXPECT_EQ(acc, BigUInt::from_u256(k) % n) << "k=" << k.to_hex();
-  }
-}
-
-TEST(Gls4Decompose, SharesTheGtLattice) {
-  // psi on G2 and Frobenius on Gt have the same eigenvalue, so the G2 and
-  // Gt engines must literally agree on every decomposition.
-  for (int i = 0; i < 10; ++i) {
-    U256 k = ibbe::bigint::mod(tu::random_u256(), Fr::modulus());
-    auto dg = ibbe::ec::decompose_gls4(k);
-    auto dt = ibbe::pairing::decompose_gt(k);
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(dg.k[j], dt.k[j]);
-      EXPECT_EQ(dg.neg[j], dt.neg[j]);
-    }
   }
 }
 
@@ -373,105 +344,6 @@ TEST(MsmBoundary, G2PowersMsmPrefixAndZeroHandling) {
             naive_msm(std::span<const G2>(bases).first(2),
                       std::span<const Fr>(coefs).first(2)));
   EXPECT_TRUE(prepared.msm({}).is_infinity());
-}
-
-
-// ------------------------------------------------ fixed-base GT and G1 combs
-
-/// k = sum_i (-1)^neg_i sub * lambda^i (mod r): a scalar whose decomposition
-/// is chosen, so the GT comb's digit recoding sees those sub-scalars.
-U256 recombine(const BigUInt& sub, unsigned neg_mask) {
-  const BigUInt r = BigUInt::from_u256(Fr::modulus());
-  const BigUInt lambda = BigUInt::from_u256(ibbe::ec::bn_psi_lattice().lambda);
-  BigUInt acc, lambda_pow(1);
-  for (unsigned i = 0; i < 4; ++i) {
-    BigUInt term = sub * lambda_pow % r;
-    if ((neg_mask >> i) & 1) term = (r - term) % r;
-    acc = (acc + term) % r;
-    lambda_pow = lambda_pow * lambda % r;
-  }
-  return acc.to_u256();
-}
-
-/// Scalars for the fixed-base combs: the shared edge set, 2^64 +- 1, random
-/// ones, scalars whose four sub-scalars are all-ones (every 8-bit digit 255,
-/// so the signed recoding carries through every window) or 0x80-patterned
-/// (digits at the 128 sign boundary) under all 16 sign patterns, and random
-/// scalars with a sub-scalar of the widest length the lattice yields.
-std::vector<U256> fixed_base_scalars() {
-  auto ks = tu::edge_scalars();
-  const BigUInt two64 = BigUInt(1) << 64;
-  ks.push_back((two64 - BigUInt(1)).to_u256());
-  ks.push_back((two64 + BigUInt(1)).to_u256());
-  for (int i = 0; i < 10; ++i) ks.push_back(tu::random_u256());
-  for (const BigUInt& sub : {(BigUInt(1) << 56) - BigUInt(1),
-                             BigUInt(0x80808080808080ull)}) {
-    for (unsigned mask = 0; mask < 16; ++mask) {
-      const U256 k = recombine(sub, mask);
-      // The chosen sub-scalars must be what the decomposition hands the comb.
-      const auto d = ibbe::pairing::decompose_gt(k);
-      for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_EQ(BigUInt::from_u256(d.k[i]), sub) << "mask " << mask;
-        EXPECT_EQ(d.neg[i], ((mask >> i) & 1) != 0) << "mask " << mask;
-      }
-      ks.push_back(k);
-    }
-  }
-  for (int found = 0; found < 8;) {
-    const U256 k = ibbe::bigint::mod(tu::random_u256(), Fr::modulus());
-    const auto d = ibbe::pairing::decompose_gt(k);
-    for (unsigned i = 0; i < 4; ++i) {
-      if (d.k[i].bit_length() >= 64) {
-        ks.push_back(k);
-        ++found;
-        break;
-      }
-    }
-  }
-  return ks;
-}
-
-/// The GT comb against the 4-dim variable-base engine (Gt::exp) and the
-/// plain square-and-multiply ladder, bit-for-bit.
-void check_gt_comb(const ibbe::field::Fp12& x) {
-  const ibbe::pairing::GtComb4 comb(x);
-  const auto gt = ibbe::pairing::Gt::from_fp12_unchecked(x);
-  for (const U256& k : fixed_base_scalars()) {
-    const ibbe::field::Fp12 got = comb.pow(k);
-    EXPECT_TRUE(got == x.pow_cyclotomic(k)) << "ladder, k=" << k.to_hex();
-    EXPECT_TRUE(got == gt.exp(Fr::from_u256_reduce(k)).value())
-        << "Gt::exp, k=" << k.to_hex();
-  }
-}
-
-TEST(GtComb4, MatchesVariableBaseOnRandomElement) { check_gt_comb(tu::random_gt()); }
-
-TEST(GtComb4, MatchesVariableBaseOnPairingOfGenerators) {
-  check_gt_comb(
-      ibbe::pairing::pairing(G1::generator(), G2::generator()).value());
-}
-
-TEST(GtComb4, IdentityBase) {
-  const ibbe::pairing::GtComb4 comb(ibbe::field::Fp12::one());
-  for (const U256& k : tu::edge_scalars()) EXPECT_TRUE(comb.pow(k).is_one());
-}
-
-TEST(FixedBaseTableG1, MatchesGlvAndLadder) {
-  for (const G1& p : {tu::random_g1(), G1::generator().dbl()}) {
-    const ibbe::ec::FixedBaseTable<G1> table(p);
-    for (const U256& k : fixed_base_scalars()) {
-      const auto got = table.mul(k).to_affine();
-      const auto ladder = p.scalar_mul(k).to_affine();
-      const auto glv = p.mul(Fr::from_u256_reduce(k)).to_affine();
-      ASSERT_EQ(got.has_value(), ladder.has_value()) << k.to_hex();
-      ASSERT_EQ(got.has_value(), glv.has_value()) << k.to_hex();
-      if (!got) continue;
-      EXPECT_TRUE(got->first == ladder->first && got->second == ladder->second)
-          << "ladder, k=" << k.to_hex();
-      EXPECT_TRUE(got->first == glv->first && got->second == glv->second)
-          << "GLV, k=" << k.to_hex();
-    }
-  }
 }
 
 }  // namespace
