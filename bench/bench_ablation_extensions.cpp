@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
     // so the replay reports the decrypts each op forces under the scheme: a
     // join wraps the existing gk, so only the joiner decrypts; a revocation
     // rotates gk, so every remaining member re-derives it. With D ~ R*N the
-    // advisor's optimum is sqrt(c_rekey / c_decrypt) ~ 0.4 members, so it
+    // advisor's optimum is sqrt(c_rekey / c_decrypt) ~ 0.1 members, so it
     // settles on min_partition_size: under this model the forced reads
-    // outweigh the re-keys.
+    // outweigh the re-wraps.
     bench::Table t("Ablation C — fixed vs adaptive partition size (removal-heavy "
                    "churn; decrypts fed: 1 per join, 1 per remaining member per "
                    "revocation)",

@@ -5,8 +5,9 @@
 // P-256 generator combs), G2 decoding with and without the subgroup check, GT
 // exponentiation (naive ladder vs cyclotomic engine, and the final
 // exponentiation's u-power, and the fixed-base comb for v with its build), 64-term G1/G2 MSMs, hash-to-G1, SHA-256, AES-GCM, ECIES, IBBE
-// encrypt/decrypt at |S| = 16 and 256, the enclave's per-partition re-key
-// and the 1000-entry cipher-bundle encode — and
+// encrypt/decrypt at |S| = 16 and 256, the per-partition re-key, the
+// 1000-entry cipher-bundle encode, and the enclave's revocation over 1000
+// partitions and its join — and
 // optionally writes them as JSON so CI can diff a BENCH_scalar.json between
 // revisions. The schema is documented in docs/benchmarks.md.
 //
@@ -120,7 +121,6 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 16; ++i) users.push_back("user" + std::to_string(i));
   auto enc = ibbe::core::encrypt_with_msk(keys.msk, keys.pk, users, rng);
   auto usk = ibbe::core::extract_user_key(keys.msk, users[0]);
-  const Fr enc_exponent = ibbe::core::partition_exponent(keys.msk, users);
 
   // GT exponentiation operands: a genuine order-r element and a scalar.
   const auto gt_elem =
@@ -257,11 +257,6 @@ int main(int argc, char** argv) {
       iters)});
   metrics.push_back({"rekey_us", median_us(
       [&] { (void)ibbe::core::rekey(keys.pk, enc.ct, k); }, iters)});
-  metrics.push_back({"rekey_msk_us", median_us(
-      [&] {
-        (void)ibbe::core::rekey_with_exponent(keys.pk, enc.ct.c3, enc_exponent, k);
-      },
-      iters)});
   metrics.push_back({"bundle_encode_1k_ms", median_us(
       [&] { (void)bundle_1k.to_bytes(); }, build_iters) / 1000.0});
   metrics.push_back({"decrypt_256_us", median_us(
@@ -308,6 +303,46 @@ int main(int argc, char** argv) {
     metrics.push_back({kAdminNames[s], median_us(
         [&] { admin.create_group(ibbe::bench::numbered("g", next_gid++), group); },
         slow_iters)});
+  }
+  // The enclave's revocation over 1000 partitions (the shape of 10^6
+  // members at |p| = 1000; partition size does not enter the re-wrap or the
+  // host's re-key, so these hold 4 members each): one host re-keyed, 999
+  // re-wrapped, at the default thread count. The cold row is a same-seed
+  // second enclave that never saw the group, handed the first's records.
+  // join_us is one join with the partition's record.
+  ibbe::util::ThreadPool::set_global_threads(0);
+  {
+    ibbe::sgx::EnclavePlatform platform("bench-revoke");
+    ibbe::enclave::IbbeEnclave warm(platform, 16, /*rng_seed=*/5);
+    ibbe::enclave::IbbeEnclave cold(platform, 16, /*rng_seed=*/5);
+    std::vector<std::uint64_t> pids(1000);
+    std::vector<std::vector<ibbe::core::Identity>> sets(pids.size());
+    for (std::size_t p = 0; p < pids.size(); ++p) {
+      pids[p] = p + 1;
+      for (int u = 0; u < 4; ++u) {
+        sets[p].push_back(ibbe::bench::numbered("r", 4 * p + u));
+      }
+    }
+    const auto group = warm.ecall_create_group(pids, sets);
+    using Handle = ibbe::enclave::IbbeEnclave::PartitionHandle;
+    const std::vector<ibbe::enclave::IbbeEnclave::BatchRemovalSpec> hosts = {
+        {{pids[0], group.partitions[0].ct, group.records[0]}, {sets[0][0]}}};
+    std::vector<Handle> others;
+    for (std::size_t p = 1; p < pids.size(); ++p) {
+      others.push_back({pids[p], group.partitions[p].ct, group.records[p]});
+    }
+    metrics.push_back({"remove_users_1k_ms", median_us(
+        [&] { (void)warm.ecall_remove_users(hosts, others); },
+        build_iters) / 1000.0});
+    metrics.push_back({"remove_users_1k_cold_ms", median_us(
+        [&] { (void)cold.ecall_remove_users(hosts, others); },
+        build_iters) / 1000.0});
+    metrics.push_back({"join_us", median_us(
+        [&] {
+          (void)warm.ecall_add_user_to_partition(others[0], "joiner",
+                                                 group.sealed_gk);
+        },
+        iters)});
   }
   ibbe::util::ThreadPool::set_global_threads(1);
 

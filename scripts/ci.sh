@@ -223,8 +223,9 @@ fi
 # suite (its BigUInt oracle recomputes every
 # lattice and Montgomery constant the library carries as a literal), and
 # the ec and field suites (point decoding of untrusted bytes, the G2
-# subgroup check, square roots), and the enclave suite (the exponent table
-# moves entries between its generations under concurrent ECALLs).
+# subgroup check, square roots), and the enclave suite (partition records
+# are opened and sealed over spans of handles and batch-encoded C1s on the
+# pool, and a refused record must fall back to the full re-key cleanly).
 sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
   util_test cloud_test fault_injection_test byzantine_test system_test \
   extensions_test shard_delta_test thread_pool_test \
@@ -239,8 +240,9 @@ sanitizer_stage "${BUILD_DIR}-asan" address,undefined \
 # cursors and the lazy first-use of the shared crypto singletons (the
 # generator comb tables, the Montgomery contexts and backend dispatch) and of
 # a shared PublicKey's tables from many workers at once. The enclave suite
-# runs ECALLs from two threads on one enclave: its DRBG draws, EPC meter and
-# exponent table are shared with each other and with the pool workers.
+# runs ECALLs from two threads on one enclave: its DRBG draws, EPC meter,
+# lazily built comb for h and record key are shared with each other and
+# with the pool workers.
 sanitizer_stage "${BUILD_DIR}-tsan" thread \
   cloud_test fault_injection_test byzantine_test system_test \
   thread_pool_test parallel_equivalence_test net_test enclave_test
@@ -250,7 +252,9 @@ sanitizer_stage "${BUILD_DIR}-tsan" thread \
 # many orders, and ten repeats of the PublicKey-table test let seven workers
 # race the first build of every lazy PK table (the G2 powers MSM, the
 # pairing line tables, the fixed-base tables for v and w, the comb for h)
-# in many orders.
+# in many orders. Ten repeats of the enclave's concurrent-ECALL test let two
+# admin threads' joins and revocations race the first build of the comb for
+# h, and pool workers read the record key, in many orders.
 # Skipped with the stage when the toolchain lacks TSan.
 if [ -x "${BUILD_DIR}-tsan/thread_pool_test" ]; then
   echo "==> ${BUILD_DIR}-tsan/thread_pool_test --gtest_repeat=20 (thread)"
@@ -259,6 +263,10 @@ if [ -x "${BUILD_DIR}-tsan/thread_pool_test" ]; then
        "--gtest_filter='*PublicKeyTables*' --gtest_repeat=10 (thread)"
   "${BUILD_DIR}-tsan/parallel_equivalence_test" --gtest_brief=1 \
     --gtest_filter='*PublicKeyTables*' --gtest_repeat=10
+  echo "==> ${BUILD_DIR}-tsan/enclave_test" \
+       "--gtest_filter='*Concurrent*' --gtest_repeat=10 (thread)"
+  "${BUILD_DIR}-tsan/enclave_test" --gtest_brief=1 \
+    --gtest_filter='*Concurrent*' --gtest_repeat=10
 fi
 
 echo "ci.sh: all stages passed"

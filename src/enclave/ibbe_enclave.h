@@ -9,13 +9,14 @@
 // enforced here by the type of the API.
 //
 // ECALLs may run concurrently on one enclave: each draws its randomness in
-// one locked run of the DRBG, and the exponent table has its own lock.
+// one locked run of the DRBG, and the lazily built PK tables and the EPC
+// meter are thread-safe.
 #pragma once
 
 #include <mutex>
 #include <vector>
 
-#include "enclave/exponent_table.h"
+#include "crypto/gcm.h"
 #include "ibbe/ibbe.h"
 #include "pki/ecdsa.h"
 #include "sgx/enclave.h"
@@ -100,53 +101,76 @@ class IbbeEnclave : public sgx::EnclaveBase {
 
   // ---- ECALLs ------------------------------------------------------------
 
+  // Partition records (README.md): with every partition it creates or
+  // re-keys, the enclave returns nonce || AES-GCM(K_rec, SHA-256(bk) || s),
+  // K_rec = HKDF(gamma), AAD = pid || C1's encoding; s is the exponent
+  // (C3 = h^s), zero if unknown. The admin keeps records and never uploads
+  // them. A missing or refused one costs its partition a full re-key.
+
+  /// A partition as the untrusted side holds it: its stable id, ciphertext
+  /// and the record the enclave last returned for it (empty if none).
+  struct PartitionHandle {
+    std::uint64_t pid = 0;
+    core::BroadcastCiphertext ct;
+    util::Bytes record;
+  };
+  /// One partition the enclave created or re-keyed, and its fresh record.
+  struct PartitionUpdate {
+    PartitionCiphertext cipher;
+    util::Bytes record;
+  };
+
   struct GroupCreation {
     std::vector<PartitionCiphertext> partitions;
+    std::vector<util::Bytes> records;  // records[i] for partitions[i]
     sgx::SealedBlob sealed_gk;
   };
   /// Algorithm 1 (enclaved block): fresh gk, one IBBE encrypt per partition,
-  /// gk wrapped under every partition broadcast key, gk sealed for the admin
-  /// cache. Partition assignment itself is untrusted-side work. Records each
-  /// partition's exponent s (C3 = h^s) for later re-keys.
+  /// gk wrapped under every partition broadcast key and sealed for the
+  /// admin cache. `pids[i]` is the admin's stable id for `partitions[i]`.
   [[nodiscard]] GroupCreation ecall_create_group(
+      std::span<const std::uint64_t> pids,
       std::span<const std::vector<core::Identity>> partitions);
 
-  /// Algorithm 2, fast path (lines 9-12): O(1) extension of an existing
-  /// partition's ciphertext; y_p is unchanged. If the enclave knows the old
-  /// C3's exponent s, the new C3 is recorded with s * (gamma + H(added)).
-  [[nodiscard]] core::BroadcastCiphertext ecall_add_user_to_partition(
-      const core::BroadcastCiphertext& ct, const core::Identity& added);
+  /// Algorithm 2, fast path (lines 9-12), plus a fresh k: C3 gains
+  /// (gamma + H(added)) and the sealed gk is wrapped under the new bk, which
+  /// never wrapped an earlier gk (backward secrecy). With a record, C3 and
+  /// C2 come from the comb for h; without, from the host's C3.
+  [[nodiscard]] PartitionUpdate ecall_add_user_to_partition(
+      const PartitionHandle& partition, const core::Identity& added,
+      const sgx::SealedBlob& sealed_gk);
 
-  /// Algorithm 2, slow path (lines 3-7): brand-new partition wrapping the
-  /// *existing* group key (unsealed inside). O(|members|). Records the
-  /// partition's exponent.
-  [[nodiscard]] PartitionCiphertext ecall_create_partition(
-      std::span<const core::Identity> members, const sgx::SealedBlob& sealed_gk);
+  /// Algorithm 2, slow path (lines 3-7): brand-new partition `pid` wrapping
+  /// the *existing* group key (unsealed inside). O(|members|).
+  [[nodiscard]] PartitionUpdate ecall_create_partition(
+      std::uint64_t pid, std::span<const core::Identity> members,
+      const sgx::SealedBlob& sealed_gk);
 
-  /// Algorithm 3 (enclaved block), generalised to a batch: fresh gk; every
-  /// entry of `hosts` is a partition ciphertext (for the set *including* its
-  /// `removed` users) and gets the removal (C3 division + re-key), every
-  /// other partition a constant-time re-key, and the new gk is wrapped under
-  /// every partition key. A single revocation is a batch of one host with
-  /// one user; k revocations cost ONE group-key rotation instead of k.
-  /// A partition whose C3 the enclave computed itself is re-keyed from its
-  /// recorded exponent s: C2 = h^(k s) (a host: s / prod(gamma + H(removed))
-  /// first) on the PK's h comb, built on the first call. Any other C3 (a
-  /// restarted enclave, a host-built C3) takes the MSK/PK path; both give
-  /// the same bytes.
+  /// Algorithm 3 (enclaved block), batched, re-keying only the partitions
+  /// that lost a member (a two-level logical key hierarchy, Wong, Gouda and
+  /// Lam, SIGCOMM '98). Fresh gk. Each host (a partition, for the set
+  /// *including* its `removed` users) gets s' = s / prod(gamma + H(removed))
+  /// and a fresh k: new C1, C2, C3 and bk. Every other partition keeps C1-C3
+  /// and gets gk sealed under its unchanged SHA-256(bk), from its record,
+  /// with a fresh nonce: only past and present members can derive a
+  /// partition's bk, and a removal from it re-keys it. Without a usable
+  /// record a host divides the host-supplied C3 and any other partition is
+  /// re-keyed over it (`core::rekey`). k revocations cost one rotation.
   struct BatchRemovalSpec {
-    core::BroadcastCiphertext ct;
+    PartitionHandle partition;
     std::vector<core::Identity> removed;
   };
   struct RemovalResult {
-    /// Updated ciphertexts: the hosts first, in the order of `hosts`, then
-    /// the rest in the input order of `other_partitions`.
+    /// The hosts first, in the order of `hosts`, then the rest in the input
+    /// order of `other_partitions`.
     std::vector<PartitionCiphertext> partitions;
+    /// records[i] for partitions[i]; empty where the input record stands.
+    std::vector<util::Bytes> records;
     sgx::SealedBlob sealed_gk;
   };
   [[nodiscard]] RemovalResult ecall_remove_users(
       std::span<const BatchRemovalSpec> hosts,
-      std::span<const core::BroadcastCiphertext> other_partitions);
+      std::span<const PartitionHandle> other_partitions);
 
   /// Extract User Secret (paper section IV-B op 2). Raw form — callers are
   /// the provisioning path below and the test/bench harnesses.
@@ -192,15 +216,12 @@ class IbbeEnclave : public sgx::EnclaveBase {
   }
 
  private:
-  /// y_p = AES-256-GCM(SHA-256(bk), gk) under a caller-supplied nonce. The
-  /// nonce is PRE-DRAWN from the enclave DRBG on the ecall thread (together
-  /// with every IBBE randomizer, in partition order) before the
-  /// per-partition work fans out to the thread pool — the DRBG stays
-  /// single-threaded and the draw sequence is identical at every thread
-  /// count, so outputs are bitwise-reproducible for a seeded enclave.
-  [[nodiscard]] util::Bytes wrap_gk(const pairing::Gt& bk,
-                                    std::span<const std::uint8_t> gk,
-                                    const util::Bytes& nonce) const;
+  /// Algorithm 1's per-partition work: a fresh k, y_p wrapping `gk` and a
+  /// record each. Leaves sealed_gk empty.
+  [[nodiscard]] GroupCreation encrypt_partitions(
+      std::span<const std::uint64_t> pids,
+      std::span<const std::vector<core::Identity>> partitions,
+      std::span<const std::uint8_t> gk);
   /// Platform counter name for a group, scoped by this build's measurement.
   [[nodiscard]] std::string freshness_counter_name(const std::string& group) const;
   /// keys_.pk with its fixed-base tables for v and w built. Every encrypting
@@ -208,21 +229,16 @@ class IbbeEnclave : public sgx::EnclaveBase {
   /// workers share one copy; the first call bills the tables to the EPC.
   const core::PublicKey& pk_with_tables();
   /// pk_with_tables() plus the comb for h, built and billed the same way by
-  /// the first revocation that re-keys from an exponent.
+  /// the first ECALL that encrypts from a known exponent.
   const core::PublicKey& pk_with_h_comb();
-  /// Runs fn(exponents_) under its lock and bills the size change to the
-  /// EPC meter.
-  template <typename Fn>
-  void with_exponents(Fn&& fn);
 
   // ---- enclave-private state (never crosses the boundary) ----
   core::SystemKeys keys_;
   pki::EcdsaKeyPair identity_key_;
+  crypto::Aes256Gcm record_key_;  // K_rec, derived from gamma
   std::once_flag tables_billed_;
   std::once_flag h_comb_billed_;
   std::mutex draw_mutex_;  // one ECALL's DRBG draws at a time
-  std::mutex exponents_mutex_;
-  ExponentTable exponents_;  // guarded by exponents_mutex_
 };
 
 /// Size of the group key generated inside the enclave.

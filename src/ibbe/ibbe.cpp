@@ -318,16 +318,12 @@ EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
   return assemble_from_c3(pk, ct.c3, rng);
 }
 
-EncryptResult rekey_with_exponent(const PublicKey& pk, const G2& c3,
-                                  const Fr& s, const Fr& k) {
-  EncryptResult out = assemble_without_c2(pk, c3, k);
-  out.ct.c2 = pk.h_comb().pow((k * s).to_u256());
-  return out;
-}
-
 EncryptResult encrypt_with_exponent(const PublicKey& pk, const Fr& s,
                                     const Fr& k) {
-  return rekey_with_exponent(pk, pk.h_comb().pow(s.to_u256()), s, k);
+  const ec::Comb<ec::G2Ops>& h_comb = pk.h_comb();
+  EncryptResult out = assemble_without_c2(pk, h_comb.pow(s.to_u256()), k);
+  out.ct.c2 = h_comb.pow((k * s).to_u256());
+  return out;
 }
 
 std::optional<Gt> decrypt(const PublicKey& pk, const UserSecretKey& usk,

@@ -21,10 +21,9 @@
 //                                    re-key; k = 1 is the paper's O(1) removal
 //   rekey                 O(1)     — fresh k applied to the cached C3 (PK only):
 //                                    C2 = C3^k, a variable-base G2 mul
-//   rekey_with_exponent   O(1)     — the same re-key for a caller holding s:
-//                                    C2 = h^(k s) on the h comb, a fixed-base
-//                                    mul about half the variable-base cost
-//   encrypt_with_exponent O(1)     — C3 = h^s and C2 = h^(k s) on the h comb
+//   encrypt_with_exponent O(1)     — C3 = h^s and C2 = h^(k s) on the h comb,
+//                                    for a caller holding s: fixed-base muls
+//                                    about half the variable-base cost
 //   decrypt               O(|S|^2) — polynomial expansion, then 2 pairings
 #pragma once
 
@@ -111,11 +110,12 @@ struct PublicKey {
   /// first, so the workers share one copy instead of racing to build several.
   [[nodiscard]] const FixedBaseTables& fixed_base_tables() const;
 
-  /// Fixed-base comb for h, the third base: the explicit-exponent paths
-  /// compute C3 = h^s and C2 = h^(k s) through it. Kept apart from
+  /// Fixed-base comb for h, the third base: encrypt_with_exponent computes
+  /// C3 = h^s and C2 = h^(k s) through it. Kept apart from
   /// fixed_base_tables() because only a caller holding exponents repays its
   /// build (~4 ms at one thread, 153 KiB): the enclave builds it on its
-  /// first revocation, not at group creation. Same double-checked init.
+  /// first join or revocation, not at group creation. Same double-checked
+  /// init.
   [[nodiscard]] const ec::Comb<ec::G2Ops>& h_comb() const;
 
   [[nodiscard]] util::Bytes to_bytes() const;
@@ -195,8 +195,8 @@ EncryptResult encrypt_public(const PublicKey& pk,
 
 /// O(1) membership addition (MSK path): folds (gamma + H(id)) into C2 and C3
 /// and returns that factor, the partition exponent's new term. bk is
-/// unchanged — the joiner may read prior ciphertexts by design (the paper
-/// re-keys only on revocation).
+/// unchanged, so the joiner may read prior ciphertexts (the paper re-keys
+/// only on revocation; the enclave's join re-keys as well).
 field::Fr add_user_with_msk(const MasterSecretKey& msk,
                             BroadcastCiphertext& ct, const Identity& added);
 
@@ -226,23 +226,15 @@ EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
 EncryptResult rekey(const PublicKey& pk, const BroadcastCiphertext& ct,
                     const field::Fr& k);
 
-// Explicit-exponent paths, for a caller that knows a partition's exponent s
-// (C3 = h^s; the enclave keeps the s it computed). C3 = h^s and
-// C2 = h^(k s) go through pk.h_comb() instead of variable-base
-// multiplications of C3; bk and C1 through the fixed-base tables as above.
-// Given the same s and k the bytes equal the MSK/PK paths' (h has prime
-// order, so C3 fixes s).
-
+/// The explicit-exponent path, for a caller that knows a partition's
+/// exponent s (the enclave keeps it in its partition records): C3 = h^s and
+/// C2 = h^(k s) on pk.h_comb(), bk and C1 on the fixed-base tables. Given
+/// the same s and k the bytes equal the MSK/PK paths' (C3 fixes s).
 /// A fresh ciphertext for exponent s: C3 = h^s, C2 = h^(k s). Equals
 /// encrypt_with_msk for a set with exponent s, and remove_users_with_msk for
 /// the exponent left after the removal, s / partition_exponent(removed).
 EncryptResult encrypt_with_exponent(const PublicKey& pk, const field::Fr& s,
                                     const field::Fr& k);
-
-/// Re-key of c3 = h^s: C2 = h^(k s), C3 kept. Equals rekey(pk, ct, k) for a
-/// ciphertext with that C3. The caller vouches for c3 = h^s.
-EncryptResult rekey_with_exponent(const PublicKey& pk, const ec::G2& c3,
-                                  const field::Fr& s, const field::Fr& k);
 
 /// User-side decrypt: PreparedPartition::prepare (O(|S|^2)) followed by
 /// decrypt(const PreparedPartition&, ct) — a 2-pair multi-pairing (shared

@@ -478,8 +478,12 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
     throw cloud::TransientError("sync_from_cloud: sealed gk not yet visible");
   }
 
-  // Admin-local fields survive the re-sync.
+  // Admin-local fields survive the re-sync. A record whose C1 a peer
+  // changed is refused by the enclave and costs one full re-key.
   if (old != cache_.end()) {
+    for (auto& [pid, record] : old->second.records) {
+      if (state.ciphers.count(pid)) state.records[pid] = std::move(record);
+    }
     state.partition_counter = old->second.partition_counter;
     state.epoch_counter = old->second.epoch_counter;
     state.object_counter = old->second.object_counter;
@@ -697,7 +701,9 @@ AdminApi::GroupState AdminApi::stage_generation(
   }
 
   // Lines 2-6 run inside the enclave.
-  auto creation = enclave_.ecall_create_group(partitions);
+  std::vector<PartitionId> pids(partitions.size());
+  for (auto& pid : pids) pid = fresh_partition_id(state);
+  auto creation = enclave_.ecall_create_group(pids, partitions);
 
   // Line 7: persist shards, cipher bundle and sealed gk under fresh names,
   // all BEFORE the manifest CAS commits them.
@@ -709,8 +715,9 @@ AdminApi::GroupState AdminApi::stage_generation(
           : PartitionAdvisor::recommend_shard_partitions(partitions.size(),
                                                          partition_size);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    const PartitionId pid = fresh_partition_id(state);
+    const PartitionId pid = pids[p];
     state.ciphers.emplace(pid, std::move(creation.partitions[p]));
+    state.records.emplace(pid, std::move(creation.records[p]));
     assign_to_shard(state, pid);
     state.index.add_partition(pid, std::move(partitions[p]));
   }
@@ -743,17 +750,20 @@ void AdminApi::add_user(const GroupId& gid, const Identity& id) {
         if (open.empty()) {
           // Lines 3-7: new partition wrapping the existing gk.
           pid = fresh_partition_id(state);
-          state.ciphers[pid] = enclave_.ecall_create_partition(
-              std::span(&id, 1), state.sealed_gk);
+          store(state, pid,
+                enclave_.ecall_create_partition(pid, std::span(&id, 1),
+                                                state.sealed_gk));
           shard = assign_to_shard(state, pid);
           created_partition = true;
         } else {
-          // Lines 9-12: random open partition; O(1) ciphertext extension; the
-          // wrapped key y_p is untouched. The partition keeps its stable id —
-          // immutability lives in the shard/overlay objects rewritten below.
+          // Lines 9-12: random open partition; O(1) ciphertext extension and
+          // a fresh k, so the joiner's bk never wrapped an earlier gk. The
+          // partition keeps its stable id — immutability lives in the
+          // shard/overlay objects rewritten below.
           pid = open[rng_.uniform(open.size())];
-          auto& cipher = state.ciphers.at(pid);
-          cipher.ct = enclave_.ecall_add_user_to_partition(cipher.ct, id);
+          store(state, pid,
+                enclave_.ecall_add_user_to_partition(handle(state, pid), id,
+                                                     state.sealed_gk));
           shard = shard_index_of(state, pid);
         }
         stage_op(state,
@@ -808,21 +818,22 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
 
         std::vector<enclave::IbbeEnclave::BatchRemovalSpec> hosts;
         std::vector<PartitionId> host_pids;
-        std::vector<core::BroadcastCiphertext> others;
+        std::vector<enclave::IbbeEnclave::PartitionHandle> others;
         std::vector<PartitionId> other_pids;
         for (const auto& [pid, members] : state.index.partitions()) {
           auto it = by_partition.find(pid);
           if (it != by_partition.end()) {
-            hosts.push_back({state.ciphers.at(pid).ct, it->second});
+            hosts.push_back({handle(state, pid), it->second});
             host_pids.push_back(pid);
           } else {
-            others.push_back(state.ciphers.at(pid).ct);
+            others.push_back(handle(state, pid));
             other_pids.push_back(pid);
           }
         }
 
-        // Lines 3-9 run inside the enclave: removal on every host, constant
-        // time re-key everywhere else, fresh gk wrapped under every partition.
+        // Lines 3-9 run inside the enclave: removal and a fresh k on every
+        // host, and the fresh gk wrapped under every other partition's
+        // unchanged key.
         auto result = enclave_.ecall_remove_users(hosts, others);
         state.sealed_gk = result.sealed_gk;
         state.gk_epoch = fresh_gk_epoch(state);
@@ -834,7 +845,8 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
         std::vector<std::uint64_t> dirty_sids;
         for (std::size_t h = 0; h < host_pids.size(); ++h) {
           const PartitionId pid = host_pids[h];
-          state.ciphers[pid] = std::move(result.partitions[h]);
+          store(state, pid, {std::move(result.partitions[h]),
+                             std::move(result.records[h])});
           const std::size_t s = shard_index_of(state, pid);
           if (std::find(dirty_sids.begin(), dirty_sids.end(),
                         state.shards[s].sid) == dirty_sids.end()) {
@@ -851,6 +863,7 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
           // entry go with it (and an emptied shard drops out of the
           // manifest — the old file is swept by the post-commit GC).
           state.ciphers.erase(pid);
+          state.records.erase(pid);
           auto& pids = state.shards[s].pids;
           pids.erase(std::find(pids.begin(), pids.end(), pid));
           if (pids.empty()) {
@@ -859,8 +872,9 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
           }
         }
         for (std::size_t o = 0; o < other_pids.size(); ++o) {
-          state.ciphers[other_pids[o]] =
-              std::move(result.partitions[hosts.size() + o]);
+          const std::size_t i = hosts.size() + o;
+          store(state, other_pids[o], {std::move(result.partitions[i]),
+                                       std::move(result.records[i])});
         }
 
         subject = log_as_batch ? "batch=" + std::to_string(removed_count)
@@ -898,8 +912,9 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
           }
           rewrite_shard(gid, state, s);
         }
-        // Every partition's ciphertext changed, but they travel as ONE
-        // rotated bundle: the revocation stays O(1) uploaded objects.
+        // Every partition's y_p changed (the hosts' C1-C3 too), but they
+        // travel as ONE rotated bundle: the revocation stays O(1) uploaded
+        // objects.
         write_bundle(gid, state);
         put_object(sealed_gk_path(gid, state.gk_epoch),
                    state.sealed_gk.to_bytes());
@@ -909,6 +924,19 @@ void AdminApi::remove_members(const GroupId& gid, std::span<const Identity> ids,
   if (outcome == OpOutcome::noop) return;
   stats_.users_removed += removed_count;
   for (std::size_t i = 0; i < removed_count; ++i) advisor_.record_remove();
+}
+
+enclave::IbbeEnclave::PartitionHandle AdminApi::handle(const GroupState& state,
+                                                      PartitionId pid) {
+  auto record = state.records.find(pid);
+  return {pid, state.ciphers.at(pid).ct,
+          record == state.records.end() ? util::Bytes{} : record->second};
+}
+
+void AdminApi::store(GroupState& state, PartitionId pid,
+                     enclave::IbbeEnclave::PartitionUpdate update) {
+  state.ciphers[pid] = std::move(update.cipher);
+  if (!update.record.empty()) state.records[pid] = std::move(update.record);
 }
 
 void AdminApi::stage_op(GroupState& state, DeltaOp op) {
@@ -929,6 +957,7 @@ void AdminApi::repartition_shard(GroupState& state, std::size_t shard) {
     const auto& members = members_of(state.index, pid);
     pool.insert(pool.end(), members.begin(), members.end());
     state.ciphers.erase(pid);
+    state.records.erase(pid);
   }
   sh.pids.clear();
 
@@ -941,8 +970,8 @@ void AdminApi::repartition_shard(GroupState& state, std::size_t shard) {
         pool.begin() + static_cast<std::ptrdiff_t>(last));
     // Wraps the CURRENT (post-rotation) gk — the caller writes the bundle
     // after this, so the new ciphertexts ride the same O(1) object.
-    state.ciphers[pid] =
-        enclave_.ecall_create_partition(members, state.sealed_gk);
+    store(state, pid,
+          enclave_.ecall_create_partition(pid, members, state.sealed_gk));
     sh.pids.push_back(pid);
     op.created.emplace_back(pid, std::move(members));
     stats_.partitions_created++;

@@ -214,6 +214,10 @@ class AdminApi {
     CachedIndex index;
     /// Each partition's current ciphertext.
     std::map<PartitionId, enclave::PartitionCiphertext> ciphers;
+    /// Admin-local, never uploaded: the enclave's record for each partition
+    /// it created or re-keyed (IbbeEnclave, "Partition records"). A
+    /// partition without one takes a full re-key at the next revocation.
+    std::map<PartitionId, util::Bytes> records;
     std::vector<Shard> shards;
     std::uint64_t cipher_set = 0;                   // live bundle object id
     std::map<PartitionId, std::uint64_t> overlays;  // pid -> overlay object id
@@ -320,6 +324,13 @@ class AdminApi {
   /// Advances the local id/epoch/object counters past every id the
   /// committed state carries for this admin's nonce.
   void bump_counters_past(GroupState& state) const;
+  /// Partition `pid` as the enclave takes it (record empty if none held),
+  /// and the cache update from the enclave (an empty record keeps the
+  /// held one).
+  static enclave::IbbeEnclave::PartitionHandle handle(const GroupState& state,
+                                                      PartitionId pid);
+  static void store(GroupState& state, PartitionId pid,
+                    enclave::IbbeEnclave::PartitionUpdate update);
   /// Applies `op` to the cached index and stages it for the commit's
   /// delta, so the published delta is exactly the change made. An op the
   /// index rejects is a bug here: std::logic_error.

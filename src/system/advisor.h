@@ -4,13 +4,13 @@
 // Cost model. Over an observation window with R revocations and D user
 // decryptions on a group of N members split into partitions of size m:
 //
-//   administrator cost ~= R * (N/m) * c_rekey      (one re-key per partition)
+//   administrator cost ~= R * (N/m) * c_rekey      (one re-wrap per partition)
 //   user cost          ~= D * m * c_decrypt        (decrypt is ~linear in m
 //                                                   until the quadratic Zr
 //                                                   term dominates)
 //
 // Minimizing the sum over m gives  m* = sqrt(R*N*c_rekey / (D*c_decrypt)).
-// Removal-heavy workloads push towards large partitions (fewer to re-key);
+// Removal-heavy workloads push towards large partitions (fewer to re-wrap);
 // read-heavy ones towards small partitions (cheap decrypts) — exactly the
 // trade-off of the paper's Fig. 9 discussion.
 #pragma once
@@ -23,14 +23,11 @@ namespace ibbe::system {
 class PartitionAdvisor {
  public:
   struct CostModel {
-    /// Seconds to re-key one partition inside a warm enclave, one that
-    /// recorded the partition's exponent (1 G1 + 1 G2 + 1 GT fixed-base
-    /// exponentiation + AEAD wrap): bench_scalar_suite's `rekey_msk_us`,
-    /// 172 µs in BENCH_baseline.json (one thread of a shared 4-vCPU x86-64
-    /// host), plus ~5 µs for the SHA-256 and GCM wrap. An enclave that never
-    /// saw the partition's C3 (after a restart) pays `rekey_us`, 273 µs in
-    /// the same file.
-    double rekey_seconds = 1.8e-4;
+    /// Seconds a revocation spends per partition: it costs one host re-key
+    /// plus (N/m - 1) re-wraps of gk, so this is the re-wrap,
+    /// bench_scalar_suite's `remove_users_1k_ms` / 1000: 13.1 ms at
+    /// IBBE_THREADS=1 on a shared 4-vCPU x86-64 host (3.6 ms at four).
+    double rekey_seconds = 1.3e-5;
     /// Client decrypt seconds per partition member (G2 exponentiation
     /// dominated at practical sizes).
     double decrypt_seconds_per_member = 1.1e-3;

@@ -85,12 +85,13 @@ TEST(BatchEnclave, OneGkRotationForWholeBatch) {
   ibbe::enclave::IbbeEnclave enclave(platform, 8);
   std::vector<std::vector<Identity>> partitions = {make_users(4, 0),
                                                    make_users(4, 4)};
-  auto group = enclave.ecall_create_group(partitions);
+  const std::vector<std::uint64_t> pids = {1, 2};
+  auto group = enclave.ecall_create_group(pids, partitions);
 
   // Revoke one user from each partition in a single ECALL.
   std::vector<ibbe::enclave::IbbeEnclave::BatchRemovalSpec> hosts = {
-      {group.partitions[0].ct, {"user0"}},
-      {group.partitions[1].ct, {"user5"}},
+      {{pids[0], group.partitions[0].ct, group.records[0]}, {"user0"}},
+      {{pids[1], group.partitions[1].ct, group.records[1]}, {"user5"}},
   };
   auto before = enclave.ecall_count();
   auto result = enclave.ecall_remove_users(hosts, {});

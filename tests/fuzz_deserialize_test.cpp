@@ -56,7 +56,7 @@ std::vector<Format> all_formats() {
   // SGX formats.
   ibbe::sgx::EnclavePlatform platform("fuzz-box");
   ibbe::enclave::IbbeEnclave enclave(platform, 4);
-  auto group = enclave.ecall_create_group({{users}});
+  auto group = enclave.ecall_create_group(std::vector<std::uint64_t>{1}, {{users}});
   formats.push_back({"SealedBlob", group.sealed_gk.to_bytes(), [](auto d) {
                        (void)ibbe::sgx::SealedBlob::from_bytes(d);
                      }});
@@ -245,7 +245,9 @@ TEST(FuzzDeserialize, ReaderRejectsMutatedObjectsWithoutThrowing) {
   ibbe::sgx::EnclavePlatform platform("fuzz-reader");
   ibbe::enclave::IbbeEnclave enclave(platform, 4);
   const std::vector<ibbe::core::Identity> members = {"a", "b"};
-  auto cipher = enclave.ecall_create_group({{members}}).partitions[0];
+  auto cipher =
+      enclave.ecall_create_group(std::vector<std::uint64_t>{1}, {{members}})
+          .partitions[0];
 
   ibbe::system::GroupManifest manifest;
   manifest.gk_epoch = 2;
@@ -311,7 +313,9 @@ struct Fixture {
     ibbe::enclave::IbbeEnclave enclave(platform, 4);
     const std::vector<std::vector<ibbe::core::Identity>> partitions = {
         {"a", "b"}, {"c"}, {"d", "e", "f"}};
-    pool = enclave.ecall_create_group(partitions).partitions;
+    pool = enclave.ecall_create_group(std::vector<std::uint64_t>{1, 2, 3},
+                                      partitions)
+               .partitions;
   }
 
   Bytes sign(std::span<const std::uint8_t> payload) const {

@@ -372,11 +372,14 @@ TEST(IbbeExponent, ExponentPathsEqualTheMskAndPkPathsBytewise) {
     expect_same_bytes(ibbe::core::encrypt_with_exponent(keys.pk, s, k), enc,
                       "encrypt, " + tag);
 
-    // rekey is assemble_from_c3 over the cached C3.
+    // A join with a re-key: the grown exponent, or the grown C3 re-keyed.
     const auto k2 = ibbe::core::random_nonzero_fr(rng);
-    expect_same_bytes(
-        ibbe::core::rekey_with_exponent(keys.pk, enc.ct.c3, s, k2),
-        ibbe::core::rekey(keys.pk, enc.ct, k2), "rekey, " + tag);
+    const Identity joiner = "joiner";
+    const auto factor = partition_exponent(keys.msk, std::span(&joiner, 1));
+    BroadcastCiphertext grown = enc.ct;
+    grown.c3 = grown.c3.mul(factor);
+    expect_same_bytes(ibbe::core::encrypt_with_exponent(keys.pk, s * factor, k2),
+                      ibbe::core::rekey(keys.pk, grown, k2), "join, " + tag);
 
     // A removal is a fresh ciphertext for the exponent left behind.
     const std::span<const Identity> removed(users.data(), (n + 1) / 2);

@@ -144,16 +144,16 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfPublicKeyTables) {
   const auto shared_pk = core::PublicKey::from_bytes(pk_bytes);
   const std::size_t n = shapes.size();
   std::vector<util::Bytes> prepared(n), one_shot(n), rekeyed(n), encrypted(n),
-      exp_rekeyed(n);
+      exp_encrypted(n);
   std::vector<char> verified(n, 0);
-  auto rekey_with_exponent = [&](std::size_t p) {
-    return encoded(core::rekey_with_exponent(shared_pk, cts[p].c3,
-                                             exponents[p], ks[p]));
+  auto encrypt_with_exponent = [&](std::size_t p) {
+    return encoded(
+        core::encrypt_with_exponent(shared_pk, exponents[p], ks[p]));
   };
   ThreadPool::global().parallel_for(0, n, 1, [&](std::size_t p) {
     // Odd workers hit the h comb and the fixed-base tables first, even ones
     // the MSM.
-    if (p % 2) exp_rekeyed[p] = rekey_with_exponent(p);
+    if (p % 2) exp_encrypted[p] = encrypt_with_exponent(p);
     if (p % 2) rekeyed[p] = encoded(core::rekey(shared_pk, cts[p], ks[p]));
     auto part = core::PreparedPartition::prepare(shared_pk, usk, receivers[p]);
     if (part) prepared[p] = core::decrypt(*part, cts[p]).to_bytes();
@@ -163,14 +163,14 @@ TEST(ParallelEquivalenceTest, ConcurrentFirstUseOfPublicKeyTables) {
     if (p % 2 == 0) rekeyed[p] = encoded(core::rekey(shared_pk, cts[p], ks[p]));
     encrypted[p] = encoded(
         core::encrypt_with_msk(keys.msk, shared_pk, receivers[p], ks[p]));
-    if (p % 2 == 0) exp_rekeyed[p] = rekey_with_exponent(p);
+    if (p % 2 == 0) exp_encrypted[p] = encrypt_with_exponent(p);
   });
   for (std::size_t p = 0; p < n; ++p) {
     EXPECT_EQ(prepared[p], serial[p]) << p;
     EXPECT_EQ(one_shot[p], serial[p]) << p;
     EXPECT_TRUE(verified[p]) << p;
     EXPECT_EQ(rekeyed[p], serial_rekey[p]) << p;
-    EXPECT_EQ(exp_rekeyed[p], serial_rekey[p]) << p;
+    EXPECT_EQ(exp_encrypted[p], serial_encrypt[p]) << p;
     EXPECT_EQ(encrypted[p], serial_encrypt[p]) << p;
   }
 }
@@ -220,66 +220,81 @@ TEST(ParallelEquivalenceTest, PippengerMsmBitwiseAcrossThreadCounts) {
 // ------------------------------------------------------------- enclave layer
 
 /// Two same-seed enclaves of the same image on one platform produce
-/// bitwise-identical partition ciphertexts; only sealed_gk differs (seal
-/// nonces come from platform entropy, outside the enclave DRBG). Run one at
-/// t = 1 and the other at t, and compare every PartitionCiphertext.
+/// bitwise-identical partition ciphertexts and records; only sealed_gk
+/// differs (seal nonces come from platform entropy, outside the enclave
+/// DRBG). Run one at t = 1 and the other at t, and compare every
+/// PartitionCiphertext and record.
 TEST(ParallelEquivalenceTest, EnclaveCreateRemoveBitwiseAcrossThreadCounts) {
   GlobalThreadsGuard guard;
   sgx::EnclavePlatform platform("equiv-platform");
   constexpr std::uint64_t kSeed = 0x5EED;
+  using Handle = enclave::IbbeEnclave::PartitionHandle;
 
   std::vector<std::vector<Identity>> partitions;
   for (std::size_t p = 0; p < 6; ++p) {
     partitions.push_back(make_ids(4, "g" + std::to_string(p) + "-u"));
   }
+  const std::vector<std::uint64_t> pids = {10, 11, 12, 13, 14, 15};
 
   // Serial oracle: a fresh seeded enclave driven entirely at t = 1.
   ThreadPool::set_global_threads(1);
   enclave::IbbeEnclave oracle(platform, 8, kSeed);
-  auto serial_create = oracle.ecall_create_group(partitions);
+  auto serial_create = oracle.ecall_create_group(pids, partitions);
 
   // Two revocations against the creation: a single one (a batch of one host
-  // with one user, re-keying two other partitions) and a batch over two
-  // hosts. Same-seed creations are bitwise equal, so the specs built from
-  // the oracle's ciphertexts serve every enclave below.
+  // with one user, re-wrapping for two other partitions, one of which lost
+  // its record and is re-keyed) and a batch over two hosts. Same-seed
+  // creations are bitwise equal, so the specs built from the oracle's
+  // ciphertexts serve every enclave below.
   struct Removal {
     std::vector<enclave::IbbeEnclave::BatchRemovalSpec> hosts;
-    std::vector<BroadcastCiphertext> others;
+    std::vector<Handle> others;
   };
-  const auto& cts = serial_create.partitions;
+  const auto handle = [&](std::size_t p) {
+    return Handle{pids[p], serial_create.partitions[p].ct,
+                  serial_create.records[p]};
+  };
   const std::vector<Removal> removals = {
-      {{{cts[0].ct, {partitions[0][0]}}}, {cts[1].ct, cts[2].ct}},
-      {{{cts[3].ct, {partitions[3][1], partitions[3][2]}},
-        {cts[4].ct, {partitions[4][0]}}},
-       {cts[5].ct}},
+      {{{handle(0), {partitions[0][0]}}},
+       {handle(1), {pids[2], serial_create.partitions[2].ct, {}}}},
+      {{{handle(3), {partitions[3][1], partitions[3][2]}},
+        {handle(4), {partitions[4][0]}}},
+       {handle(5)}},
   };
   std::vector<enclave::IbbeEnclave::RemovalResult> serial_removals;
   for (const auto& r : removals) {
     serial_removals.push_back(oracle.ecall_remove_users(r.hosts, r.others));
   }
+  const auto join_handle =
+      Handle{pids[0], serial_removals[0].partitions[0].ct,
+             serial_removals[0].records[0]};
+  auto serial_join = oracle.ecall_add_user_to_partition(
+      join_handle, "joiner", serial_create.sealed_gk);
 
   // The single revocation's output is also pinned across versions: the
-  // SHA-256 of its concatenated ciphertexts, equal to what the former
-  // single-user ECALL produced. A change here means revocation output (and
-  // so every stored bundle) changed.
+  // SHA-256 of its concatenated ciphertexts and records. A change here
+  // means revocation output (and so every stored bundle) changed.
   util::Bytes single;
-  for (const auto& pc : serial_removals[0].partitions) {
-    auto bytes = pc.to_bytes();
+  for (std::size_t i = 0; i < serial_removals[0].partitions.size(); ++i) {
+    auto bytes = serial_removals[0].partitions[i].to_bytes();
     single.insert(single.end(), bytes.begin(), bytes.end());
+    const auto& record = serial_removals[0].records[i];
+    single.insert(single.end(), record.begin(), record.end());
   }
   EXPECT_EQ(util::to_hex(crypto::Sha256::hash(single)),
-            "4c961a1e6ddf9fbc0670ee43a8e2309292ff69d9f997c8b1f659b75ea7ff77b8");
+            "e97a73fc5d48bca19969291357355def4924d06cc71010205213155c68f36192");
 
   for (std::size_t t : kThreadSweep) {
     ThreadPool::set_global_threads(t);
     enclave::IbbeEnclave en(platform, 8, kSeed);
-    auto create = en.ecall_create_group(partitions);
+    auto create = en.ecall_create_group(pids, partitions);
     ASSERT_EQ(create.partitions.size(), serial_create.partitions.size());
     for (std::size_t i = 0; i < create.partitions.size(); ++i) {
       EXPECT_EQ(create.partitions[i].to_bytes(),
                 serial_create.partitions[i].to_bytes())
           << "create t=" << t << " i=" << i;
     }
+    EXPECT_EQ(create.records, serial_create.records) << "create t=" << t;
 
     for (std::size_t r = 0; r < removals.size(); ++r) {
       auto got = en.ecall_remove_users(removals[r].hosts, removals[r].others);
@@ -289,7 +304,14 @@ TEST(ParallelEquivalenceTest, EnclaveCreateRemoveBitwiseAcrossThreadCounts) {
         EXPECT_EQ(got.partitions[i].to_bytes(), want[i].to_bytes())
             << "removal " << r << " t=" << t << " i=" << i;
       }
+      EXPECT_EQ(got.records, serial_removals[r].records)
+          << "removal " << r << " t=" << t;
     }
+    auto join = en.ecall_add_user_to_partition(join_handle, "joiner",
+                                               create.sealed_gk);
+    EXPECT_EQ(join.cipher.to_bytes(), serial_join.cipher.to_bytes())
+        << "join t=" << t;
+    EXPECT_EQ(join.record, serial_join.record) << "join t=" << t;
   }
 }
 
@@ -342,7 +364,8 @@ TEST(ParallelEquivalenceTest, WorkerExceptionLeavesCryptoPathsIntact) {
     util::Bytes out =
         ec::g1_to_bytes(ec::msm(std::span<const ec::G1>(bases), scalars));
     enclave::IbbeEnclave en(platform, 8, 0xFA11);
-    for (const auto& pc : en.ecall_create_group(partitions).partitions) {
+    const std::vector<std::uint64_t> pids = {1, 2, 3, 4};
+    for (const auto& pc : en.ecall_create_group(pids, partitions).partitions) {
       auto bytes = pc.to_bytes();
       out.insert(out.end(), bytes.begin(), bytes.end());
     }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
+#include "crypto/gcm.h"
 #include "crypto/sha256.h"
 #include "system/admin.h"
 #include "system/client.h"
@@ -130,6 +133,175 @@ TEST_F(SystemFixture, RemoveRevokesAndRotates) {
     ASSERT_TRUE(gk.has_value()) << id;
     EXPECT_EQ(*gk, *after) << id;
   }
+}
+
+/// A group's committed state as a client sees it: every partition's members
+/// and current entry (bundle, or the overlay that supersedes it), plus the
+/// stored bundle and overlay bytes.
+struct Committed {
+  ibbe::system::GroupManifest manifest;
+  std::map<ibbe::system::PartitionId, std::vector<Identity>> members;
+  std::map<ibbe::system::PartitionId, ibbe::enclave::PartitionCiphertext> ciphers;
+  Bytes bundle_bytes;
+  std::map<ibbe::system::PartitionId, Bytes> overlay_bytes;
+};
+
+Committed read_committed(const ibbe::cloud::CloudStore& cloud,
+                         const AdminApi& admin, const GroupId& gid) {
+  using namespace ibbe::system;
+  const MetadataReader reader({admin.verification_point()});
+  Committed out;
+  auto m = reader.manifest(cloud.get(index_path(gid)), gid, nullptr);
+  EXPECT_TRUE(m.ok());
+  out.manifest = m.record;
+  for (const auto& ref : out.manifest.shards) {
+    auto shard = reader.shard(cloud.get(shard_path(gid, ref.sid)), ref);
+    EXPECT_TRUE(shard.ok());
+    for (auto& [pid, ids] : shard.record.partitions) out.members[pid] = ids;
+  }
+  out.bundle_bytes =
+      *cloud.get(cipher_bundle_path(gid, out.manifest.cipher_set));
+  auto bundle = reader.bundle(out.bundle_bytes, out.manifest);
+  EXPECT_TRUE(bundle.ok());
+  for (const auto& [pid, cipher] : bundle.record.entries) {
+    out.ciphers[pid] = cipher;
+  }
+  for (const auto& [pid, oid] : out.manifest.overlays) {
+    out.overlay_bytes[pid] = *cloud.get(cipher_overlay_path(gid, oid));
+    auto overlay = reader.overlay(out.overlay_bytes[pid], out.manifest, pid);
+    EXPECT_TRUE(overlay.ok());
+    out.ciphers[pid] = overlay.record.cipher;
+  }
+  return out;
+}
+
+/// Whether `key` opens the wrapped group key of `pc`.
+bool opens(std::span<const std::uint8_t> key,
+           const ibbe::enclave::PartitionCiphertext& pc) {
+  return ibbe::crypto::Aes256Gcm(key).open(pc.nonce, pc.wrapped_gk).has_value();
+}
+
+/// Whether `usk`, claiming membership of `members` (plus itself), opens
+/// the wrapped group key of `pc`.
+bool usk_opens(const ibbe::core::PublicKey& pk,
+               const ibbe::core::UserSecretKey& usk,
+               std::vector<Identity> members,
+               const ibbe::enclave::PartitionCiphertext& pc) {
+  if (std::find(members.begin(), members.end(), usk.id) == members.end()) {
+    members.push_back(usk.id);
+  }
+  auto bk = ibbe::core::decrypt(pk, usk, members, pc.ct);
+  return bk && opens(bk->hash(), pc);
+}
+
+TEST_F(SystemFixture, RevokedMemberOpensNoEntryOfThePostRevocationBundle) {
+  // Three partitions of 3; user4 sits in the second. Before its removal it
+  // can compute its own partition's bk. The other partitions are only
+  // re-wrapped, under keys it never held.
+  admin.create_group(gid, make_users(9));
+  const auto before = read_committed(cloud, admin, gid);
+  const Identity revoked = "user4";
+  const auto usk = enclave.ecall_extract_user_key(revoked);
+  std::optional<ibbe::pairing::Gt> old_bk;
+  for (const auto& [pid, ids] : before.members) {
+    auto bk = ibbe::core::decrypt(enclave.public_key(), usk, ids,
+                                  before.ciphers.at(pid).ct);
+    if (bk) old_bk = bk;
+  }
+  ASSERT_TRUE(old_bk.has_value());
+
+  admin.remove_user(gid, revoked);
+  const auto after = read_committed(cloud, admin, gid);
+  ASSERT_EQ(after.ciphers.size(), 3u);
+  std::size_t unchanged = 0;
+  for (const auto& [pid, pc] : after.ciphers) {
+    EXPECT_FALSE(opens(old_bk->hash(), pc)) << pid;
+    EXPECT_FALSE(usk_opens(enclave.public_key(), usk, after.members.at(pid), pc))
+        << pid;
+    if (pc.ct.to_bytes() == before.ciphers.at(pid).ct.to_bytes()) ++unchanged;
+  }
+  EXPECT_EQ(unchanged, 2u);  // only the host was re-keyed
+}
+
+TEST_F(SystemFixture, JoinerOpensNoEntryOfAnEpochBeforeItJoined) {
+  // [u0 u1 u2] [u3 u4]: removing the whole first partition drops it and
+  // only re-wraps the second, which "late" then joins.
+  admin.create_group(gid, make_users(5));
+  std::vector<Committed> history = {read_committed(cloud, admin, gid)};
+  admin.remove_users(gid, make_users(3));
+  history.push_back(read_committed(cloud, admin, gid));
+  ASSERT_EQ(admin.partition_count(gid), 1u);
+
+  const Identity joiner = "late";
+  admin.add_user(gid, joiner);
+  const auto now = read_committed(cloud, admin, gid);
+  const auto usk = enclave.ecall_extract_user_key(joiner);
+  std::optional<ibbe::system::PartitionId> joined;
+  for (const auto& [pid, ids] : now.members) {
+    if (std::find(ids.begin(), ids.end(), joiner) != ids.end()) joined = pid;
+  }
+  ASSERT_TRUE(joined.has_value());
+  EXPECT_EQ(now.members.at(*joined).size(), 3u);  // joined [u3 u4]
+  // Its partition was only re-wrapped by the revocation: same C1-C3.
+  EXPECT_EQ(history[1].ciphers.at(*joined).ct.to_bytes(),
+            history[0].ciphers.at(*joined).ct.to_bytes());
+  EXPECT_TRUE(usk_opens(enclave.public_key(), usk, now.members.at(*joined),
+                        now.ciphers.at(*joined)));
+
+  for (std::size_t epoch = 0; epoch < history.size(); ++epoch) {
+    for (const auto& [pid, pc] : history[epoch].ciphers) {
+      const auto& ids = history[epoch].members.at(pid);
+      EXPECT_FALSE(usk_opens(enclave.public_key(), usk, ids, pc))
+          << "epoch " << epoch << ", pid " << pid;
+    }
+  }
+}
+
+/// Replaces the one occurrence of `from` in `bytes` with `to` (same size).
+Bytes splice(Bytes bytes, const Bytes& from, const Bytes& to) {
+  EXPECT_EQ(from.size(), to.size());
+  auto at = std::search(bytes.begin(), bytes.end(), from.begin(), from.end());
+  EXPECT_NE(at, bytes.end());
+  if (at != bytes.end()) std::copy(to.begin(), to.end(), at);
+  return bytes;
+}
+
+TEST_F(SystemFixture, SplicedPreviousEpochEntryIsUnauthenticated) {
+  // A re-wrapped partition keeps C1-C3, so its previous-epoch entry (the old
+  // y, under the same bk) decrypts to the previous gk. Only the signature
+  // over the bundle and overlay tells a client the splice apart.
+  using ibbe::system::ReadVerdict;
+  const ibbe::system::MetadataReader reader({admin.verification_point()});
+  admin.create_group(gid, make_users(6));  // [u0 u1 u2] [u3 u4 u5]
+  const auto first = read_committed(cloud, admin, gid);
+  admin.remove_user(gid, "user0");
+  const auto second = read_committed(cloud, admin, gid);
+  ibbe::system::PartitionId rewrapped = 0;
+  for (const auto& [pid, ids] : second.members) {
+    if (ids.size() == 3) rewrapped = pid;
+  }
+  const auto& old_entry = first.ciphers.at(rewrapped);
+  const auto& new_entry = second.ciphers.at(rewrapped);
+  ASSERT_EQ(old_entry.ct.to_bytes(), new_entry.ct.to_bytes());
+  ASSERT_NE(old_entry.wrapped_gk, new_entry.wrapped_gk);
+
+  const auto bundle = splice(second.bundle_bytes, new_entry.to_bytes(),
+                             old_entry.to_bytes());
+  EXPECT_EQ(reader.bundle(bundle, second.manifest).verdict,
+            ReadVerdict::unauthenticated);
+  EXPECT_EQ(reader.bundle_entry(bundle, second.manifest, rewrapped).verdict,
+            ReadVerdict::unauthenticated);
+
+  // A join into the host partition publishes an overlay; splice that
+  // partition's previous-epoch entry into it.
+  admin.add_user(gid, "late");
+  const auto third = read_committed(cloud, admin, gid);
+  ASSERT_EQ(third.overlay_bytes.size(), 1u);
+  const auto& [host, overlay_bytes] = *third.overlay_bytes.begin();
+  const auto overlay = splice(overlay_bytes, third.ciphers.at(host).to_bytes(),
+                              second.ciphers.at(host).to_bytes());
+  EXPECT_EQ(reader.overlay(overlay, third.manifest, host).verdict,
+            ReadVerdict::unauthenticated);
 }
 
 TEST_F(SystemFixture, RemoveUnknownUserIsNoOp) {
@@ -432,7 +604,7 @@ TEST(AdminGolden, StoredObjectsAndStoreCallsArePinned) {
   EXPECT_EQ(admin.group_size(gid), 9u);
 
   EXPECT_EQ(cloud.objects_hex(),
-            "4be54bfb387a1f6bbe41bbd6dcf91c45f98b0d19d70cd6dc9a8f473c8a6fd80c");
+            "f2d66d084ef667da59d7aa925d49861c51c8ad0e2821e6e867994ad70510213e");
   EXPECT_EQ(cloud.calls_hex(),
             "926ce83763a299bc7f31ce5ae34590f30b24dea24d0e3adb2d332586f8523126");
 }
